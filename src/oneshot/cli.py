@@ -167,22 +167,25 @@ def cmd_dh(args) -> int:
 
 def cmd_audit(args) -> int:
     which = args.which
-    if which == "typicality":
-        checks = audits.audit_typicality(
-            n_states=args.trials if args.trials else 5,
-            seed=args.seed,
-            c=args.c,
-            k=args.k,
-            dim_h=args.H,
-            dim_l=args.L,
-            deltas=tuple(args.delta) if args.delta else (0.2, 0.4),
-            eps=args.eps,
-        )
-    elif which in audits.SUITES:
-        trials = args.trials if args.trials else {"tilting": 1000, "gao": 200, "hn": 200, "dh": 200}[which]
-        checks = audits.SUITES[which](trials, args.seed)
-    else:
-        print(f"error: unknown audit {which!r}", file=sys.stderr)
+    try:
+        if which == "typicality":
+            checks = audits.audit_typicality(
+                n_states=args.trials if args.trials else 5,
+                seed=args.seed,
+                c=args.c,
+                k=args.k,
+                dim_h=args.H,
+                dim_l=args.L,
+                deltas=tuple(args.delta) if args.delta else (0.2, 0.4),
+                eps=args.eps,
+            )
+        elif which in audits.SUITES:
+            trials = args.trials if args.trials else {"tilting": 1000, "gao": 200, "hn": 200, "dh": 200}[which]
+            checks = audits.SUITES[which](trials, args.seed)
+        else:
+            raise ValueError(f"unknown audit {which!r}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _ensure_out(args.out)
     payload = {
@@ -309,10 +312,14 @@ def cmd_mac(args) -> int:
 
 
 def cmd_typicality_build(args) -> int:
-    inst = audits.random_instance(
-        args.seed, args.c, args.k, args.H, args.L, args.delta, args.eps
-    )
-    res = typicality.intersection_lemma(inst)
+    try:
+        inst = audits.random_instance(
+            args.seed, args.c, args.k, args.H, args.L, args.delta, args.eps
+        )
+        res = typicality.intersection_lemma(inst)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = _ensure_out(args.out)
     payload = {
         "params": {

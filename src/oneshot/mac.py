@@ -371,13 +371,15 @@ class PerturbedChannel:
         v[self.layout.slice_of("base"), :] = np.eye(self.base)
         return v
 
-    def tilt_x(self, l_x: int) -> np.ndarray:
+    def _tilt(self, summand: str, label: int) -> np.ndarray:
         d = self.delta
-        return (self.base_embed() + d * self._label_embed("LX", l_x)) / np.sqrt(1 + d * d)
+        return (self.base_embed() + d * self._label_embed(summand, label)) / np.sqrt(1 + d * d)
+
+    def tilt_x(self, l_x: int) -> np.ndarray:
+        return self._tilt("LX", l_x)
 
     def tilt_y(self, l_y: int) -> np.ndarray:
-        d = self.delta
-        return (self.base_embed() + d * self._label_embed("LY", l_y)) / np.sqrt(1 + d * d)
+        return self._tilt("LY", l_y)
 
     def tilt_xy(self, l_x: int, l_y: int) -> np.ndarray:
         d = self.delta
@@ -408,30 +410,30 @@ class PerturbedChannel:
         out[sl, sl] = np.kron(rho, np.eye(self.dim_l)) / self.dim_l
         return out
 
-    def averaged_over_y(self, x: int, l_x: int) -> np.ndarray:
-        """(rho')_{(x, l_x), delta}: the output averaged over (y, l_y).
+    def _averaged_over_other(
+        self, marginal: np.ndarray, kept: str, label: int, averaged: str
+    ) -> np.ndarray:
+        """The output with the kept sender's label fixed, averaged over the other's.
 
-        The label average collapses by linearity; the sum over y folds the
-        channel states into the keep-x marginal.
+        marginal is the channel output already averaged over the other
+        sender's letter; the average over its label collapses by linearity.
         """
         d = self.delta
-        rho = typicality.embed_with_ancilla(self.spec.avg_x(x), 1, self.spec.dz)
-        kept = self.base_embed() + d * self._label_embed("LX", l_x)
-        other = self._avg_label_embed("LY")
-        out = kept @ rho @ kept.conj().T
-        out += d * (kept @ rho @ other.conj().T + other @ rho @ kept.conj().T)
-        out += d * d * self._label_diag_spread("LY", rho)
+        rho = typicality.embed_with_ancilla(marginal, 1, self.spec.dz)
+        kept_emb = self.base_embed() + d * self._label_embed(kept, label)
+        other = self._avg_label_embed(averaged)
+        out = kept_emb @ rho @ kept_emb.conj().T
+        out += d * (kept_emb @ rho @ other.conj().T + other @ rho @ kept_emb.conj().T)
+        out += d * d * self._label_diag_spread(averaged, rho)
         return qla.hermitian_part(out / (1 + 2 * d * d))
 
+    def averaged_over_y(self, x: int, l_x: int) -> np.ndarray:
+        """(rho')_{(x, l_x), delta}: the output averaged over (y, l_y)."""
+        return self._averaged_over_other(self.spec.avg_x(x), "LX", l_x, "LY")
+
     def averaged_over_x(self, y: int, l_y: int) -> np.ndarray:
-        d = self.delta
-        rho = typicality.embed_with_ancilla(self.spec.avg_y(y), 1, self.spec.dz)
-        kept = self.base_embed() + d * self._label_embed("LY", l_y)
-        other = self._avg_label_embed("LX")
-        out = kept @ rho @ kept.conj().T
-        out += d * (kept @ rho @ other.conj().T + other @ rho @ kept.conj().T)
-        out += d * d * self._label_diag_spread("LX", rho)
-        return qla.hermitian_part(out / (1 + 2 * d * d))
+        """(rho')_{(y, l_y), delta}: the output averaged over (x, l_x)."""
+        return self._averaged_over_other(self.spec.avg_y(y), "LY", l_y, "LX")
 
     def averaged_all(self) -> np.ndarray:
         """(rho')_delta: the output averaged over both letters and both labels."""
@@ -470,24 +472,19 @@ def smoothing_residuals(chan: PerturbedChannel) -> list:
     bound = 3.0 * d / np.sqrt(L)
     checks = []
     lead = (1 + d * d) / (1 + 2 * d * d)
-    for x in range(spec.nx):
-        tx = chan.tilt_x(0)
-        ref = lead * tx @ typicality.embed_with_ancilla(spec.avg_x(x), 1, spec.dz) @ tx.conj().T
-        resid = chan.averaged_over_y(x, 0) - ref
-        checks.append(
-            report.AuditCheck(
-                "smoothing_residual_x", float(np.linalg.norm(resid, 2)), bound, 1e-9, {"x": x}
+    for letter, count, marginal, tilt, averaged in (
+        ("x", spec.nx, spec.avg_x, chan.tilt_x, chan.averaged_over_y),
+        ("y", spec.ny, spec.avg_y, chan.tilt_y, chan.averaged_over_x),
+    ):
+        t = tilt(0)
+        for a in range(count):
+            ref = lead * t @ typicality.embed_with_ancilla(marginal(a), 1, spec.dz) @ t.conj().T
+            resid = averaged(a, 0) - ref
+            checks.append(
+                report.AuditCheck(
+                    f"smoothing_residual_{letter}", qla.op_norm_herm(resid), bound, 1e-9, {letter: a}
+                )
             )
-        )
-    for y in range(spec.ny):
-        ty = chan.tilt_y(0)
-        ref = lead * ty @ typicality.embed_with_ancilla(spec.avg_y(y), 1, spec.dz) @ ty.conj().T
-        resid = chan.averaged_over_x(y, 0) - ref
-        checks.append(
-            report.AuditCheck(
-                "smoothing_residual_y", float(np.linalg.norm(resid, 2)), bound, 1e-9, {"y": y}
-            )
-        )
     emb = chan.base_embed()
     ref = emb @ typicality.embed_with_ancilla(spec.avg(), 1, spec.dz) @ emb.conj().T / (
         1 + 2 * d * d
@@ -495,7 +492,7 @@ def smoothing_residuals(chan: PerturbedChannel) -> list:
     resid = chan.averaged_all() - ref
     checks.append(
         report.AuditCheck(
-            "smoothing_residual_all", float(np.linalg.norm(resid, 2)), bound, 1e-9, {}
+            "smoothing_residual_all", qla.op_norm_herm(resid), bound, 1e-9, {}
         )
     )
     return checks
@@ -689,10 +686,7 @@ def pgm(povms: list) -> tuple[list, np.ndarray]:
     if not povms:
         raise ValueError("need at least one POVM element")
     dim = povms[0].shape[0]
-    total = sum(povms)
-    w, v = np.linalg.eigh(qla.hermitian_part(total))
-    inv_sqrt = np.where(w > 1e-12 * max(float(w[-1]), 1.0), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    s_inv = (v * inv_sqrt) @ v.conj().T
+    s_inv = qla.inv_sqrt_on_support(sum(povms))
     lambdas = [qla.hermitian_part(s_inv @ p @ s_inv) for p in povms]
     abstain = qla.hermitian_part(np.eye(dim) - sum(lambdas))
     return lambdas, abstain
@@ -706,10 +700,7 @@ def hayashi_nagaoka_slack(s: np.ndarray, t: np.ndarray) -> float:
     """
     s = qla.hermitian_part(np.asarray(s, dtype=complex))
     t = qla.hermitian_part(np.asarray(t, dtype=complex))
-    total = s + t
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = np.where(w > 1e-12 * max(float(w[-1]), 1.0), 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    g = (v * inv_sqrt) @ v.conj().T
+    g = qla.inv_sqrt_on_support(s + t)
     dim = s.shape[0]
     lhs = np.eye(dim) - g @ s @ g
     rhs = 2.0 * (np.eye(dim) - s) + 4.0 * t
@@ -915,9 +906,6 @@ def time_sharing_experiment(
     }
 
     inst = lemma.inst  # carries the per-word test budgets of the lemma
-    nx = spec.p_x_given_u.shape[1]
-    ny = spec.p_y_given_u.shape[1]
-    full_coords = typicality.classical_coords(3) + typicality.quantum_sites(1)
     test_cache: dict = {}
     errors = np.empty(trials)
     rows = []
@@ -925,16 +913,15 @@ def time_sharing_experiment(
         rng_u = codebook_rng(seed + t, 0, 0)
         u = sample_symbol(spec.p_u, rng_u)
         l_u = int(rng_u.integers(dim_l))
-        xs = [sample_symbol(spec.p_x_given_u[u], codebook_rng(seed + t, 1, m)) for m in range(m1)]
-        lxs = [int(codebook_rng(seed + t, 3, m).integers(dim_l)) for m in range(m1)]
-        ys = [sample_symbol(spec.p_y_given_u[u], codebook_rng(seed + t, 2, m)) for m in range(m2)]
-        lys = [int(codebook_rng(seed + t, 4, m).integers(dim_l)) for m in range(m2)]
+        cb = Codebook.sample(
+            seed + t, m1, m2, spec.p_x_given_u[u], spec.p_y_given_u[u], dim_l=dim_l
+        )
         povms = []
         states = []
         for i1 in range(m1):
             for i2 in range(m2):
-                word = (u, xs[i1], ys[i2])
-                l_assign = {-3: l_u, -2: lxs[i1], -1: lys[i2], 1: 0}
+                word = (u, int(cb.xs[i1]), int(cb.ys[i2]))
+                l_assign = {-3: l_u, -2: int(cb.lxs[i1]), -1: int(cb.lys[i2]), 1: 0}
                 if word not in test_cache:
                     test_cache[word] = typicality.optimal_splitting_tests(inst, word)
                 constr = typicality.build_construction(

@@ -156,15 +156,6 @@ class SpaceLayout:
             raise ValueError("multi-index length mismatch")
         return self.offset(label) + int(np.ravel_multi_index(tuple(multi_index), dims))
 
-    @property
-    def is_pure_tensor(self) -> bool:
-        return len(self.summands) == 1
-
-    def factor_dims(self) -> tuple[int, ...]:
-        if not self.is_pure_tensor:
-            raise ValueError("layout is not a pure tensor product")
-        return self.summands[0][1]
-
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor slow."""
@@ -249,6 +240,22 @@ def schatten_norm(op: np.ndarray, p: float) -> float:
 def trace_norm_herm(a: np.ndarray) -> float:
     """||A||_1 for Hermitian A via eigenvalues (cheaper than an SVD)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
+
+
+def op_norm_herm(a: np.ndarray) -> float:
+    """||A||_inf for Hermitian A via eigenvalues (cheaper than an SVD)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
+
+
+def inv_sqrt_on_support(a: np.ndarray) -> np.ndarray:
+    """A^(-1/2) for PSD A, taken on its support and zero on its kernel.
+
+    Eigenvalues at or below 1e-12 * max(||A||_inf, 1) count as kernel.
+    """
+    w, v = np.linalg.eigh(hermitian_part(a))
+    support = w > 1e-12 * max(float(w[-1]), 1.0)
+    inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
+    return (v * inv_sqrt) @ v.conj().T
 
 
 def schmidt_split(

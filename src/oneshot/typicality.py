@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -229,15 +229,6 @@ class AugmentedSpace:
             return self.base_dim
         return self.base_dim * self.dim_l ** len(label)
 
-    def site_layout(self, i: int) -> qla.SpaceLayout:
-        parts = []
-        for label in self.site_labels[i]:
-            if label is None:
-                parts.append(("base", (self.dim_h, 2)))
-            else:
-                parts.append((label, (self.dim_h, 2) + (self.dim_l,) * len(label)))
-        return qla.SpaceLayout.direct_sum(parts)
-
     def site_dim(self, i: int) -> int:
         return sum(self.summand_dim(lab) for lab in self.site_labels[i])
 
@@ -275,14 +266,7 @@ class AugmentedSpace:
 
     def sites_base_embed(self, sites) -> np.ndarray:
         mats = [self.site_embed(s, None, None) for s in sorted(sites)]
-        return _kron_all(mats)
-
-
-def _kron_all(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+        return qla.tensor_all(mats)
 
 
 def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarray:
@@ -292,7 +276,7 @@ def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarra
     if not sites:
         raise ValueError("block contains no quantum site")
     mats = [space.site_embed(s, S, l_assign) for s in sites]
-    return _kron_all(mats)
+    return qla.tensor_all(mats)
 
 
 def psp_embed(
@@ -328,7 +312,7 @@ def psp_embed(
                 mats.append(space.site_embed(s, site_of[s], l_assign))
             else:
                 mats.append(space.site_embed(s, None, None))
-        acc += float(delta) ** len(blocks) * _kron_all(mats)
+        acc += float(delta) ** len(blocks) * qla.tensor_all(mats)
     return acc / np.sqrt(norm)
 
 
@@ -349,16 +333,15 @@ def global_embed(
     return smoothing_embed(space, full, l_assign, delta)
 
 
+def _ancilla_zero(dim_h: int) -> np.ndarray:
+    """The per-site isometry H -> H x C^2, h -> h|0>."""
+    return np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
+
+
 def embed_with_ancilla(rho: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     """rho on H^(x n) tensored with |0><0| per site, in per-site (h, b) coordinates."""
-    e0 = np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
-    emb = _kron_all([e0] * n_sites)
+    emb = qla.tensor_all([_ancilla_zero(dim_h)] * n_sites)
     return emb @ np.asarray(rho, dtype=complex) @ emb.conj().T
-
-
-def ancilla_embed_isometry(n_sites: int, dim_h: int) -> np.ndarray:
-    e0 = np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
-    return _kron_all([e0] * n_sites)
 
 
 def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
@@ -367,17 +350,8 @@ def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     The ancilla qubit of the last site absorbs the rejected weight, so
     Tr[Pi' (A x |00..0><00..0|)] = Tr[pi A] exactly with per-site ancillas.
     """
-    pi = np.asarray(pi, dtype=complex)
-    w, v = np.linalg.eigh(qla.hermitian_part(pi))
-    if w[0] < -qla.PSD_TOL or w[-1] > 1 + qla.PSD_TOL:
-        raise ValueError("input is not a POVM element")
-    w = np.clip(w, 0.0, 1.0)
-    e0 = np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
-    e1 = np.kron(np.eye(dim_h), np.array([[0.0], [1.0]]))
-    emb0 = _kron_all([e0] * n_sites)
-    emb1 = _kron_all([e0] * (n_sites - 1) + [e1]) if n_sites > 1 else e1
-    basis = emb0 @ (v * np.sqrt(w)) + emb1 @ (v * np.sqrt(1.0 - w))
-    return qla.hermitian_part(basis @ basis.conj().T)
+    f = qla.tensor_all([_ancilla_zero(dim_h)] * (n_sites - 1) + [np.eye(2 * dim_h)])
+    return f @ hyptest.dilate_povm(pi) @ f.conj().T
 
 
 @dataclass
@@ -696,32 +670,18 @@ def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -
     return LowRankState(v, embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h))
 
 
-def build_pi_prime(
-    inst: TypicalityInstance, x, l_assign: dict | None = None
-) -> BlockConstruction:
-    """The intersection POVM element; returned with its construction handles."""
-    return build_construction(inst, x, l_assign)
-
-
 def factored_partial_trace(
     space: AugmentedSpace, state: LowRankState, keep_sites
 ) -> np.ndarray:
     """Dense marginal of a factored state on a subset of augmented sites."""
-    keep_sites = sorted(keep_sites)
+    keep = [s - 1 for s in sorted(keep_sites)]
     dims = [space.site_dim(s) for s in quantum_sites(space.k)]
-    cols = state.core_sqrt_cols()
-    r = cols.shape[1]
-    t = cols.reshape(tuple(dims) + (r,))
-    letters = "abcdefghijklmnop"
-    subs = "".join(letters[s - 1] for s in quantum_sites(space.k)) + "r"
-    out_rows = "".join(letters[s - 1] for s in keep_sites)
-    conj_subs = "".join(
-        letters[s - 1].upper() if s in keep_sites else letters[s - 1]
-        for s in quantum_sites(space.k)
-    ) + "r"
-    out = np.einsum(f"{subs},{conj_subs}->{out_rows}{out_rows.upper()}", t, t.conj())
-    d = int(np.prod([dims[s - 1] for s in keep_sites]))
-    return qla.hermitian_part(out.reshape(d, d))
+    # rho = C C†: put the kept sites first, then the traced sites and the
+    # columns of C contract in one product
+    t = state.core_sqrt_cols().reshape(dims + [-1])
+    d = int(np.prod([dims[i] for i in keep]))
+    m = np.moveaxis(t, keep, range(len(keep))).reshape(d, -1)
+    return qla.hermitian_part(m @ m.conj().T)
 
 
 def marginal_block_state(
@@ -823,10 +783,13 @@ def split_decompose(
 
     alpha = 1.0
     alpha_beta = 1.0
+    lead_weights = []
     for block in psp:
         sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(inst.c))))
         s_with_c = tuple(sorted(set(block) | set(classical_coords(inst.c))))
-        alpha *= normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
+        a_i = normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
+        lead_weights.append(a_i)
+        alpha *= a_i
         alpha_beta *= (
             normalization(s_with_c, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
         )
@@ -853,18 +816,16 @@ def split_decompose(
 
     factors = []
     coords = classical_coords(inst.c)
-    for block in psp:
+    for block, a_i in zip(psp, lead_weights):
         sites = tuple(e for e in block if e > 0)
         x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
         rho_i = marginal_block_state(inst, block, x_kept, {e: l_assign[e] for e in block})
-        nc = _kron_all([_site_noncross_mask(space, s, block).astype(float)[:, None] for s in sites]).ravel() > 0.5
+        nc = qla.tensor_all([_site_noncross_mask(space, s, block).astype(float)[:, None] for s in sites]).ravel() > 0.5
         p_nc = nc.astype(float)
         clean = rho_i * np.outer(p_nc, p_nc)
         crossing = rho_i * np.outer(1.0 - p_nc, 1.0 - p_nc)
-        coh = float(np.linalg.norm(rho_i - clean - crossing, 2))
+        coh = qla.op_norm_herm(rho_i - clean - crossing)
 
-        sbar_with_c = tuple(sorted((full - set(block)) | set(coords)))
-        a_i = normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
         rho_bar = inst.averaged_marginal(block, x_kept)
         t_embed = smoothing_embed(space, block, {e: l_assign[e] for e in block}, inst.delta)
         lead = t_embed @ embed_with_ancilla(rho_bar, len(sites), inst.dim_h) @ t_embed.conj().T
@@ -897,8 +858,8 @@ def split_decompose(
 
     # ||M'||_inf is exact: terms indexed by which factors sit in crossing
     # sectors have mutually orthogonal supports
-    c_norms = [float(np.linalg.norm(f.clean, 2)) for f in factors]
-    m_norms = [float(np.linalg.norm(f.crossing, 2)) for f in factors]
+    c_norms = [qla.op_norm_herm(f.clean) for f in factors]
+    m_norms = [qla.op_norm_herm(f.crossing) for f in factors]
     m_prime_norm = 0.0
     for pick in itertools.product([0, 1], repeat=len(factors)):
         if not any(pick):
@@ -919,8 +880,8 @@ def split_decompose(
 
     # N' = sum over non-empty subsets of factors of leak terms tensored with
     # the leading terms; exact norm when at most one factor actually leaks
-    leak_norms = [float(np.linalg.norm(f.leak, 2)) for f in factors]
-    lead_norms = [f.lead_weight * float(np.linalg.norm(f.lead, 2)) for f in factors]
+    leak_norms = [qla.op_norm_herm(f.leak) for f in factors]
+    lead_norms = [f.lead_weight * qla.op_norm_herm(f.lead) for f in factors]
     leaky = [i for i, ln in enumerate(leak_norms) if ln > 1e-12]
     if len(leaky) <= 1:
         n_norm = 0.0 if not leaky else leak_norms[leaky[0]] * float(
@@ -1124,18 +1085,7 @@ def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> Lem
         for x, (_, eps_x) in per_x.items():
             eps_table[(x, psp)] = min(max(eps_x, 0.0), 1.0 - 1e-12)
     if eps_table:
-        inst = TypicalityInstance(
-            c=inst.c,
-            k=inst.k,
-            dim_h=inst.dim_h,
-            dim_l=inst.dim_l,
-            delta=inst.delta,
-            rhos=inst.rhos,
-            p_x=inst.p_x,
-            eps_total=inst.eps_total,
-            eps_table=eps_table,
-            alphabet=inst.alphabet,
-        )
+        inst = replace(inst, eps_table=eps_table)
 
     constructions = {x: build_construction(inst, x) for x in words}
     checks = []
@@ -1164,13 +1114,8 @@ def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> Lem
         psp: sum(inst.p_x[x] * inst.eps_for(x, psp) for x in words)
         for psp in lattice.linear_ext
     }
-    floor = (
-        1.0
-        - inst.delta ** (-2 * k)
-        * 2.0 ** (2.0 ** (c * k + 4) * (k + 1) ** k)
-        * sum(eps_sums.values())
-        - 2.0 ** ((c + k) / 2.0 + 1.0) * inst.delta
-    )
+    floor = claim4_stated_floor(inst, sum(eps_sums.values()))
+    floor -= 2.0 ** ((c + k) / 2.0 + 1.0) * inst.delta
     checks.append(
         report.AuditCheck("lemma_claim3_completeness", floor, completeness, 1e-9, params)
     )

@@ -169,3 +169,12 @@ class TestTypicalityBuild:
         payload = json.load(open(os.path.join(outdir, "typicality_build.json")))
         assert payload["pass"] is True
         assert payload["soundness"]
+
+
+class TestRejectedInput:
+    def test_dimension_cap_exits_2(self, monkeypatch, outdir, capsys):
+        monkeypatch.setenv("ONESHOT_DIM_CAP", "10")
+        assert run(["typicality-build", "--out", outdir]) == 2
+        assert run(["audit", "typicality", "--trials", "1", "--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: per-site dimension") == 2

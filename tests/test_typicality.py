@@ -247,6 +247,23 @@ class TestRhoPrime:
         npt.assert_allclose(got, want, atol=1e-10)
 
 
+    @pytest.mark.parametrize(
+        "c, k, x, l_assign",
+        [(0, 2, (), {1: 1, 2: 0}), (1, 1, (1,), {-1: 1, 1: 0})],
+    )
+    def test_factored_partial_trace_matches_dense(self, c, k, x, l_assign):
+        inst = small_instance(74, c=c, k=k, delta=0.4)
+        space = inst.space
+        st = tp.build_rho_prime(inst, x, l_assign)
+        dense = st.dense()
+        dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
+        for r in range(1, k + 1):
+            for keep in itertools.combinations(tp.quantum_sites(k), r):
+                got = tp.factored_partial_trace(space, st, keep)
+                want = qla.partial_trace(dense, dims, [s - 1 for s in keep])
+                npt.assert_allclose(got, want, atol=1e-12)
+
+
 class TestConstruction:
     def test_trivial_tests_give_slice_projector(self):
         inst = small_instance(73, delta=0.4)

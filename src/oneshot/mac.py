@@ -83,8 +83,6 @@ class MacResult:
 
     @property
     def mc_halfwidth(self) -> float:
-        if len(self.errors) < 2:
-            return 0.0
         return 1.96 * self.mc_sem
 
     @property
@@ -137,15 +135,10 @@ def classical_information_quantities(spec: ClassicalChannelSpec, eps: float) -> 
     p_z_given_x = np.einsum("y,xyz->xz", spec.p_y, spec.kernel)
     p_z_given_y = np.einsum("x,xyz->yz", spec.p_x, spec.kernel)
     p_z = np.einsum("x,xz->z", spec.p_x, p_z_given_x)
-    false_x = (
-        spec.p_x[:, None, None] * spec.p_y[None, :, None] * p_z_given_y[None, :, :]
-    ).ravel()
-    false_y = (
-        spec.p_x[:, None, None] * spec.p_y[None, :, None] * p_z_given_x[:, None, :]
-    ).ravel()
-    false_xy = (
-        spec.p_x[:, None, None] * spec.p_y[None, :, None] * p_z[None, None, :]
-    ).ravel()
+    p_xy = spec.p_x[:, None, None] * spec.p_y[None, :, None]
+    false_x = (p_xy * p_z_given_y[None, :, :]).ravel()
+    false_y = (p_xy * p_z_given_x[:, None, :]).ravel()
+    false_xy = (p_xy * p_z[None, None, :]).ravel()
     res_x = hyptest.dh_classical(p_xyz, false_x, eps)
     res_y = hyptest.dh_classical(p_xyz, false_y, eps)
     res_xy = hyptest.dh_classical(p_xyz, false_xy, eps)
@@ -305,33 +298,30 @@ class CqChannelSpec:
     def avg(self) -> np.ndarray:
         return np.einsum("x,y,xyab->ab", self.p_x, self.p_y, self.states)
 
-    def cq_state(self) -> np.ndarray:
-        """The controlling state, classical on XY and quantum on Z."""
+    def _block_diag(self, block) -> np.ndarray:
+        """sum_{x,y} p(x) p(y) |x y><x y| (x) block(x, y)."""
         nx, ny, dz = self.nx, self.ny, self.dz
         out = np.zeros((nx * ny * dz,) * 2, dtype=complex)
         for x in range(nx):
             for y in range(ny):
                 sl = slice((x * ny + y) * dz, (x * ny + y + 1) * dz)
-                out[sl, sl] = self.p_x[x] * self.p_y[y] * self.states[x, y]
+                out[sl, sl] = self.p_x[x] * self.p_y[y] * block(x, y)
         return out
+
+    def cq_state(self) -> np.ndarray:
+        """The controlling state, classical on XY and quantum on Z."""
+        return self._block_diag(lambda x, y: self.states[x, y])
 
     def cq_false(self, kind: str) -> np.ndarray:
         """Product-of-marginals alternates on the same block structure."""
-        nx, ny, dz = self.nx, self.ny, self.dz
-        out = np.zeros((nx * ny * dz,) * 2, dtype=complex)
-        for x in range(nx):
-            for y in range(ny):
-                sl = slice((x * ny + y) * dz, (x * ny + y + 1) * dz)
-                if kind == "keep_x":
-                    blk = self.avg_x(x)
-                elif kind == "keep_y":
-                    blk = self.avg_y(y)
-                elif kind == "none":
-                    blk = self.avg()
-                else:
-                    raise ValueError(kind)
-                out[sl, sl] = self.p_x[x] * self.p_y[y] * blk
-        return out
+        blocks = {
+            "keep_x": lambda x, y: self.avg_x(x),
+            "keep_y": lambda x, y: self.avg_y(y),
+            "none": lambda x, y: self.avg(),
+        }
+        if kind not in blocks:
+            raise ValueError(kind)
+        return self._block_diag(blocks[kind])
 
 
 class PerturbedChannel:
@@ -396,6 +386,10 @@ class PerturbedChannel:
         t = self.tilt_xy(l_x, l_y)
         return t @ self.rho_hat(x, y) @ t.conj().T
 
+    def rho_prime_factored(self, x: int, l_x: int, y: int, l_y: int) -> typicality.LowRankState:
+        """rho' kept as tilt_xy(l_x, l_y) rho_hat(x, y) tilt_xy†."""
+        return typicality.LowRankState(self.tilt_xy(l_x, l_y), self.rho_hat(x, y))
+
     def _avg_label_embed(self, summand: str) -> np.ndarray:
         v = np.zeros((self.dim, self.base), dtype=complex)
         off = self.layout.offset(summand)
@@ -452,9 +446,16 @@ class PerturbedChannel:
         return qla.hermitian_part(out / (1 + 2 * d * d))
 
     def perturbation_l1(self, x: int, y: int, l_x: int = 0, l_y: int = 0) -> float:
-        emb = self.base_embed()
-        diff = self.rho_prime(x, l_x, y, l_y) - emb @ self.rho_hat(x, y) @ emb.conj().T
-        return qla.trace_norm_herm(diff)
+        """||rho' - e rho_hat e†||_1 on the orthonormal columns [e, label LX, label LY].
+
+        Both operators live in that span, so the trace norm of the compression
+        (a 6 dz x 6 dz matrix) is the trace norm on Z'.
+        """
+        e = self.base_embed()
+        cols = np.hstack([e, self._label_embed("LX", l_x), self._label_embed("LY", l_y)])
+        t, e = cols.conj().T @ self.tilt_xy(l_x, l_y), cols.conj().T @ e
+        rho = self.rho_hat(x, y)
+        return qla.trace_norm_herm(t @ rho @ t.conj().T - e @ rho @ e.conj().T)
 
 
 def build_perturbed_channel(spec: CqChannelSpec, dim_l: int, delta: float) -> PerturbedChannel:
@@ -566,20 +567,18 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     w_y, blk_y = complements(res_y)
     w_xy, blk_xy = complements(res_xy)
     return DecodingSet(
-        chan=chan,
-        eps=eps,
-        i_x_yz=res_y.value_bits,
-        i_y_xz=res_x.value_bits,
-        i_xy_z=res_xy.value_bits,
-        w_x=w_x,
-        w_y=w_y,
-        w_xy=w_xy,
+        chan=chan, eps=eps, i_x_yz=res_y.value_bits, i_y_xz=res_x.value_bits,
+        i_xy_z=res_xy.value_bits, w_x=w_x, w_y=w_y, w_xy=w_xy,
         block_tests={"x": blk_x, "y": blk_y, "xy": blk_xy},
     )
 
 
 def pipeline_quantities(dec: DecodingSet) -> dict:
-    """Exact type-1 and type-2 aggregates of the decoding set (representative labels)."""
+    """Exact type-1 and type-2 aggregates of the decoding set (representative labels).
+
+    With Pi = B B† every trace is taken on the factor: Tr[Pi rho'] through the
+    factored rho', and Tr[Pi A] = Tr[B† A B] for the averaged states A.
+    """
     chan = dec.chan
     spec = chan.spec
     type1 = t2_keep_x = t2_keep_y = t2_none = 0.0
@@ -590,11 +589,12 @@ def pipeline_quantities(dec: DecodingSet) -> dict:
     for x in range(spec.nx):
         for y in range(spec.ny):
             w = spec.p_x[x] * spec.p_y[y]
-            pi = dec.povm(x, 0, y, 0)
-            type1 += w * (1.0 - float(np.trace(pi @ chan.rho_prime(x, 0, y, 0)).real))
-            t2_keep_x += w * float(np.trace(pi @ avg_xs[x]).real)
-            t2_keep_y += w * float(np.trace(pi @ avg_ys[y]).real)
-            t2_none += w * float(np.trace(pi @ avg_all).real)
+            b = dec.povm_factor(x, 0, y, 0)
+            accept = typicality.povm_expectation(b, chan.rho_prime_factored(x, 0, y, 0))
+            type1 += w * (1.0 - accept)
+            t2_keep_x += w * float(np.trace(b.conj().T @ avg_xs[x] @ b).real)
+            t2_keep_y += w * float(np.trace(b.conj().T @ avg_ys[y] @ b).real)
+            t2_none += w * float(np.trace(b.conj().T @ avg_all @ b).real)
             max_pert = max(max_pert, chan.perturbation_l1(x, y))
     return {
         "type1": type1,
@@ -680,8 +680,10 @@ def minimal_ancilla_dim(delta: float, dz: int, i_values) -> int:
 def pgm(povms: list) -> tuple[list, np.ndarray]:
     """Pretty good measurement: Lambda_m = S^(-1/2) Pi_m S^(-1/2), S = sum Pi_m.
 
-    The inverse square root acts on the support of S; the returned abstain
-    element completes the measurement to the identity and counts as an error.
+    Hausladen-Wootters 1994.  The inverse square root acts on the support of
+    S; the returned abstain element completes the measurement to the identity
+    and counts as an error.  This dense form builds dim x dim operators; the
+    decoders use the factored pgm_success instead.
     """
     if not povms:
         raise ValueError("need at least one POVM element")
@@ -690,6 +692,29 @@ def pgm(povms: list) -> tuple[list, np.ndarray]:
     lambdas = [qla.hermitian_part(s_inv @ p @ s_inv) for p in povms]
     abstain = qla.hermitian_part(np.eye(dim) - sum(lambdas))
     return lambdas, abstain
+
+
+def pgm_success(factors: list, states: list) -> np.ndarray:
+    """Tr[Lambda_m rho_m] of the PGM over Pi_m = B_m B_m†, without S, Lambda_m or rho_m.
+
+    Thin SVD G = [B_1 ... B_M] = U s V†, kept where s^2 > 1e-12 max(s_0^2, 1)
+    (the support rule of qla.inv_sqrt_on_support): S^(-1/2) B_m = U V_m†, so
+    Tr[Lambda_m rho_m] = Tr[V_m V_m† (U† rho_m U)], a |B_m| x rank product on
+    the factored states (typicality.LowRankState).  Hausladen-Wootters 1994;
+    the error is audited against Hayashi-Nagaoka 2003 (IEEE TIT 49(7)).
+    """
+    if not factors:
+        raise ValueError("need at least one POVM element")
+    u, s, vh = np.linalg.svd(np.hstack(factors), full_matrices=False)
+    keep = s * s > 1e-12 * max(float(s[0] * s[0]), 1.0)
+    u, vh = u[:, keep], vh[keep]
+    edges = np.cumsum([0] + [b.shape[1] for b in factors])
+    return np.array([
+        typicality.povm_expectation(
+            vh[:, lo:hi], typicality.LowRankState(u.conj().T @ st.factor, st.core)
+        )
+        for lo, hi, st in zip(edges[:-1], edges[1:], states)
+    ])
 
 
 def hayashi_nagaoka_slack(s: np.ndarray, t: np.ndarray) -> float:
@@ -732,9 +757,12 @@ def cq_mac_experiment(
 ) -> MacResult:
     """Monte Carlo over codebooks of the PGM decoder on the perturbed channel.
 
-    The exact average error per codebook is computed from traces (abstain
-    counted as an error); the reported bounds are the theorem constant
-    49 sqrt(eps) and the Hayashi-Nagaoka expansion evaluated with the exact
+    The exact error per codebook is 1 - mean_m Tr[Lambda_m rho'_m] (abstain
+    counts as an error) from pgm_success on Pi_m = B_m B_m† and rho'_m =
+    t rho_hat t†: with G = [B_1 ... B_M] = U s V†, Tr[Lambda_m rho'_m] =
+    Tr[V_m V_m† U† rho'_m U], so no dim Z' operator is built (PGM:
+    Hausladen-Wootters 1994).  The bounds are the theorem constant
+    49 sqrt(eps) and the Hayashi-Nagaoka 2003 expansion at the exact
     pipeline quantities.
     """
     if delta is None:
@@ -745,15 +773,8 @@ def cq_mac_experiment(
     m1, m2 = message_count(r1), message_count(r2)
 
     q = pipeline_quantities(dec)
-    hn_bound = (
-        2.0 * q["type1"]
-        + 4.0 * (m1 - 1) * q["t2_keep_y"]
-        + 4.0 * (m2 - 1) * q["t2_keep_x"]
-        + 4.0 * (m1 - 1) * (m2 - 1) * q["t2_none"]
-    )
     bounds = {
         "total": 49.0 * np.sqrt(eps),
-        "hn": hn_bound,
         "type1": q["type1"],
         "r1": 4.0 * (m1 - 1) * q["t2_keep_y"],
         "r2": 4.0 * (m2 - 1) * q["t2_keep_x"],
@@ -763,24 +784,21 @@ def cq_mac_experiment(
         "i_y_xz": dec.i_y_xz,
         "i_xy_z": dec.i_xy_z,
     }
+    bounds["hn"] = bounds["fallback"] + bounds["r1"] + bounds["r2"] + bounds["sum"]
 
     errors = np.empty(trials)
     rows = []
     for t in range(trials):
         cb = Codebook.sample(seed + t, m1, m2, spec.p_x, spec.p_y, dim_l=dim_l)
-        povms = [
-            dec.povm(cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
+        pairs = [
+            (cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
             for i1 in range(m1)
             for i2 in range(m2)
         ]
-        lambdas, _ = pgm(povms)
-        err = 0.0
-        for i1 in range(m1):
-            for i2 in range(m2):
-                rho_p = chan.rho_prime(cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
-                lam = lambdas[i1 * m2 + i2]
-                err += 1.0 - float(np.trace(lam @ rho_p).real)
-        errors[t] = err / (m1 * m2)
+        success = pgm_success(
+            [dec.povm_factor(*p) for p in pairs], [chan.rho_prime_factored(*p) for p in pairs]
+        )
+        errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
         rows.append((t, seed + t, errors[t]))
     return MacResult((r1, r2), errors, bounds, rows)
 
@@ -801,11 +819,10 @@ class TimeSharingSpec:
     def __post_init__(self):
         s = np.asarray(self.states, dtype=complex)
         object.__setattr__(self, "states", s)
-        for name in ("p_u",):
-            d = np.asarray(getattr(self, name), dtype=float)
-            if abs(d.sum() - 1.0) > 1e-10:
-                raise ValueError(f"{name} must be a distribution")
-            object.__setattr__(self, name, d)
+        p_u = np.asarray(self.p_u, dtype=float)
+        if abs(p_u.sum() - 1.0) > 1e-10:
+            raise ValueError("p_u must be a distribution")
+        object.__setattr__(self, "p_u", p_u)
         for name in ("p_x_given_u", "p_y_given_u"):
             d = np.asarray(getattr(self, name), dtype=float)
             if np.any(np.abs(d.sum(axis=1) - 1.0) > 1e-10):
@@ -886,15 +903,8 @@ def time_sharing_experiment(
         for x in lemma.inst.words()
     )
     m1, m2 = message_count(r1), message_count(r2)
-    hn_bound = (
-        2.0 * type1
-        + 4.0 * (m1 - 1) * s[TS_SPLIT_X_WRONG]["lhs"]
-        + 4.0 * (m2 - 1) * s[TS_SPLIT_Y_WRONG]["lhs"]
-        + 4.0 * (m1 - 1) * (m2 - 1) * s[TS_SPLIT_BOTH]["lhs"]
-    )
     bounds = {
         "total": 2.0**135 * eps ** (1.0 / 3.0),
-        "hn": hn_bound,
         "type1": type1,
         "fallback": 2.0 * type1,
         "r1": 4.0 * (m1 - 1) * s[TS_SPLIT_X_WRONG]["lhs"],
@@ -904,6 +914,7 @@ def time_sharing_experiment(
         "i_y_xz_u": i_y_xz_u,
         "i_xy_z_u": i_xy_z_u,
     }
+    bounds["hn"] = bounds["fallback"] + bounds["r1"] + bounds["r2"] + bounds["sum"]
 
     inst = lemma.inst  # carries the per-word test budgets of the lemma
     test_cache: dict = {}
@@ -916,23 +927,17 @@ def time_sharing_experiment(
         cb = Codebook.sample(
             seed + t, m1, m2, spec.p_x_given_u[u], spec.p_y_given_u[u], dim_l=dim_l
         )
-        povms = []
-        states = []
+        constrs = []
         for i1 in range(m1):
             for i2 in range(m2):
                 word = (u, int(cb.xs[i1]), int(cb.ys[i2]))
                 l_assign = {-3: l_u, -2: int(cb.lxs[i1]), -1: int(cb.lys[i2]), 1: 0}
                 if word not in test_cache:
                     test_cache[word] = typicality.optimal_splitting_tests(inst, word)
-                constr = typicality.build_construction(
-                    inst, word, l_assign, test_cache[word]
+                constrs.append(
+                    typicality.build_construction(inst, word, l_assign, test_cache[word])
                 )
-                povms.append(constr.b_factor @ constr.b_factor.conj().T)
-                states.append(constr.rho_prime.dense())
-        lambdas, _ = pgm(povms)
-        err = sum(
-            1.0 - float(np.trace(lam @ st).real) for lam, st in zip(lambdas, states)
-        )
-        errors[t] = err / (m1 * m2)
+        success = pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
+        errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
         rows.append((t, seed + t, errors[t]))
     return MacResult((r1, r2), errors, bounds, rows)

@@ -47,11 +47,6 @@ def random_projector(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
     return qla.hermitian_part(v @ v.conj().T)
 
 
-def random_subspace(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
-    """Orthonormal basis (columns) of a Haar-random subspace."""
-    return haar_isometry(rng, d, rank)
-
-
 def random_povm_element(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random Hermitian squashed into [0, 1] spectrum."""
     w, v = np.linalg.eigh(random_hermitian(rng, d))

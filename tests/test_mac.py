@@ -127,6 +127,15 @@ class TestPerturbedChannel:
         assert got > 4 * delta**2
         assert got <= 2 * np.sqrt(2) * delta + 1e-12
 
+    def test_perturbation_l1_matches_dense(self):
+        spec = random_cq_spec(43)
+        chan = mac.build_perturbed_channel(spec, 8, 0.35)
+        emb = chan.base_embed()
+        for x, y, lx, ly in [(0, 0, 0, 0), (0, 1, 3, 5), (1, 0, 7, 0), (1, 1, 2, 2)]:
+            diff = chan.rho_prime(x, lx, y, ly) - emb @ chan.rho_hat(x, y) @ emb.conj().T
+            want = qla.trace_norm_herm(diff)
+            assert chan.perturbation_l1(x, y, lx, ly) == pytest.approx(want, abs=1e-12)
+
     def test_averaged_states_match_brute_force(self):
         spec = random_cq_spec(10)
         L, delta = 3, 0.4
@@ -253,6 +262,87 @@ class TestPgm:
         lambdas, abstain = mac.pgm(povms)
         total = sum(lambdas) + abstain
         assert np.max(np.abs(total - np.eye(6))) <= 1e-10
+
+
+def dense_pgm_success(povms, states):
+    lambdas, _ = mac.pgm(povms)
+    return np.array([np.trace(lam @ rho).real for lam, rho in zip(lambdas, states)])
+
+
+class TestPgmSuccess:
+    def codebook_terms(self, dec, cb):
+        pairs = [
+            (cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
+            for i1 in range(len(cb.xs))
+            for i2 in range(len(cb.ys))
+        ]
+        factors = [dec.povm_factor(*p) for p in pairs]
+        states = [dec.chan.rho_prime_factored(*p) for p in pairs]
+        povms = [dec.povm(*p) for p in pairs]
+        dense_states = [dec.chan.rho_prime(*p) for p in pairs]
+        return factors, states, povms, dense_states
+
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (2, 2), (4, 2)])
+    def test_matches_dense_pgm(self, m1, m2):
+        spec = random_cq_spec(40)
+        dec = mac.build_decoding_povms(spec, 16, 0.3, 0.05)
+        for seed in range(3):
+            cb = mac.Codebook.sample(seed, m1, m2, spec.p_x, spec.p_y, dim_l=16)
+            factors, states, povms, dense_states = self.codebook_terms(dec, cb)
+            got = mac.pgm_success(factors, states)
+            npt.assert_allclose(got, dense_pgm_success(povms, dense_states), atol=1e-12)
+
+    def test_repeated_codeword_rank_deficient(self):
+        # two messages share (x, l_x, y, l_y): G = [B_1 ... B_M] loses rank and
+        # the support cutoff decides which singular values count
+        spec = random_cq_spec(41)
+        dec = mac.build_decoding_povms(spec, 16, 0.3, 0.05)
+        cb = mac.Codebook(
+            np.array([1, 1, 0]), np.array([0]), np.array([5, 5, 2]), np.array([7]), 0
+        )
+        factors, states, povms, dense_states = self.codebook_terms(dec, cb)
+        g = np.hstack(factors)
+        assert np.linalg.matrix_rank(g) < g.shape[1]
+        got = mac.pgm_success(factors, states)
+        npt.assert_allclose(got, dense_pgm_success(povms, dense_states), atol=1e-12)
+        assert got[0] == pytest.approx(got[1], abs=1e-12)
+
+    def test_time_sharing_codebook(self):
+        rng = rng_from_seed(25)
+        states = np.array(
+            [[random_density(rng, 2) for _ in range(2)] for _ in range(2)]
+        )
+        ts = mac.TimeSharingSpec(
+            states,
+            np.array([0.5, 0.5]),
+            np.array([[0.8, 0.2], [0.3, 0.7]]),
+            np.array([[0.6, 0.4], [0.1, 0.9]]),
+        )
+        inst = mac.time_sharing_instance(ts, 2, 0.05 ** (1.0 / 3.0), 0.05)
+        constrs = []
+        for x, y, lx, ly in [(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0)]:
+            word = (1, x, y)
+            l_assign = {-3: 1, -2: lx, -1: ly, 1: 0}
+            constrs.append(mac.typicality.build_construction(inst, word, l_assign))
+        got = mac.pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
+        want = dense_pgm_success(
+            [c.b_factor @ c.b_factor.conj().T for c in constrs],
+            [c.rho_prime.dense() for c in constrs],
+        )
+        npt.assert_allclose(got, want, atol=1e-12)
+
+    def test_experiment_builds_no_dense_operator(self, monkeypatch):
+        spec = random_cq_spec(42)
+        dec = mac.build_decoding_povms(spec, 16, 0.3, 0.05)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense operator built in the decoding path")
+
+        monkeypatch.setattr(mac, "pgm", forbidden)
+        monkeypatch.setattr(mac.DecodingSet, "povm", forbidden)
+        monkeypatch.setattr(mac.PerturbedChannel, "rho_prime", forbidden)
+        res = mac.cq_mac_experiment(spec, 1.0, 1.0, 0.05, 16, 0.3, trials=2, seed=3, dec=dec)
+        assert res.errors.shape == (2,)
 
 
 class TestHayashiNagaoka:

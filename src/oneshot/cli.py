@@ -161,6 +161,11 @@ def cmd_dh(args) -> int:
     return 0
 
 
+def _check_trials(trials: int | None) -> None:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -168,9 +173,10 @@ def cmd_dh(args) -> int:
 def cmd_audit(args) -> int:
     which = args.which
     try:
+        _check_trials(args.trials)
         if which == "typicality":
             checks = audits.audit_typicality(
-                n_states=args.trials if args.trials else 5,
+                n_states=args.trials if args.trials is not None else 5,
                 seed=args.seed,
                 c=args.c,
                 k=args.k,
@@ -180,7 +186,9 @@ def cmd_audit(args) -> int:
                 eps=args.eps,
             )
         elif which in audits.SUITES:
-            trials = args.trials if args.trials else {"tilting": 1000, "gao": 200, "hn": 200, "dh": 200}[which]
+            trials = args.trials
+            if trials is None:
+                trials = {"tilting": 1000, "gao": 200, "hn": 200, "dh": 200}[which]
             checks = audits.SUITES[which](trials, args.seed)
         else:
             raise ValueError(f"unknown audit {which!r}")
@@ -243,7 +251,8 @@ def cmd_mac(args) -> int:
         cfg = parse_kv(text)
         mode = args.mode
         eps = float(cfg["epsilon"])
-        trials = args.trials if args.trials else int(cfg.get("trials", "100"))
+        trials = args.trials if args.trials is not None else int(cfg.get("trials", "100"))
+        _check_trials(trials)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
         if mode == "classical":
             spec = load_classical_spec(cfg)

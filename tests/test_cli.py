@@ -178,3 +178,19 @@ class TestRejectedInput:
         assert run(["audit", "typicality", "--trials", "1", "--out", outdir]) == 2
         err = capsys.readouterr().err
         assert err.count("error: per-site dimension") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mac", "cq", "configs/cq_mac_small.txt", "--trials", "0"],
+            ["mac", "classical", "configs/classical_mac_small.txt", "--trials", "-2"],
+            ["audit", "hn", "--trials", "-3"],
+            ["audit", "typicality", "--trials", "0"],
+        ],
+    )
+    def test_nonpositive_trials_exit_2(self, argv, outdir, capsys):
+        # a non-positive count is rejected, not replaced by the default count
+        # or run as an empty (vacuously passing) audit
+        assert run(argv + ["--out", outdir]) == 2
+        assert "error: trials must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(outdir)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import mac, qla, report
+from oneshot import mac, qla, report, typicality
 from oneshot.rand import random_density, random_povm_element, rng_from_seed
 
 
@@ -144,7 +144,12 @@ class TestPerturbedChannel:
         for y in range(spec.ny):
             for ly in range(L):
                 brute += spec.p_y[y] / L * chan.rho_prime(1, 2, y, ly)
-        npt.assert_allclose(chan.averaged_over_y(1, 2), brute, atol=1e-12)
+        npt.assert_allclose(chan.averaged_over_y(1, 2).dense(), brute, atol=1e-12)
+        brute = np.zeros((chan.dim, chan.dim), dtype=complex)
+        for x in range(spec.nx):
+            for lx in range(L):
+                brute += spec.p_x[x] / L * chan.rho_prime(x, lx, 0, 1)
+        npt.assert_allclose(chan.averaged_over_x(0, 1).dense(), brute, atol=1e-12)
         brute_all = np.zeros((chan.dim, chan.dim), dtype=complex)
         for x in range(spec.nx):
             for y in range(spec.ny):
@@ -152,7 +157,7 @@ class TestPerturbedChannel:
                     for ly in range(L):
                         w = spec.p_x[x] * spec.p_y[y] / L**2
                         brute_all += w * chan.rho_prime(x, lx, y, ly)
-        npt.assert_allclose(chan.averaged_all(), brute_all, atol=1e-12)
+        npt.assert_allclose(chan.averaged_all().dense(), brute_all, atol=1e-12)
 
     def test_averaged_first_summand_block(self):
         # the fully averaged state keeps exactly weight 1/(1+2 d^2) on the
@@ -160,14 +165,85 @@ class TestPerturbedChannel:
         spec = random_cq_spec(11)
         delta = 0.25
         chan = mac.build_perturbed_channel(spec, 4, delta)
-        block = chan.averaged_all()[chan.layout.slice_of("base"), chan.layout.slice_of("base")]
+        base = chan.layout.slice_of("base")
+        block = chan.averaged_all().dense()[base, base]
         expected = mac.typicality.embed_with_ancilla(spec.avg(), 1, spec.dz) / (
             1 + 2 * delta**2
         )
         npt.assert_allclose(block, expected, atol=1e-12)
 
 
+def averaged_kinds(chan, lx, ly):
+    return {
+        "over_y": chan.averaged_over_y(1, lx),
+        "over_x": chan.averaged_over_x(0, ly),
+        "all": chan.averaged_all(),
+    }
+
+
+class TestAveragedState:
+    @pytest.mark.parametrize("L", [2, 5])
+    def test_povm_expectation_matches_dense(self, L):
+        spec = random_cq_spec(44)
+        chan = mac.build_perturbed_channel(spec, L, 0.35)
+        rng = rng_from_seed(45)
+        for lx, ly in [(1, 1), (L - 1, 0)]:
+            for kind, avg in averaged_kinds(chan, lx, ly).items():
+                dense = avg.dense()
+                for cols in (1, 3):
+                    b = rng.normal(size=(chan.dim, cols)) + 1j * rng.normal(size=(chan.dim, cols))
+                    want = np.trace(b.conj().T @ dense @ b).real
+                    assert avg.povm_expectation(b) == pytest.approx(want, abs=1e-12), kind
+
+    def test_columns_orthonormal_and_spread_orthogonal(self):
+        spec = random_cq_spec(46)
+        chan = mac.build_perturbed_channel(spec, 5, 0.3)
+        for avg in averaged_kinds(chan, 2, 3).values():
+            k = avg.cols.shape[1]
+            npt.assert_allclose(avg.cols.conj().T @ avg.cols, np.eye(k), atol=1e-12)
+            # the spread part has no weight on the span of the columns
+            spread = avg.dense() - avg.cols @ avg.core @ avg.cols.conj().T
+            npt.assert_allclose(spread @ avg.cols, 0.0, atol=1e-12)
+
+    def test_residual_norm_matches_dense(self):
+        # with ref_core = core only the spread is left, which the smoothing
+        # references never expose (their core difference always dominates)
+        spec = random_cq_spec(49)
+        chan = mac.build_perturbed_channel(spec, 5, 0.4)
+        rng = rng_from_seed(50)
+        for avg in averaged_kinds(chan, 1, 4).values():
+            k = avg.cols.shape[1]
+            noise = qla.hermitian_part(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            for ref in (avg.core, avg.core + 1e-3 * noise, np.zeros((k, k))):
+                want = qla.op_norm_herm(avg.dense() - avg.cols @ ref @ avg.cols.conj().T)
+                assert avg.residual_norm(ref) == pytest.approx(want, abs=1e-12)
+
+
 class TestSmoothingResiduals:
+    @pytest.mark.parametrize("L, delta", [(2, 0.3), (5, 0.45), (2, 0.0), (5, 0.0)])
+    def test_norms_match_dense(self, L, delta):
+        spec = random_cq_spec(47)
+        chan = mac.build_perturbed_channel(spec, L, delta)
+        lead = (1 + delta**2) / (1 + 2 * delta**2)
+
+        def embed(rho):
+            return mac.typicality.embed_with_ancilla(rho, 1, spec.dz)
+
+        want = []
+        for count, marginal, tilt, averaged in (
+            (spec.nx, spec.avg_x, chan.tilt_x, chan.averaged_over_y),
+            (spec.ny, spec.avg_y, chan.tilt_y, chan.averaged_over_x),
+        ):
+            t = tilt(0)
+            for a in range(count):
+                ref = lead * t @ embed(marginal(a)) @ t.conj().T
+                want.append(qla.op_norm_herm(averaged(a, 0).dense() - ref))
+        e = chan.base_embed()
+        ref = e @ embed(spec.avg()) @ e.conj().T / (1 + 2 * delta**2)
+        want.append(qla.op_norm_herm(chan.averaged_all().dense() - ref))
+        got = [c.lhs for c in mac.smoothing_residuals(chan)]
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_delta_zero_residuals_vanish(self):
         spec = random_cq_spec(12)
         chan = mac.build_perturbed_channel(spec, 4, 0.0)
@@ -200,6 +276,31 @@ class TestDecodingPipeline:
         # at this eps the 22 sqrt(eps) type-1 bound is non-vacuous and holds
         t1 = by_name["type1_sqrt_eps"][0]
         assert t1.rhs < 1.0 and t1.passed
+
+    def test_representative_labels(self):
+        # pipeline_quantities evaluates at labels (0, 0) only: every quantity
+        # is the same at any other label pair
+        spec = random_cq_spec(48)
+        dec = mac.build_decoding_povms(spec, 8, 0.3, 0.05)
+        chan = dec.chan
+        ref = mac.pipeline_quantities(dec)
+        avg_all = chan.averaged_all()
+        for lx, ly in [(3, 5), (7, 1)]:
+            got = dict.fromkeys(ref, 0.0)
+            for x in range(spec.nx):
+                for y in range(spec.ny):
+                    w = spec.p_x[x] * spec.p_y[y]
+                    b = dec.povm_factor(x, lx, y, ly)
+                    rho = chan.rho_prime_factored(x, lx, y, ly)
+                    got["type1"] += w * (1.0 - typicality.povm_expectation(b, rho))
+                    got["t2_keep_x"] += w * chan.averaged_over_y(x, lx).povm_expectation(b)
+                    got["t2_keep_y"] += w * chan.averaged_over_x(y, ly).povm_expectation(b)
+                    got["t2_none"] += w * avg_all.povm_expectation(b)
+                    got["max_perturbation"] = max(
+                        got["max_perturbation"], chan.perturbation_l1(x, y, lx, ly)
+                    )
+            for key, value in ref.items():
+                assert got[key] == pytest.approx(value, abs=1e-12), (key, lx, ly)
 
     def test_povm_is_valid(self):
         spec = random_cq_spec(15)
@@ -341,8 +442,11 @@ class TestPgmSuccess:
         monkeypatch.setattr(mac, "pgm", forbidden)
         monkeypatch.setattr(mac.DecodingSet, "povm", forbidden)
         monkeypatch.setattr(mac.PerturbedChannel, "rho_prime", forbidden)
+        monkeypatch.setattr(mac.AveragedState, "dense", forbidden)
         res = mac.cq_mac_experiment(spec, 1.0, 1.0, 0.05, 16, 0.3, trials=2, seed=3, dec=dec)
         assert res.errors.shape == (2,)
+        mac.pipeline_quantities(dec)
+        assert mac.pipeline_checks(dec)
 
 
 class TestHayashiNagaoka:

@@ -36,47 +36,56 @@ def random_tilting_matrix(rng, l: int, diag_min=0.05, diag_max=0.9) -> tilting.T
     return tilting.TiltingMatrix(a)
 
 
-def audit_tilting(trials: int = 1000, seed: int = 0, dim_max: int = 8, l_max: int = 4) -> list:
-    """Tilted-span sandwich on random subspace families and probe vectors."""
+def _sandwich_trials(name, seed_mult, trials, seed, dim_max, l_max, draw) -> list:
+    """Lower/upper sandwich checks of a tilted span on random subspaces and probe vectors.
+
+    draw(rng, l) draws the tilt weights and returns (span(ws, layout),
+    bounds(overlaps), extra params) for one trial.
+    """
     checks = []
-    alphas_pool = (0.1, 0.3, 0.5, 0.9)
     for t in range(trials):
-        rng = rng_from_seed(seed * 1_000_003 + t)
+        rng = rng_from_seed(seed * seed_mult + t)
         d = int(rng.integers(2, dim_max + 1))
         l = int(rng.integers(1, l_max + 1))
-        alpha = float(alphas_pool[int(rng.integers(len(alphas_pool)))])
+        span, bounds, extra = draw(rng, l)
         ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
         h = random_pure(rng, d)
         lay = tilting.TiltedLayout(d, l)
-        span = tilting.tilted_span(ws, [alpha] * l, lay)
-        got = float(np.linalg.norm(span @ (tilting.embed_base(lay) @ h)) ** 2)
-        eps = np.array([float(np.linalg.norm(w @ h) ** 2) for w in ws])
-        lo, hi = tilting.prop_tilted_bounds(eps, np.full(l, alpha))
-        params = {"seed": seed, "trial": t, "d": d, "l": l, "alpha": alpha}
-        checks.append(report.AuditCheck("tilted_span_lower", lo, got, 1e-9, params))
-        checks.append(report.AuditCheck("tilted_span_upper", got, hi, 1e-9, params))
+        got = float(np.linalg.norm(span(ws, lay) @ (tilting.tilt_isometry([], lay) @ h)) ** 2)
+        lo, hi = bounds(np.array([float(np.linalg.norm(w @ h) ** 2) for w in ws]))
+        params = {"seed": seed, "trial": t, "d": d, "l": l, **extra}
+        checks.append(report.AuditCheck(f"{name}_lower", lo, got, 1e-9, params))
+        checks.append(report.AuditCheck(f"{name}_upper", got, hi, 1e-9, params))
     return checks
+
+
+def audit_tilting(trials: int = 1000, seed: int = 0, dim_max: int = 8, l_max: int = 4) -> list:
+    """Tilted-span sandwich on random subspace families and probe vectors."""
+    alphas_pool = (0.1, 0.3, 0.5, 0.9)
+
+    def draw(rng, l):
+        alpha = float(alphas_pool[int(rng.integers(len(alphas_pool)))])
+        return (
+            lambda ws, lay: tilting.tilted_span(ws, [alpha] * l, lay),
+            lambda eps: tilting.prop_tilted_bounds(eps, np.full(l, alpha)),
+            {"alpha": alpha},
+        )
+
+    return _sandwich_trials("tilted_span", 1_000_003, trials, seed, dim_max, l_max, draw)
 
 
 def audit_a_tilting(trials: int = 500, seed: int = 0, dim_max: int = 8, l_max: int = 4) -> list:
     """Generalized tilted-span sandwich with random valid tilting matrices."""
-    checks = []
-    for t in range(trials):
-        rng = rng_from_seed(seed * 1_000_033 + t)
-        d = int(rng.integers(2, dim_max + 1))
-        l = int(rng.integers(1, l_max + 1))
+
+    def draw(rng, l):
         a = random_tilting_matrix(rng, l)
-        ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
-        h = random_pure(rng, d)
-        lay = tilting.TiltedLayout(d, l)
-        span = tilting.a_tilted_span(ws, a, lay)
-        got = float(np.linalg.norm(span @ (tilting.embed_base(lay) @ h)) ** 2)
-        eps = np.array([float(np.linalg.norm(w @ h) ** 2) for w in ws])
-        lo, hi = tilting.prop_a_tilted_bounds(eps, a)
-        params = {"seed": seed, "trial": t, "d": d, "l": l}
-        checks.append(report.AuditCheck("a_tilted_span_lower", lo, got, 1e-9, params))
-        checks.append(report.AuditCheck("a_tilted_span_upper", got, hi, 1e-9, params))
-    return checks
+        return (
+            lambda ws, lay: tilting.a_tilted_span(ws, a, lay),
+            lambda eps: tilting.prop_a_tilted_bounds(eps, a),
+            {},
+        )
+
+    return _sandwich_trials("a_tilted_span", 1_000_033, trials, seed, dim_max, l_max, draw)
 
 
 def audit_gao(trials: int = 200, seed: int = 0, dim_max: int = 6, k_max: int = 4) -> list:

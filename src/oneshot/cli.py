@@ -285,9 +285,7 @@ def cmd_mac(args) -> int:
         return 2
 
     slack = 3.0 * result.mc_sem
-    ok = result.mc_mean <= result.bounds[governing] + slack + 1e-12
-    if "hn" in result.bounds:
-        ok = ok and result.mc_mean <= result.bounds["hn"] + slack + 1e-12
+    ok = result.within_bound(governing) and ("hn" not in result.bounds or result.within_bound("hn"))
     out = _ensure_out(args.out)
     write_trials_csv(os.path.join(out, "trials.csv"), result.trial_rows, result.bounds)
     summary = {

@@ -348,49 +348,49 @@ class PerturbedChannel:
         self.dim = self.layout.total_dim
         if self.dim > typicality.site_dim_cap():
             raise ValueError(f"extended space dimension {self.dim} exceeds the cap")
+        e = np.zeros((self.dim, self.base), dtype=complex)
+        e[self.layout.slice_of("base"), :] = np.eye(self.base)
+        e.flags.writeable = False
+        self._base_embed = e
+        # read-only label copies, built on first use: at most 2 |L| per channel
+        self._label_embeds: dict = {}
 
     def _label_embed(self, summand: str, label: int | None) -> np.ndarray:
         """The base copy in a label summand, at one label or (None) at u = 1/sqrt(|L|)."""
+        if (summand, label) in self._label_embeds:
+            return self._label_embeds[summand, label]
         n = self.dim_l
         amp = np.full(n, n**-0.5) if label is None else np.eye(n)[label]
         v = np.zeros((self.dim, self.base), dtype=complex)
         h = np.arange(self.base)
         v[self.layout.slice_of(summand)].reshape(self.base, n, self.base)[h, :, h] = amp
+        if label is not None:
+            v.flags.writeable = False
+            self._label_embeds[summand, label] = v
         return v
 
     def base_embed(self) -> np.ndarray:
-        v = np.zeros((self.dim, self.base), dtype=complex)
-        v[self.layout.slice_of("base"), :] = np.eye(self.base)
-        return v
+        return self._base_embed
 
-    def _tilt(self, summand: str, label: int) -> np.ndarray:
+    def tilt(self, l_x: int | None = None, l_y: int | None = None) -> np.ndarray:
+        """(base + d LX(l_x) [+ d LY(l_y)]) / sqrt(1 + n d^2) over the n labels given."""
         d = self.delta
-        return (self.base_embed() + d * self._label_embed(summand, label)) / np.sqrt(1 + d * d)
-
-    def tilt_x(self, l_x: int) -> np.ndarray:
-        return self._tilt("LX", l_x)
-
-    def tilt_y(self, l_y: int) -> np.ndarray:
-        return self._tilt("LY", l_y)
-
-    def tilt_xy(self, l_x: int, l_y: int) -> np.ndarray:
-        d = self.delta
-        return (
-            self.base_embed()
-            + d * self._label_embed("LX", l_x)
-            + d * self._label_embed("LY", l_y)
-        ) / np.sqrt(1 + 2 * d * d)
+        out, n = self.base_embed(), 0
+        for summand, label in (("LX", l_x), ("LY", l_y)):
+            if label is not None:
+                out, n = out + d * self._label_embed(summand, label), n + 1
+        return out / np.sqrt(1 + n * d * d)
 
     def rho_hat(self, x: int, y: int) -> np.ndarray:
         return typicality.embed_with_ancilla(self.spec.states[x, y], 1, self.spec.dz)
 
     def rho_prime(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
-        t = self.tilt_xy(l_x, l_y)
+        t = self.tilt(l_x, l_y)
         return t @ self.rho_hat(x, y) @ t.conj().T
 
     def rho_prime_factored(self, x: int, l_x: int, y: int, l_y: int) -> typicality.LowRankState:
-        """rho' kept as tilt_xy(l_x, l_y) rho_hat(x, y) tilt_xy†."""
-        return typicality.LowRankState(self.tilt_xy(l_x, l_y), self.rho_hat(x, y))
+        """rho' kept as tilt(l_x, l_y) rho_hat(x, y) tilt(l_x, l_y)†."""
+        return typicality.LowRankState(self.tilt(l_x, l_y), self.rho_hat(x, y))
 
     def _averaged(self, marginal: np.ndarray, averaged: tuple, kept=None) -> "AveragedState":
         """The output averaged over the letters behind marginal and the labels of averaged.
@@ -431,7 +431,7 @@ class PerturbedChannel:
         """
         e = self.base_embed()
         cols = np.hstack([e, self._label_embed("LX", l_x), self._label_embed("LY", l_y)])
-        t, e = cols.conj().T @ self.tilt_xy(l_x, l_y), cols.conj().T @ e
+        t, e = cols.conj().T @ self.tilt(l_x, l_y), cols.conj().T @ e
         rho = self.rho_hat(x, y)
         return qla.trace_norm_herm(t @ rho @ t.conj().T - e @ rho @ e.conj().T)
 
@@ -479,10 +479,6 @@ class AveragedState:
         return out
 
 
-def build_perturbed_channel(spec: CqChannelSpec, dim_l: int, delta: float) -> PerturbedChannel:
-    return PerturbedChannel(spec, dim_l, delta)
-
-
 def smoothing_residuals(chan: PerturbedChannel) -> list:
     """Operator-norm residuals of the averaged states against tilted references.
 
@@ -496,12 +492,12 @@ def smoothing_residuals(chan: PerturbedChannel) -> list:
     checks = []
     lead = (1 + d * d) / (1 + 2 * d * d)
     for letter, count, tilt, averaged in (
-        ("x", spec.nx, chan.tilt_x, chan.averaged_over_y),
-        ("y", spec.ny, chan.tilt_y, chan.averaged_over_x),
+        ("x", spec.nx, chan.tilt(l_x=0), chan.averaged_over_y),
+        ("y", spec.ny, chan.tilt(l_y=0), chan.averaged_over_x),
     ):
         for a in range(count):
             avg = averaged(a, 0)
-            t = avg.cols.conj().T @ tilt(0)
+            t = avg.cols.conj().T @ tilt
             resid = avg.residual_norm(lead * t @ avg.rho @ t.conj().T)
             checks.append(
                 report.AuditCheck(f"smoothing_residual_{letter}", resid, bound, 1e-9, {letter: a})
@@ -525,24 +521,17 @@ class DecodingSet:
     w_x: dict
     w_y: dict
     w_xy: dict
-    block_tests: dict
 
     def povm_factor(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
         """Factor B with Pi' = B B† for the given letters and labels."""
         chan = self.chan
-        images = []
-        for basis, emb in (
-            (self.w_x[x, y], chan.tilt_x(l_x)),
-            (self.w_y[x, y], chan.tilt_y(l_y)),
-            (self.w_xy[x, y], chan.base_embed()),
-        ):
-            if basis.shape[1]:
-                images.append(emb @ basis)
-        e = chan.base_embed()
-        if not images:
-            return e
-        q = tilting.orthonormalize(np.hstack(images))
-        return e - q @ (q.conj().T @ e)
+        images = [
+            chan.tilt(l_x=l_x) @ self.w_x[x, y],
+            chan.tilt(l_y=l_y) @ self.w_y[x, y],
+            chan.base_embed() @ self.w_xy[x, y],
+        ]
+        q = tilting.image_basis(images, chan.dim)
+        return tilting.complement_factor(chan.base_embed(), q)
 
     def povm(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
         b = self.povm_factor(x, l_x, y, l_y)
@@ -564,26 +553,17 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
 
     def complements(res):
         out = {}
-        blocks = {}
-        dz = spec.dz
-        ny = spec.ny
         for x in range(spec.nx):
-            for y in range(ny):
-                sl = slice((x * ny + y) * dz, (x * ny + y + 1) * dz)
+            for y in range(spec.ny):
+                sl = slice((x * spec.ny + y) * spec.dz, (x * spec.ny + y + 1) * spec.dz)
                 blk = qla.hermitian_part(res.test[sl, sl])
-                proj = hyptest.dilate_povm(blk)
-                w, v = np.linalg.eigh(proj)
-                out[x, y] = v[:, w < 0.5]
-                blocks[x, y] = blk
-        return out, blocks
+                out[x, y] = tilting.rejection_basis(hyptest.dilate_povm(blk))
+        return out
 
-    w_x, blk_x = complements(res_x)
-    w_y, blk_y = complements(res_y)
-    w_xy, blk_xy = complements(res_xy)
     return DecodingSet(
         chan=chan, eps=eps, i_x_yz=res_y.value_bits, i_y_xz=res_x.value_bits,
-        i_xy_z=res_xy.value_bits, w_x=w_x, w_y=w_y, w_xy=w_xy,
-        block_tests={"x": blk_x, "y": blk_y, "xy": blk_xy},
+        i_xy_z=res_xy.value_bits, w_x=complements(res_x), w_y=complements(res_y),
+        w_xy=complements(res_xy),
     )
 
 

@@ -115,54 +115,27 @@ class SpaceLayout:
 
     summands: tuple[tuple[Hashable, tuple[int, ...]], ...]
     total_dim: int = field(init=False)
+    _slices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [lab for lab, _ in self.summands]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate summand labels")
+        slices, off = {}, 0
         for lab, dims in self.summands:
             if not dims or any(d <= 0 for d in dims):
                 raise ValueError(f"summand {lab!r} has invalid factor dims {dims}")
-        object.__setattr__(
-            self, "total_dim", sum(int(np.prod(dims)) for _, dims in self.summands)
-        )
-
-    @classmethod
-    def tensor(cls, dims: Sequence[int], label: Hashable = 0) -> "SpaceLayout":
-        return cls(((label, tuple(int(d) for d in dims)),))
+            slices[lab] = slice(off, off + int(np.prod(dims)))
+            off = slices[lab].stop
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "total_dim", off)
 
     @classmethod
     def direct_sum(cls, parts: Iterable[tuple[Hashable, Sequence[int]]]) -> "SpaceLayout":
         return cls(tuple((lab, tuple(int(d) for d in dims)) for lab, dims in parts))
 
-    def summand_dim(self, label: Hashable) -> int:
-        return int(np.prod(dict(self.summands)[label]))
-
-    def offset(self, label: Hashable) -> int:
-        off = 0
-        for lab, dims in self.summands:
-            if lab == label:
-                return off
-            off += int(np.prod(dims))
-        raise KeyError(label)
-
     def slice_of(self, label: Hashable) -> slice:
-        off = self.offset(label)
-        return slice(off, off + self.summand_dim(label))
-
-    def coord(self, label: Hashable, multi_index: Sequence[int]) -> int:
-        dims = dict(self.summands)[label]
-        if len(multi_index) != len(dims):
-            raise ValueError("multi-index length mismatch")
-        return self.offset(label) + int(np.ravel_multi_index(tuple(multi_index), dims))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor slow."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("both operands must be square")
-    return np.kron(a, b)
+        return self._slices[label]
 
 
 def tensor_all(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -196,47 +169,6 @@ def partial_trace(op: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> n
     return t.reshape(d_keep, d_keep)
 
 
-def embed_summand(op: np.ndarray, layout: SpaceLayout, label: Hashable) -> np.ndarray:
-    """Block matrix equal to op on the labeled summand, zero elsewhere."""
-    op = np.asarray(op, dtype=complex)
-    d = layout.summand_dim(label)
-    if op.shape != (d, d):
-        raise ValueError(f"operator dim {op.shape} does not match summand dim {d}")
-    out = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    sl = layout.slice_of(label)
-    out[sl, sl] = op
-    return out
-
-
-def summand_block(op: np.ndarray, layout: SpaceLayout, label: Hashable) -> np.ndarray:
-    """Diagonal block of op on the labeled summand."""
-    sl = layout.slice_of(label)
-    return np.asarray(op)[sl, sl]
-
-
-def eig_herm(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian operator.
-
-    Eigenvectors inside a degenerate cluster (gap < 1e-9) are not individually
-    stable; downstream code must use only spectral projectors of clusters.
-    """
-    a = np.asarray(op, dtype=complex)
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("non-finite entries")
-    w, v = np.linalg.eigh(hermitian_part(a))
-    return w, v
-
-
-def schatten_norm(op: np.ndarray, p: float) -> float:
-    """Schatten norm: sum of singular values (p=1) or largest (p=inf)."""
-    s = np.linalg.svd(np.asarray(op, dtype=complex), compute_uv=False)
-    if p == 1:
-        return float(np.sum(s))
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    raise ValueError("only p = 1 and p = inf are supported")
-
-
 def trace_norm_herm(a: np.ndarray) -> float:
     """||A||_1 for Hermitian A via eigenvalues (cheaper than an SVD)."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
@@ -256,22 +188,3 @@ def inv_sqrt_on_support(a: np.ndarray) -> np.ndarray:
     support = w > 1e-12 * max(float(w[-1]), 1.0)
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv_sqrt) @ v.conj().T
-
-
-def schmidt_split(
-    vec: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a unit vector on a bipartite tensor space.
-
-    Returns (coefficients descending, left vectors as columns, right vectors as
-    columns) with vec = sum_i c_i left[:,i] (x) right[:,i].
-    """
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    dl, dr = int(dims[0]), int(dims[1])
-    if v.shape[0] != dl * dr:
-        raise ValueError("vector length does not match bipartition")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"vector norm {nrm} is not 1 within 1e-10")
-    u, s, vh = np.linalg.svd(v.reshape(dl, dr), full_matrices=False)
-    return s, u, vh.T

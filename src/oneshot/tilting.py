@@ -34,11 +34,6 @@ class TiltedLayout:
             raise ValueError("base_dim must be positive and directions non-negative")
         object.__setattr__(self, "total_dim", (self.directions + 1) * self.base_dim)
 
-    def layout(self) -> qla.SpaceLayout:
-        return qla.SpaceLayout.direct_sum(
-            (j, (self.base_dim,)) for j in range(self.directions + 1)
-        )
-
     def block(self, j: int) -> slice:
         if not 0 <= j <= self.directions:
             raise ValueError(f"summand index {j} out of range")
@@ -76,37 +71,18 @@ class TiltingMatrix:
         return self.alpha.shape[0]
 
 
-def tilt_isometry(j: int, alpha: float, layout: TiltedLayout) -> np.ndarray:
-    """Isometry h -> sqrt(1-alpha) h (+) sqrt(alpha) T_j(h) into the tilted space."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 1 <= j <= layout.directions:
-        raise ValueError(f"direction {j} out of range")
+def tilt_isometry(weights, layout: TiltedLayout) -> np.ndarray:
+    """Isometry h -> sqrt(1 - sum_i w_i) h (+) sum_i sqrt(w_i) T_i(h) into the tilted space.
+
+    weights[i - 1] is the tilt along direction i (a column of a tilting
+    matrix); with no weights this is the embedding of H into the base summand.
+    """
+    w = np.asarray(weights, dtype=float)
     d = layout.base_dim
     v = np.zeros((layout.total_dim, d), dtype=complex)
-    v[layout.block(0), :] = np.sqrt(1.0 - alpha) * np.eye(d)
-    v[layout.block(j), :] = np.sqrt(alpha) * np.eye(d)
-    return v
-
-
-def a_tilt_isometry(j: int, a: TiltingMatrix, layout: TiltedLayout) -> np.ndarray:
-    """Isometry sqrt(1 - sum_i alpha_ij) 1 + sum_{i<=j} sqrt(alpha_ij) T_i (1-based j)."""
-    if not 1 <= j <= layout.directions:
-        raise ValueError(f"direction {j} out of range")
-    col = a.alpha[:, j - 1]
-    rem = 1.0 - float(col[:j].sum())
-    d = layout.base_dim
-    v = np.zeros((layout.total_dim, d), dtype=complex)
-    v[layout.block(0), :] = np.sqrt(max(rem, 0.0)) * np.eye(d)
-    for i in range(1, j + 1):
-        v[layout.block(i), :] = np.sqrt(col[i - 1]) * np.eye(d)
-    return v
-
-
-def embed_base(layout: TiltedLayout) -> np.ndarray:
-    """Identity embedding of H into the base summand of the tilted space."""
-    v = np.zeros((layout.total_dim, layout.base_dim), dtype=complex)
-    v[layout.block(0), :] = np.eye(layout.base_dim)
+    v[layout.block(0), :] = np.sqrt(max(1.0 - float(w.sum()), 0.0)) * np.eye(d)
+    for i, w_i in enumerate(w, start=1):
+        v[layout.block(i), :] = np.sqrt(w_i) * np.eye(d)
     return v
 
 
@@ -114,6 +90,12 @@ def span_basis(proj: np.ndarray, tol: float = 0.5) -> np.ndarray:
     """Orthonormal basis (columns) of the range of a projector."""
     w, v = np.linalg.eigh(qla.hermitian_part(np.asarray(proj, dtype=complex)))
     return v[:, w > tol]
+
+
+def rejection_basis(dilated: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the rejection space (eigenvalue 0) of a dilated test."""
+    w, v = np.linalg.eigh(dilated)
+    return v[:, w < 0.5]
 
 
 def orthonormalize(cols: np.ndarray, tol: float = SPAN_RANK_TOL) -> np.ndarray:
@@ -125,8 +107,47 @@ def orthonormalize(cols: np.ndarray, tol: float = SPAN_RANK_TOL) -> np.ndarray:
     return u[:, s > tol * max(1.0, s[0] if s.size else 1.0)]
 
 
-def projector_onto(cols: np.ndarray) -> np.ndarray:
-    q = orthonormalize(cols)
+def image_basis(images: list[np.ndarray], dim: int) -> np.ndarray:
+    """Orthonormal basis of the span of the image blocks (dim rows each); empty blocks are skipped.
+
+    Tilted images of overlapping subspaces can be nearly dependent, hence the
+    rank-revealing orthonormalization.
+    """
+    images = [m for m in images if m.shape[1]]
+    if not images:
+        return np.zeros((dim, 0), dtype=complex)
+    return orthonormalize(np.hstack(images))
+
+
+def complement_factor(e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """B = E - Q Q† E: the isometry E cut down to the complement of the orthonormal columns Q.
+
+    B B† is the POVM element that rejects the span of Q; with no columns
+    (nothing to reject) E itself is returned.
+    """
+    if not q.shape[1]:
+        return e
+    return e - q @ (q.conj().T @ e)
+
+
+def tilted_basis(
+    bases: list[np.ndarray], a: np.ndarray, layout: TiltedLayout, fixed: np.ndarray | None = None
+) -> np.ndarray:
+    """Orthonormal basis of the A-tilted span of subspaces given by orthonormal bases.
+
+    Basis j (1-based) is pushed through tilt_isometry(a[:j, j-1]), the j-th
+    column of the tilting matrix; the basis fixed, if given, stays untilted in
+    the base copy.
+    """
+    images = [] if fixed is None else [tilt_isometry([], layout) @ fixed]
+    images += [tilt_isometry(a[:j, j - 1], layout) @ b for j, b in enumerate(bases, start=1)]
+    return image_basis(images, layout.total_dim)
+
+
+def _span_projector(subspaces, a, layout, fixed=None) -> np.ndarray:
+    """Projector onto tilted_basis of the ranges of the given projectors."""
+    fixed_basis = None if fixed is None else span_basis(fixed)
+    q = tilted_basis([span_basis(w) for w in subspaces], a, layout, fixed_basis)
     return qla.hermitian_part(q @ q.conj().T)
 
 
@@ -135,23 +156,16 @@ def tilted_span(
 ) -> np.ndarray:
     """Projector onto the (alpha_1, ..., alpha_l)-tilted span of the subspaces.
 
-    Each subspace is passed as a projector on H; its basis is pushed through
-    the corresponding tilt isometry and the images are orthonormalized with a
-    rank-revealing sweep (tilted images of overlapping subspaces can be nearly
-    dependent).
+    Each subspace is passed as a projector on H; subspace j is tilted along
+    its own direction j at weight alpha_j (the diagonal tilting matrix).
     """
     if len(subspaces) != len(alphas):
         raise ValueError("need one alpha per subspace")
+    if not all(0 < alpha < 1 for alpha in alphas):
+        raise ValueError("alpha must lie in (0, 1)")
     if layout is None:
         layout = TiltedLayout(int(subspaces[0].shape[0]), len(subspaces))
-    images = []
-    for j, (w, alpha) in enumerate(zip(subspaces, alphas), start=1):
-        basis = span_basis(w)
-        if basis.shape[1]:
-            images.append(tilt_isometry(j, alpha, layout) @ basis)
-    if not images:
-        return np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    return projector_onto(np.hstack(images))
+    return _span_projector(subspaces, np.diag(np.asarray(alphas, dtype=float)), layout)
 
 
 def tilted_span_with_fixed(
@@ -168,17 +182,7 @@ def tilted_span_with_fixed(
         raise ValueError("alpha must lie in (0, 1/3)")
     if layout is None:
         layout = TiltedLayout(int(w0.shape[0]), len(subspaces))
-    images = []
-    base = span_basis(w0)
-    if base.shape[1]:
-        images.append(embed_base(layout) @ base)
-    for j, w in enumerate(subspaces, start=1):
-        basis = span_basis(w)
-        if basis.shape[1]:
-            images.append(tilt_isometry(j, alpha, layout) @ basis)
-    if not images:
-        return np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    return projector_onto(np.hstack(images))
+    return _span_projector(subspaces, alpha * np.eye(len(subspaces)), layout, fixed=w0)
 
 
 def a_tilted_span(
@@ -189,14 +193,7 @@ def a_tilted_span(
         raise ValueError("tilting matrix size must match the number of subspaces")
     if layout is None:
         layout = TiltedLayout(int(subspaces[0].shape[0]), len(subspaces))
-    images = []
-    for j, w in enumerate(subspaces, start=1):
-        basis = span_basis(w)
-        if basis.shape[1]:
-            images.append(a_tilt_isometry(j, a, layout) @ basis)
-    if not images:
-        return np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    return projector_onto(np.hstack(images))
+    return _span_projector(subspaces, a.alpha, layout)
 
 
 def prop_tilted_bounds(
@@ -261,7 +258,7 @@ def union_projector(
         layout = TiltedLayout(int(projectors[0].shape[0]), len(projectors))
     pi = tilted_span(projectors, [alpha] * len(projectors), layout)
     if states_for_audit:
-        emb = embed_base(layout)
+        emb = tilt_isometry([], layout)
         for sigma in states_for_audit:
             lifted = emb @ np.asarray(sigma, dtype=complex) @ emb.conj().T
             got = float(np.trace(pi @ lifted).real)

@@ -333,9 +333,12 @@ def global_embed(
     return smoothing_embed(space, full, l_assign, delta)
 
 
+@lru_cache(maxsize=None)
 def _ancilla_zero(dim_h: int) -> np.ndarray:
-    """The per-site isometry H -> H x C^2, h -> h|0>."""
-    return np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
+    """The per-site isometry H -> H x C^2, h -> h|0> (read-only, one per dimension)."""
+    v = np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
+    v.flags.writeable = False
+    return v
 
 
 def embed_with_ancilla(rho: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
@@ -556,8 +559,6 @@ class SplitTest:
     eps: float
     dh_bits: float
     reject_mass: float
-    test_small: np.ndarray
-    projector_sites: np.ndarray
     y_basis: np.ndarray
 
 
@@ -574,18 +575,8 @@ def optimal_splitting_tests(inst: TypicalityInstance, x) -> dict:
         eps = inst.eps_for(x, psp)
         target = inst.split_state(x, psp)
         res = hyptest.quantum_optimal_test(inst.rhos[x], target, eps)
-        proj = dilate_to_sites(res.test, inst.k, inst.dim_h)
-        w, v = np.linalg.eigh(proj)
-        y_basis = v[:, w < 0.5]
-        out[psp] = SplitTest(
-            psp=psp,
-            eps=eps,
-            dh_bits=res.value_bits,
-            reject_mass=res.reject_mass,
-            test_small=res.test,
-            projector_sites=proj,
-            y_basis=y_basis,
-        )
+        y_basis = tilting.rejection_basis(dilate_to_sites(res.test, inst.k, inst.dim_h))
+        out[psp] = SplitTest(psp, eps, res.value_bits, res.reject_mass, y_basis)
     return out
 
 
@@ -638,16 +629,12 @@ def build_construction(
     v_global = global_embed(space, l_assign, inst.delta)
     rho_hat = embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h)
     e_hat = space.sites_base_embed(quantum_sites(inst.k))
-    images = []
-    for psp in inst.lattice.linear_ext:
-        basis = tests[psp].y_basis
-        if basis.shape[1]:
-            images.append(psp_embed(space, psp, l_assign, inst.delta) @ basis)
-    if images:
-        q = tilting.orthonormalize(np.hstack(images))
-    else:
-        q = np.zeros((space.total_dim(), 0), dtype=complex)
-    b = e_hat - q @ (q.conj().T @ e_hat)
+    images = [
+        psp_embed(space, psp, l_assign, inst.delta) @ tests[psp].y_basis
+        for psp in inst.lattice.linear_ext
+        if tests[psp].y_basis.shape[1]
+    ]
+    q = tilting.image_basis(images, space.total_dim())
     return BlockConstruction(
         inst=inst,
         x=x,
@@ -657,7 +644,7 @@ def build_construction(
         rho_hat=rho_hat,
         e_hat=e_hat,
         q_tilted=q,
-        b_factor=b,
+        b_factor=tilting.complement_factor(e_hat, q),
     )
 
 
@@ -1184,9 +1171,6 @@ def _split_expectation(
 class UnionResult:
     """Union-of-intersections POVM over several constructions, with audit."""
 
-    layout: tilting.TiltedLayout
-    union_proj: np.ndarray
-    dilated: list
     constructions: list
     checks: list
 
@@ -1215,31 +1199,37 @@ def union_of_intersections(
             raise ValueError("instances must share (c, k, |H|, |L|)")
     if first.c != 0:
         raise ValueError("the union audit covers instances without classical words")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     n = first.space.total_dim()
     if 2 * n * (len(instances) + 1) > DENSE_CAP * 4:
         raise ValueError("union construction exceeds the dense dimension cap")
 
     constructions = [build_construction(inst, (), l_assign) for inst in instances]
-    dilated = []
-    for constr in constructions:
-        pi_dense = constr.b_factor @ constr.b_factor.conj().T
-        dilated.append(hyptest.dilate_povm(pi_dense))
-    union_proj, layout = tilting.union_projector(dilated, alpha)
-    base = tilting.embed_base(layout)
+    ranges = [
+        tilting.span_basis(hyptest.dilate_povm(c.b_factor @ c.b_factor.conj().T))
+        for c in constructions
+    ]
+    layout = tilting.TiltedLayout(2 * n, len(instances))
+    union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
 
-    def embed_state(state: LowRankState) -> LowRankState:
-        # A'' state -> tensor |0><0| ancilla -> base summand of the tilted space
+    def lift(state: LowRankState) -> np.ndarray:
+        # A'' columns -> tensor |0> ancilla -> base summand of the tilted space
         cols = state.core_sqrt_cols()
-        lifted = np.zeros((2 * n, cols.shape[1]), dtype=complex)
-        lifted[0::2, :] = cols
-        return LowRankState(base @ lifted, np.eye(cols.shape[1], dtype=complex))
+        lifted = np.zeros((layout.total_dim, cols.shape[1]), dtype=complex)
+        lifted[0 : 2 * n : 2, :] = cols
+        return lifted
+
+    def accept(basis: np.ndarray, lifted: np.ndarray) -> float:
+        # ||basis† lifted||^2 on the basis's rows: the first 2n rows of the
+        # tilted space are the base copy of A'' x C^2
+        return float(np.linalg.norm(basis.conj().T @ lifted[: basis.shape[0]]) ** 2)
 
     checks = []
     params = {"t": len(instances), "alpha": alpha}
     for i, constr in enumerate(constructions):
         inner = constr.pi_prime_expectation(constr.rho_prime)
-        lifted = embed_state(constr.rho_prime)
-        outer = povm_expectation(tilting.span_basis(union_proj), lifted)
+        outer = accept(union, lift(constr.rho_prime))
         checks.append(
             report.AuditCheck(
                 "union_completeness_drop", inner - outer, alpha, 1e-9, dict(params, i=i)
@@ -1262,20 +1252,17 @@ def union_of_intersections(
                 psp_embed(inst.space, psp, constr.l_assign, inst.delta),
                 embed_with_ancilla(inst.split_state((), psp), inst.k, inst.dim_h),
             )
-            lifted = embed_state(split)
-            lhs = povm_expectation(tilting.span_basis(union_proj), lifted)
+            lifted = lift(split)
             # acceptance of the dilated blocks on the (A'' x C^2)-level state
-            cols = split.core_sqrt_cols()
-            lifted_cols = np.zeros((2 * n, cols.shape[1]), dtype=complex)
-            lifted_cols[0::2, :] = cols
-            per_inst = sum(
-                float(np.linalg.norm(tilting.span_basis(d).conj().T @ lifted_cols) ** 2)
-                for d in dilated
-            )
+            per_inst = sum(accept(r, lifted) for r in ranges)
             rhs = (1 - alpha) / alpha * per_inst
             checks.append(
                 report.AuditCheck(
-                    "union_soundness_prefactor", lhs, rhs, 1e-9, dict(params, i=i, psp=str(psp))
+                    "union_soundness_prefactor",
+                    accept(union, lifted),
+                    rhs,
+                    1e-9,
+                    dict(params, i=i, psp=str(psp)),
                 )
             )
-    return UnionResult(layout, union_proj, dilated, constructions, checks)
+    return UnionResult(constructions, checks)

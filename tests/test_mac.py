@@ -103,14 +103,24 @@ class TestClassicalExperiment:
 class TestPerturbedChannel:
     def test_delta_zero_embeds_exactly(self):
         spec = random_cq_spec(7)
-        chan = mac.build_perturbed_channel(spec, 4, 0.0)
+        chan = mac.PerturbedChannel(spec, 4, 0.0)
         emb = chan.base_embed()
         expected = emb @ chan.rho_hat(0, 1) @ emb.conj().T
         npt.assert_allclose(chan.rho_prime(0, 3, 1, 2), expected, atol=1e-12)
 
+    def test_isometries_built_once(self):
+        chan = mac.PerturbedChannel(random_cq_spec(14), 4, 0.3)
+        assert chan.base_embed() is chan.base_embed()
+        assert chan._label_embed("LX", 2) is chan._label_embed("LX", 2)
+        for v in (chan.base_embed(), chan._label_embed("LY", 1)):
+            assert not v.flags.writeable
+        for labels in [(), (1, None), (None, 3), (1, 3)]:
+            t = chan.tilt(*labels)
+            npt.assert_allclose(t.conj().T @ t, np.eye(chan.base), atol=1e-12)
+
     def test_unit_trace_blocks(self):
         spec = random_cq_spec(8)
-        chan = mac.build_perturbed_channel(spec, 4, 0.3)
+        chan = mac.PerturbedChannel(spec, 4, 0.3)
         for lx, ly in [(0, 0), (1, 3), (2, 2)]:
             tr = np.trace(chan.rho_prime(0, lx, 1, ly)).real
             assert tr == pytest.approx(1.0, abs=1e-12)
@@ -119,7 +129,7 @@ class TestPerturbedChannel:
         # the exact distance of a tilted block: 2 sqrt(2 d^2 / (1 + 2 d^2))
         spec = random_cq_spec(9)
         delta = 0.3
-        chan = mac.build_perturbed_channel(spec, 4, delta)
+        chan = mac.PerturbedChannel(spec, 4, delta)
         got = chan.perturbation_l1(0, 0)
         assert got == pytest.approx(2 * np.sqrt(2 * delta**2 / (1 + 2 * delta**2)), abs=1e-9)
         # the distance is first order in delta: it exceeds the quadratic
@@ -129,7 +139,7 @@ class TestPerturbedChannel:
 
     def test_perturbation_l1_matches_dense(self):
         spec = random_cq_spec(43)
-        chan = mac.build_perturbed_channel(spec, 8, 0.35)
+        chan = mac.PerturbedChannel(spec, 8, 0.35)
         emb = chan.base_embed()
         for x, y, lx, ly in [(0, 0, 0, 0), (0, 1, 3, 5), (1, 0, 7, 0), (1, 1, 2, 2)]:
             diff = chan.rho_prime(x, lx, y, ly) - emb @ chan.rho_hat(x, y) @ emb.conj().T
@@ -139,7 +149,7 @@ class TestPerturbedChannel:
     def test_averaged_states_match_brute_force(self):
         spec = random_cq_spec(10)
         L, delta = 3, 0.4
-        chan = mac.build_perturbed_channel(spec, L, delta)
+        chan = mac.PerturbedChannel(spec, L, delta)
         brute = np.zeros((chan.dim, chan.dim), dtype=complex)
         for y in range(spec.ny):
             for ly in range(L):
@@ -164,7 +174,7 @@ class TestPerturbedChannel:
         # embedded average in its first summand block
         spec = random_cq_spec(11)
         delta = 0.25
-        chan = mac.build_perturbed_channel(spec, 4, delta)
+        chan = mac.PerturbedChannel(spec, 4, delta)
         base = chan.layout.slice_of("base")
         block = chan.averaged_all().dense()[base, base]
         expected = mac.typicality.embed_with_ancilla(spec.avg(), 1, spec.dz) / (
@@ -185,7 +195,7 @@ class TestAveragedState:
     @pytest.mark.parametrize("L", [2, 5])
     def test_povm_expectation_matches_dense(self, L):
         spec = random_cq_spec(44)
-        chan = mac.build_perturbed_channel(spec, L, 0.35)
+        chan = mac.PerturbedChannel(spec, L, 0.35)
         rng = rng_from_seed(45)
         for lx, ly in [(1, 1), (L - 1, 0)]:
             for kind, avg in averaged_kinds(chan, lx, ly).items():
@@ -197,7 +207,7 @@ class TestAveragedState:
 
     def test_columns_orthonormal_and_spread_orthogonal(self):
         spec = random_cq_spec(46)
-        chan = mac.build_perturbed_channel(spec, 5, 0.3)
+        chan = mac.PerturbedChannel(spec, 5, 0.3)
         for avg in averaged_kinds(chan, 2, 3).values():
             k = avg.cols.shape[1]
             npt.assert_allclose(avg.cols.conj().T @ avg.cols, np.eye(k), atol=1e-12)
@@ -209,7 +219,7 @@ class TestAveragedState:
         # with ref_core = core only the spread is left, which the smoothing
         # references never expose (their core difference always dominates)
         spec = random_cq_spec(49)
-        chan = mac.build_perturbed_channel(spec, 5, 0.4)
+        chan = mac.PerturbedChannel(spec, 5, 0.4)
         rng = rng_from_seed(50)
         for avg in averaged_kinds(chan, 1, 4).values():
             k = avg.cols.shape[1]
@@ -223,18 +233,17 @@ class TestSmoothingResiduals:
     @pytest.mark.parametrize("L, delta", [(2, 0.3), (5, 0.45), (2, 0.0), (5, 0.0)])
     def test_norms_match_dense(self, L, delta):
         spec = random_cq_spec(47)
-        chan = mac.build_perturbed_channel(spec, L, delta)
+        chan = mac.PerturbedChannel(spec, L, delta)
         lead = (1 + delta**2) / (1 + 2 * delta**2)
 
         def embed(rho):
             return mac.typicality.embed_with_ancilla(rho, 1, spec.dz)
 
         want = []
-        for count, marginal, tilt, averaged in (
-            (spec.nx, spec.avg_x, chan.tilt_x, chan.averaged_over_y),
-            (spec.ny, spec.avg_y, chan.tilt_y, chan.averaged_over_x),
+        for count, marginal, t, averaged in (
+            (spec.nx, spec.avg_x, chan.tilt(l_x=0), chan.averaged_over_y),
+            (spec.ny, spec.avg_y, chan.tilt(l_y=0), chan.averaged_over_x),
         ):
-            t = tilt(0)
             for a in range(count):
                 ref = lead * t @ embed(marginal(a)) @ t.conj().T
                 want.append(qla.op_norm_herm(averaged(a, 0).dense() - ref))
@@ -246,13 +255,13 @@ class TestSmoothingResiduals:
 
     def test_delta_zero_residuals_vanish(self):
         spec = random_cq_spec(12)
-        chan = mac.build_perturbed_channel(spec, 4, 0.0)
+        chan = mac.PerturbedChannel(spec, 4, 0.0)
         for c in mac.smoothing_residuals(chan):
             assert c.lhs <= 1e-12
 
     def test_bounds_hold(self):
         spec = random_cq_spec(13)
-        chan = mac.build_perturbed_channel(spec, 16, 0.2)
+        chan = mac.PerturbedChannel(spec, 16, 0.2)
         checks = mac.smoothing_residuals(chan)
         assert report.all_pass(checks)
         assert all(c.rhs == pytest.approx(3 * 0.2 / 4.0) for c in checks)
@@ -525,7 +534,7 @@ class TestTrivialDecodingSet:
         empty = {key: basis[:, :0] for key, basis in dec.w_x.items()}
         trivial = mac.DecodingSet(
             chan=dec.chan, eps=dec.eps, i_x_yz=0.0, i_y_xz=0.0, i_xy_z=0.0,
-            w_x=empty, w_y=dict(empty), w_xy=dict(empty), block_tests={},
+            w_x=empty, w_y=dict(empty), w_xy=dict(empty),
         )
         e = dec.chan.base_embed()
         npt.assert_allclose(trivial.povm(0, 1, 1, 2), e @ e.conj().T, atol=1e-12)

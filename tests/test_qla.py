@@ -8,7 +8,6 @@ from oneshot.rand import (
     haar_isometry,
     random_density,
     random_hermitian,
-    random_pure,
     rng_from_seed,
 )
 
@@ -21,11 +20,11 @@ def ketbra(i, d):
 
 class TestTensor:
     def test_identity(self):
-        npt.assert_allclose(qla.tensor(np.eye(2), np.eye(2)), np.eye(4))
+        npt.assert_allclose(qla.tensor_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_basis_bookkeeping(self):
         # left factor is the slow index: |0><0| x |1><1| sits at coordinate 1
-        out = qla.tensor(ketbra(0, 2), ketbra(1, 2))
+        out = qla.tensor_all([ketbra(0, 2), ketbra(1, 2)])
         npt.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_eigenvalues_multiply(self):
@@ -36,12 +35,8 @@ class TestTensor:
         wa = np.linalg.eigvalsh(a)
         wb = np.linalg.eigvalsh(b)
         expected = np.sort(np.outer(wa, wb).ravel())
-        got = np.sort(np.linalg.eigvalsh(qla.tensor(a, b)))
+        got = np.sort(np.linalg.eigvalsh(qla.tensor_all([a, b])))
         npt.assert_allclose(got, expected, atol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            qla.tensor(np.ones((2, 3)), np.eye(2))
 
 
 class TestPartialTrace:
@@ -107,93 +102,30 @@ class TestSpaceLayout:
     def test_total_dim(self):
         lay = qla.SpaceLayout.direct_sum([("a", (2, 2)), ("b", (3,))])
         assert lay.total_dim == 7
-        assert lay.summand_dim("a") == 4
-        assert lay.offset("b") == 4
-
-    def test_coord_row_major(self):
-        lay = qla.SpaceLayout.direct_sum([("a", (2, 3)), ("b", (2,))])
-        # row-major: left factor slow
-        assert lay.coord("a", (1, 2)) == 5
-        assert lay.coord("b", (0,)) == 6
+        assert lay.slice_of("a") == slice(0, 4)
+        assert lay.slice_of("b") == slice(4, 7)
 
     def test_coords_unique(self):
         lay = qla.SpaceLayout.direct_sum([("a", (2, 2)), ("b", (2, 3))])
-        seen = set()
-        for lab, dims in lay.summands:
-            for idx in np.ndindex(*dims):
-                seen.add(lay.coord(lab, idx))
-        assert seen == set(range(lay.total_dim))
+        seen = []
+        for lab, _ in lay.summands:
+            seen.extend(range(lay.total_dim)[lay.slice_of(lab)])
+        assert seen == list(range(lay.total_dim))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             qla.SpaceLayout.direct_sum([("a", (2,)), ("a", (3,))])
 
 
-class TestEmbedSummand:
-    def test_identity_block(self):
-        lay = qla.SpaceLayout.direct_sum([(0, (2,)), (1, (2,))])
-        npt.assert_allclose(
-            qla.embed_summand(np.eye(2), lay, 0), np.diag([1.0, 1.0, 0.0, 0.0])
-        )
-
-    def test_trace_preserved(self):
-        rng = rng_from_seed(7)
-        lay = qla.SpaceLayout.direct_sum([(0, (3,)), (1, (4,))])
-        op = random_hermitian(rng, 4)
-        emb = qla.embed_summand(op, lay, 1)
-        npt.assert_allclose(np.trace(emb), np.trace(op), atol=1e-12)
-
-    def test_round_trip(self):
-        rng = rng_from_seed(8)
-        lay = qla.SpaceLayout.direct_sum([(0, (2, 2)), (1, (3,))])
-        op = random_hermitian(rng, 4)
-        emb = qla.embed_summand(op, lay, 0)
-        npt.assert_allclose(qla.summand_block(emb, lay, 0), op, atol=0)
-
-    def test_errors(self):
-        lay = qla.SpaceLayout.direct_sum([(0, (2,))])
-        with pytest.raises(KeyError):
-            qla.embed_summand(np.eye(2), lay, "missing")
-        with pytest.raises(ValueError):
-            qla.embed_summand(np.eye(3), lay, 0)
-
-
-class TestEigHerm:
-    def test_diagonal(self):
-        w, v = qla.eig_herm(np.diag([3.0, 1.0, 2.0]))
-        npt.assert_allclose(w, [1.0, 2.0, 3.0])
-        npt.assert_allclose(np.abs(v), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), atol=1e-12)
-
-    def test_pauli_x(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w, v = qla.eig_herm(x)
-        npt.assert_allclose(w, [-1.0, 1.0])
-        for k, lam in enumerate(w):
-            npt.assert_allclose(x @ v[:, k], lam * v[:, k], atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = rng_from_seed(9)
-        for d in (3, 8, 17):
-            a = random_hermitian(rng, d)
-            w, v = qla.eig_herm(a)
-            npt.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
-            resid = np.max(np.abs((v * w) @ v.conj().T - a))
-            assert resid <= 1e-9 * d
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            qla.eig_herm(np.array([[np.nan, 0], [0, 1.0]]))
-
-
 class TestSchattenNorm:
     def test_identity(self):
-        assert qla.schatten_norm(np.eye(5), 1) == pytest.approx(5.0)
-        assert qla.schatten_norm(np.eye(5), np.inf) == pytest.approx(1.0)
+        assert qla.trace_norm_herm(np.eye(5)) == pytest.approx(5.0)
+        assert qla.op_norm_herm(np.eye(5)) == pytest.approx(1.0)
 
     def test_zero(self):
         rng = rng_from_seed(10)
         rho = random_density(rng, 4)
-        assert qla.schatten_norm(rho - rho, 1) == 0.0
+        assert qla.trace_norm_herm(rho - rho) == 0.0
 
     def test_hoelder(self):
         rng = rng_from_seed(12)
@@ -202,50 +134,15 @@ class TestSchattenNorm:
             b = random_hermitian(rng, 4)
             lhs = abs(np.trace(a @ b))
             rhs = min(
-                qla.schatten_norm(a, 1) * qla.schatten_norm(b, np.inf),
-                qla.schatten_norm(a, np.inf) * qla.schatten_norm(b, 1),
+                qla.trace_norm_herm(a) * qla.op_norm_herm(b),
+                qla.op_norm_herm(a) * qla.trace_norm_herm(b),
             )
             assert lhs <= rhs + 1e-10
 
     def test_trace_norm_herm_matches(self):
         rng = rng_from_seed(13)
         a = random_hermitian(rng, 6)
-        assert qla.trace_norm_herm(a) == pytest.approx(qla.schatten_norm(a, 1), abs=1e-10)
-
-
-class TestSchmidtSplit:
-    def test_product_vector(self):
-        rng = rng_from_seed(14)
-        u = random_pure(rng, 2)
-        w = random_pure(rng, 3)
-        coeffs, left, right = qla.schmidt_split(np.kron(u, w), (2, 3))
-        npt.assert_allclose(coeffs[0], 1.0, atol=1e-12)
-        assert np.all(coeffs[1:] < 1e-12)
-
-    def test_bell(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        coeffs, _, _ = qla.schmidt_split(bell, (2, 2))
-        npt.assert_allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_against_reduced_state(self):
-        # oracle: squared coefficients are the eigenvalues of the reduced state
-        rng = rng_from_seed(15)
-        v = random_pure(rng, 12)
-        coeffs, left, right = qla.schmidt_split(v, (3, 4))
-        red = qla.partial_trace(np.outer(v, v.conj()), (3, 4), keep=[0])
-        w, _ = qla.eig_herm(red)
-        npt.assert_allclose(np.sort(coeffs**2), np.maximum(np.sort(w), 0.0), atol=1e-10)
-        assert abs(np.sum(coeffs**2) - 1.0) < 1e-10
-        # reconstruction
-        rebuilt = sum(
-            coeffs[i] * np.kron(left[:, i], right[:, i]) for i in range(len(coeffs))
-        )
-        assert np.linalg.norm(rebuilt - v) <= 1e-9
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            qla.schmidt_split(np.ones(4), (2, 2))
+        assert qla.trace_norm_herm(a) == pytest.approx(np.linalg.norm(a, "nuc"), abs=1e-10)
 
 
 class TestConstructors:

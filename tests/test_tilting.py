@@ -34,22 +34,22 @@ def random_tilting_matrix(rng, l, diag_min=0.05, diag_max=0.9):
 class TestTiltIsometry:
     def test_columns_unit(self):
         lay = tilting.TiltedLayout(5, 3)
-        v = tilting.tilt_isometry(2, 0.3, lay)
+        v = tilting.tilt_isometry([0.0, 0.3], lay)
         npt.assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
 
     def test_inner_product_with_base(self):
         rng = rng_from_seed(41)
         lay = tilting.TiltedLayout(4, 2)
         h = random_pure(rng, 4)
-        tilted = tilting.tilt_isometry(1, 0.3, lay) @ h
-        base = tilting.embed_base(lay) @ h
+        tilted = tilting.tilt_isometry([0.3], lay) @ h
+        base = tilting.tilt_isometry([], lay) @ h
         assert abs(np.vdot(base, tilted)) == pytest.approx(np.sqrt(0.7), abs=1e-12)
 
     def test_slice_ranges_orthogonal(self):
         rng = rng_from_seed(42)
         lay = tilting.TiltedLayout(3, 2)
-        h1 = tilting.tilt_isometry(1, 0.4, lay) @ random_pure(rng, 3)
-        h2 = tilting.tilt_isometry(2, 0.4, lay) @ random_pure(rng, 3)
+        h1 = tilting.tilt_isometry([0.4], lay) @ random_pure(rng, 3)
+        h2 = tilting.tilt_isometry([0.0, 0.4], lay) @ random_pure(rng, 3)
         # the private tilt components occupy disjoint summands
         g = np.vdot(h1[lay.block(1)], h2[lay.block(1)])
         assert abs(g) < 1e-12
@@ -59,7 +59,7 @@ class TestTiltIsometry:
         lay = tilting.TiltedLayout(2, 1)
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                tilting.tilt_isometry(1, bad, lay)
+                tilting.tilted_span([np.eye(2)], [bad], lay)
 
 
 class TestTiltedSpan:
@@ -70,7 +70,7 @@ class TestTiltedSpan:
         h = random_pure(rng, d)
         lay = tilting.TiltedLayout(d, 1)
         span = tilting.tilted_span([w], [alpha], lay)
-        got = overlap(span, tilting.embed_base(lay) @ h)
+        got = overlap(span, tilting.tilt_isometry([], lay) @ h)
         assert got == pytest.approx((1 - alpha) * overlap(w, h), abs=1e-10)
 
     def test_small_angle_pathology(self):
@@ -81,11 +81,12 @@ class TestTiltedSpan:
         v2 = np.array([np.sqrt(1 - eps), np.sqrt(eps)], dtype=complex)
         w2 = np.outer(v2, v2.conj())
         h = np.array([0.0, 1.0], dtype=complex)
-        plain = tilting.projector_onto(np.hstack([tilting.span_basis(w1), v2[:, None]]))
+        q = tilting.image_basis([tilting.span_basis(w1), v2[:, None]], 2)
+        plain = q @ q.conj().T
         assert overlap(plain, h) == pytest.approx(1.0, abs=1e-9)
         lay = tilting.TiltedLayout(2, 2)
         span = tilting.tilted_span([w1, w2], [0.5, 0.5], lay)
-        tilted_overlap = overlap(span, tilting.embed_base(lay) @ h)
+        tilted_overlap = overlap(span, tilting.tilt_isometry([], lay) @ h)
         assert tilted_overlap <= ((1 - 0.5) / 0.5) * eps + 1e-12
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9])
@@ -99,7 +100,7 @@ class TestTiltedSpan:
             h = random_pure(rng, d)
             lay = tilting.TiltedLayout(d, l)
             span = tilting.tilted_span(ws, alphas, lay)
-            got = overlap(span, tilting.embed_base(lay) @ h)
+            got = overlap(span, tilting.tilt_isometry([], lay) @ h)
             eps = np.array([overlap(w, h) for w in ws])
             lo, hi = tilting.prop_tilted_bounds(eps, np.array(alphas))
             assert got >= lo - 1e-9
@@ -116,7 +117,7 @@ class TestTiltedSpan:
             lay = tilting.TiltedLayout(d, l)
             small = tilting.tilted_span(ws[:-1], alphas[:-1], lay)
             big = tilting.tilted_span(ws, alphas, lay)
-            hb = tilting.embed_base(lay) @ h
+            hb = tilting.tilt_isometry([], lay) @ h
             assert overlap(big, hb) >= overlap(small, hb) - 1e-9
 
 
@@ -128,7 +129,7 @@ class TestTiltedSpanWithFixed:
         h = random_pure(rng, d)
         lay = tilting.TiltedLayout(d, 0)
         span = tilting.tilted_span_with_fixed(w0, [], 0.2, lay)
-        assert overlap(span, tilting.embed_base(lay) @ h) == pytest.approx(
+        assert overlap(span, tilting.tilt_isometry([], lay) @ h) == pytest.approx(
             overlap(w0, h), abs=1e-10
         )
 
@@ -142,7 +143,7 @@ class TestTiltedSpanWithFixed:
         lay = tilting.TiltedLayout(d, 1)
         alpha = 0.25
         span = tilting.tilted_span_with_fixed(w0, [w1], alpha, lay)
-        got = overlap(span, tilting.embed_base(lay) @ h)
+        got = overlap(span, tilting.tilt_isometry([], lay) @ h)
         # w0 orthogonal to the tilted image of w1: overlaps add exactly
         expected = overlap(w0, h) + (1 - alpha) * overlap(w1, h)
         assert got == pytest.approx(expected, abs=1e-10)
@@ -156,7 +157,7 @@ class TestTiltedSpanWithFixed:
             h = random_pure(rng, d)
             lay = tilting.TiltedLayout(d, l)
             span = tilting.tilted_span_with_fixed(w0, ws, alpha, lay)
-            got = overlap(span, tilting.embed_base(lay) @ h)
+            got = overlap(span, tilting.tilt_isometry([], lay) @ h)
             eps0 = overlap(w0, h)
             eps_j = np.array([overlap(w, h) for w in ws])
             eps = (1 - alpha) / alpha * eps_j.sum()
@@ -190,7 +191,7 @@ class TestATiltedSpan:
         h = random_pure(rng, d)
         lay = tilting.TiltedLayout(d, 1)
         span = tilting.a_tilted_span([w], tilting.TiltingMatrix(np.array([[alpha]])), lay)
-        assert overlap(span, tilting.embed_base(lay) @ h) == pytest.approx(
+        assert overlap(span, tilting.tilt_isometry([], lay) @ h) == pytest.approx(
             (1 - alpha) * overlap(w, h), abs=1e-10
         )
 
@@ -203,7 +204,7 @@ class TestATiltedSpan:
             h = random_pure(rng, d)
             lay = tilting.TiltedLayout(d, l)
             span = tilting.a_tilted_span(ws, a, lay)
-            got = overlap(span, tilting.embed_base(lay) @ h)
+            got = overlap(span, tilting.tilt_isometry([], lay) @ h)
             eps = np.array([overlap(w, h) for w in ws])
             lo, hi = tilting.prop_a_tilted_bounds(eps, a)
             assert got >= lo - 1e-9
@@ -225,7 +226,7 @@ class TestUnionProjector:
         p = random_projector(rng, d, 2)
         rho = random_density(rng, d)
         pi, lay = tilting.union_projector([p], alpha)
-        emb = tilting.embed_base(lay)
+        emb = tilting.tilt_isometry([], lay)
         got = np.trace(pi @ emb @ rho @ emb.conj().T).real
         assert got == pytest.approx((1 - alpha) * np.trace(p @ rho).real, abs=1e-9)
 
@@ -235,7 +236,7 @@ class TestUnionProjector:
         p2 = np.diag([0, 1.0, 0, 0]).astype(complex)
         sigma = np.eye(d) / d
         pi, lay = tilting.union_projector([p1, p2], alpha)
-        emb = tilting.embed_base(lay)
+        emb = tilting.tilt_isometry([], lay)
         got = np.trace(pi @ emb @ sigma @ emb.conj().T).real
         bound = (1 - alpha) / alpha * (np.trace(p1 @ sigma) + np.trace(p2 @ sigma)).real
         assert got <= bound + 1e-9
@@ -259,7 +260,7 @@ class TestUnionProjector:
                 rhos.append(rho)
             sigma = random_density(rng, d)
             pi, lay = tilting.union_projector(projs, alpha)
-            emb = tilting.embed_base(lay)
+            emb = tilting.tilt_isometry([], lay)
             for p, rho in zip(projs, rhos):
                 acc = np.trace(p @ rho).real
                 got = np.trace(pi @ emb @ rho @ emb.conj().T).real
@@ -298,3 +299,56 @@ class TestUnionAuditHook:
         states = [random_density(rng, 4) for _ in range(3)]
         pi, lay = tilting.union_projector(projs, 0.3, states_for_audit=states)
         assert pi.shape == (lay.total_dim, lay.total_dim)
+
+
+class TestComplementFactor:
+    """The factor path (image_basis + complement_factor) against the projector path."""
+
+    def check(self, q, span, lay):
+        e = tilting.tilt_isometry([], lay)
+        b = tilting.complement_factor(e, q)
+        want = e.conj().T @ (np.eye(lay.total_dim) - span) @ e
+        npt.assert_allclose(b.conj().T @ b, want, atol=1e-10)
+
+    def test_a_tilted_span(self):
+        rng = rng_from_seed(57)
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            l = int(rng.integers(1, 5))
+            a = random_tilting_matrix(rng, l)
+            ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
+            lay = tilting.TiltedLayout(d, l)
+            images = [
+                tilting.tilt_isometry(a.alpha[:j, j - 1], lay) @ tilting.span_basis(w)
+                for j, w in enumerate(ws, start=1)
+            ]
+            q = tilting.image_basis(images, lay.total_dim)
+            self.check(q, tilting.a_tilted_span(ws, a, lay), lay)
+
+    def test_tilted_span_with_fixed(self):
+        rng = rng_from_seed(58)
+        for _ in range(30):
+            d = int(rng.integers(2, 7))
+            l = int(rng.integers(0, 4))
+            alpha = float(rng.uniform(0.05, 0.3))
+            w0 = random_projector(rng, d, int(rng.integers(1, d + 1)))
+            ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
+            lay = tilting.TiltedLayout(d, l)
+            images = [tilting.tilt_isometry([], lay) @ tilting.span_basis(w0)] + [
+                tilting.tilt_isometry(alpha * np.eye(j)[j - 1], lay) @ tilting.span_basis(w)
+                for j, w in enumerate(ws, start=1)
+            ]
+            q = tilting.image_basis(images, lay.total_dim)
+            self.check(q, tilting.tilted_span_with_fixed(w0, ws, alpha, lay), lay)
+
+    def test_no_images(self):
+        d, l = 4, 2
+        lay = tilting.TiltedLayout(d, l)
+        zero = np.zeros((d, d), dtype=complex)
+        a = tilting.TiltingMatrix(np.diag([0.3, 0.4]))
+        q = tilting.tilted_basis([tilting.span_basis(zero)] * l, a.alpha, lay)
+        assert q.shape == (lay.total_dim, 0)
+        e = tilting.tilt_isometry([], lay)
+        assert tilting.complement_factor(e, q) is e
+        assert tilting.image_basis([], lay.total_dim).shape == (lay.total_dim, 0)
+        self.check(q, tilting.a_tilted_span([zero] * l, a, lay), lay)

@@ -267,14 +267,10 @@ class TestRhoPrime:
 class TestConstruction:
     def test_trivial_tests_give_slice_projector(self):
         inst = small_instance(73, delta=0.4)
-        dh = inst.dim_h**inst.k
         tests = tp.optimal_splitting_tests(inst, ())
         for psp in list(tests):
             t = tests[psp]
-            full = tp.dilate_to_sites(np.eye(dh), inst.k, inst.dim_h)
-            tests[psp] = tp.SplitTest(
-                psp, 0.0, 0.0, 1.0, np.eye(dh), full, t.y_basis[:, :0]
-            )
+            tests[psp] = tp.SplitTest(psp, 0.0, 0.0, 1.0, t.y_basis[:, :0])
         constr = tp.build_construction(inst, (), tests=tests)
         e = inst.space.sites_base_embed([1])
         npt.assert_allclose(

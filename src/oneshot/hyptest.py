@@ -18,6 +18,7 @@ ACCEPT_TOL = 1e-9
 CLUSTER_GAP = 1e-9
 BISECT_WIDTH = 1e-12
 BISECT_ITERS = 200
+BRACKET_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,9 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     Pi(lam) is the projector onto the strictly-positive eigenspace of
     rho - lam*sigma plus a fractional multiple of the zero-crossing cluster;
     lam is found by bisection so Tr[Pi rho] = 1 - eps within 1e-9.  Optimal
-    among all operators 0 <= Pi <= 1.
+    among all operators 0 <= Pi <= 1.  When the kernel of sigma alone carries
+    1 - eps of rho, the optimum rejects nothing and is a multiple of the
+    kernel projector.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -116,7 +119,15 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     target = 1.0 - eps
 
     sw = np.linalg.eigvalsh(qla.hermitian_part(sigma))
-    sig_supp = sw[sw > max(1e-12, 1e-12 * max(sw[-1], 0.0))]
+    cutoff = max(1e-12, 1e-12 * max(sw[-1], 0.0))
+    sig_supp = sw[sw > cutoff]
+    if sig_supp.size < sw.size:
+        w, v = np.linalg.eigh(qla.hermitian_part(sigma))
+        ker = v[:, w <= cutoff]
+        a_ker = float(np.trace(ker.conj().T @ rho @ ker).real)
+        if a_ker >= target:
+            pi = qla.hermitian_part((target / a_ker) * (ker @ ker.conj().T))
+            return _result(pi, float(np.trace(pi @ rho).real), float(np.trace(pi @ sigma).real))
     sig_min = float(sig_supp[0]) if sig_supp.size else 1.0
     rho_inf = float(np.linalg.eigvalsh(qla.hermitian_part(rho))[-1])
     lam_max = rho_inf / sig_min + 1.0
@@ -125,21 +136,25 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
         pos, _ = _np_split(rho, sigma, lam)
         return float(np.trace(pos @ rho).real)
 
-    if accept_strict(lam_max) >= target:
-        # sigma-support cannot absorb the constraint (e.g. partly orthogonal
-        # supports with eps = 0); the limiting test lives at lam_max
-        lam = lam_max
+    # lam_max brackets the multiplier when sigma has full support; otherwise
+    # the kernel keeps part of rho accepted at every lam, so widen until the
+    # acceptance drops below the target
+    lo, hi = 0.0, lam_max
+    for _ in range(BRACKET_DOUBLINGS):
+        if accept_strict(hi) < target:
+            break
+        lo, hi = hi, 2.0 * hi
     else:
-        lo, hi = 0.0, lam_max
-        for _ in range(BISECT_ITERS):
-            if hi - lo < BISECT_WIDTH:
-                break
-            mid = (lo + hi) / 2.0
-            if accept_strict(mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-        lam = hi
+        raise ValueError("no multiplier brings the acceptance below 1 - eps (degenerate inputs)")
+    for _ in range(BISECT_ITERS):
+        if hi - lo < BISECT_WIDTH:
+            break
+        mid = (lo + hi) / 2.0
+        if accept_strict(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    lam = hi
 
     pos, zero = _np_split(rho, sigma, lam)
     a_pos = float(np.trace(pos @ rho).real)
@@ -208,8 +223,8 @@ def classical_jtl(
     return union_tests(rows)
 
 
-def dilate_povm(pi: np.ndarray) -> np.ndarray:
-    """Gelfand-Naimark dilation of a POVM element to a projector on H x C^2.
+def dilation_basis(pi: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the Gelfand-Naimark dilation of a POVM element.
 
     For each eigenpair (mu, v) of pi the range gains
     sqrt(mu) v|0> + sqrt(1-mu) v|1>, so Tr[Pi' (A x |0><0|)] = Tr[pi A]
@@ -225,4 +240,10 @@ def dilate_povm(pi: np.ndarray) -> np.ndarray:
     # coordinates ordered (h, ancilla) row-major: index 2*i is v_i|0>, 2*i+1 is v_i|1>
     basis[0::2, :] = np.sqrt(w)[None, :] * v
     basis[1::2, :] = np.sqrt(1.0 - w)[None, :] * v
+    return basis
+
+
+def dilate_povm(pi: np.ndarray) -> np.ndarray:
+    """Gelfand-Naimark dilation of a POVM element to a projector on H x C^2."""
+    basis = dilation_basis(pi)
     return qla.hermitian_part(basis @ basis.conj().T)

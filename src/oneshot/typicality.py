@@ -47,6 +47,11 @@ def classical_coords(c: int) -> tuple[int, ...]:
     return tuple(range(-c, 0))
 
 
+def full_block(c: int, k: int) -> Block:
+    """The whole index set [c] (+) [k] as one sorted block."""
+    return classical_coords(c) + quantum_sites(k)
+
+
 def canonical_psp(blocks) -> Psp:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
@@ -143,7 +148,7 @@ class PsLattice:
 def enum_pslattice(c: int, k: int, T=None) -> PsLattice:
     """Lattice of pseudosubpartitions of T (default the whole set [c] (+) [k])."""
     if T is None:
-        T = classical_coords(c) + quantum_sites(k)
+        T = full_block(c, k)
     T = tuple(sorted(T))
     if not any(e > 0 for e in T):
         raise ValueError("T must contain at least one quantum site")
@@ -203,7 +208,7 @@ class AugmentedSpace:
     def __post_init__(self):
         if self.k < 1 or self.c < 0 or self.dim_h < 1 or self.dim_l < 1:
             raise ValueError("invalid space parameters")
-        elements = classical_coords(self.c) + quantum_sites(self.k)
+        elements = full_block(self.c, self.k)
         labels = {}
         for i in quantum_sites(self.k):
             blocks = sorted(
@@ -244,29 +249,37 @@ class AugmentedSpace:
         sites = quantum_sites(self.k) if sites is None else sorted(sites)
         return int(np.prod([self.site_dim(s) for s in sites]))
 
-    def site_embed(self, i: int, label, l_assign: dict[int, int] | None) -> np.ndarray:
-        """Isometry (H x C^2) -> A''_i into the labelled summand.
+    def site_rows(self, i: int, label, l_assign: dict[int, int] | None = None) -> np.ndarray:
+        """Row of A''_i that each coordinate of H x C^2 lands on in the labelled summand.
 
-        For a block label the ancilla registers are filled with the basis
-        labels l_assign[e], e in the block; permutation-style matrix.
+        For a block label the ancilla registers hold the basis labels
+        l_assign[e], e in the block: base coordinate h goes to
+        offset + h * L^|label| + idx.
         """
-        m = self.base_dim
-        v = np.zeros((self.site_dim(i), m), dtype=complex)
-        off = self.site_offset(i, label)
-        if label is None:
-            v[off : off + m, :] = np.eye(m)
-            return v
+        registers = label or ()
         idx = 0
-        for e in label:
+        for e in registers:
             idx = idx * self.dim_l + int(l_assign[e])
-        ls = self.dim_l ** len(label)
-        for h in range(m):
-            v[off + h * ls + idx, h] = 1.0
-        return v
+        stride = self.dim_l ** len(registers)
+        return self.site_offset(i, label) + np.arange(self.base_dim) * stride + idx
+
+    def scatter(self, sites, terms) -> np.ndarray:
+        """Sum of weighted coordinate embeddings (H x C^2)^(x sites) -> A''_sites.
+
+        terms lists (weight, rows) with one site_rows array per site; the term
+        sends the base coordinate (h_1, ..., h_n) to the row
+        (rows_1[h_1], ..., rows_n[h_n]), so it is a partial permutation.
+        """
+        dims = [self.site_dim(s) for s in sites]
+        acc = np.zeros((int(np.prod(dims)), self.base_dim ** len(sites)), dtype=complex)
+        cols = np.arange(acc.shape[1])
+        for weight, rows in terms:
+            acc[np.ravel_multi_index(np.ix_(*rows), dims).ravel(), cols] += weight
+        return acc
 
     def sites_base_embed(self, sites) -> np.ndarray:
-        mats = [self.site_embed(s, None, None) for s in sorted(sites)]
-        return qla.tensor_all(mats)
+        sites = sorted(sites)
+        return self.scatter(sites, [(1.0, [self.site_rows(s, None) for s in sites])])
 
 
 def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarray:
@@ -275,8 +288,7 @@ def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarra
     sites = [e for e in S if e > 0]
     if not sites:
         raise ValueError("block contains no quantum site")
-    mats = [space.site_embed(s, S, l_assign) for s in sites]
-    return qla.tensor_all(mats)
+    return space.scatter(sites, [(1.0, [space.site_rows(s, S, l_assign) for s in sites])])
 
 
 def psp_embed(
@@ -290,30 +302,16 @@ def psp_embed(
     weighted by delta^n / sqrt(prod_i N(S_i, delta)).
     """
     sites = tuple(sorted(quantum_sites(space.k) if sites is None else sites))
-    covered = set().union(*[set(b) for b in psp]) if psp else set()
-    if not set(s for s in covered if s > 0) <= set(sites):
+    if not {e for b in psp for e in b if e > 0} <= set(sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
     norm = float(np.prod([normalization(b, delta) for b in psp])) if psp else 1.0
-
-    sub_choices = [[p for p in _psps_of(tuple(sorted(b)))] for b in psp]
-    m = space.base_dim
-    total = space.total_dim(sites)
-    acc = np.zeros((total, m ** len(sites)), dtype=complex)
-    for combo in itertools.product(*sub_choices) if psp else [()]:
+    terms = []
+    for combo in itertools.product(*[_psps_of(tuple(sorted(b))) for b in psp]):
         blocks = [b for sub in combo for b in sub]
-        site_of = {}
-        for b in blocks:
-            for e in b:
-                if e > 0:
-                    site_of[e] = b
-        mats = []
-        for s in sites:
-            if s in site_of:
-                mats.append(space.site_embed(s, site_of[s], l_assign))
-            else:
-                mats.append(space.site_embed(s, None, None))
-        acc += float(delta) ** len(blocks) * qla.tensor_all(mats)
-    return acc / np.sqrt(norm)
+        site_of = {e: b for b in blocks for e in b if e > 0}
+        rows = [space.site_rows(s, site_of.get(s), l_assign) for s in sites]
+        terms.append((float(delta) ** len(blocks), rows))
+    return space.scatter(sites, terms) / np.sqrt(norm)
 
 
 def smoothing_embed(
@@ -321,16 +319,14 @@ def smoothing_embed(
 ) -> np.ndarray:
     """Isometry T_{S, l_S, delta} on the sites of S (identity embed at delta = 0)."""
     S = tuple(sorted(S))
-    sites = [e for e in S if e > 0]
-    return psp_embed(space, (S,), l_assign, delta, sites=sites)
+    return psp_embed(space, (S,), l_assign, delta, sites=[e for e in S if e > 0])
 
 
 def global_embed(
     space: AugmentedSpace, l_assign: dict[int, int], delta: float
 ) -> np.ndarray:
     """The full smoothing isometry over all quantum sites and coordinates."""
-    full = tuple(sorted(classical_coords(space.c) + quantum_sites(space.k)))
-    return smoothing_embed(space, full, l_assign, delta)
+    return smoothing_embed(space, full_block(space.c, space.k), l_assign, delta)
 
 
 @lru_cache(maxsize=None)
@@ -613,8 +609,12 @@ class BlockConstruction:
 
 
 def zero_labels(inst: TypicalityInstance) -> dict:
-    full = classical_coords(inst.c) + quantum_sites(inst.k)
-    return {e: 0 for e in full}
+    return {e: 0 for e in full_block(inst.c, inst.k)}
+
+
+def is_full_block(inst: TypicalityInstance, psp: Psp) -> bool:
+    """True for the single-block split whose block is the whole index set."""
+    return len(psp) == 1 and set(psp[0]) == set(full_block(inst.c, inst.k))
 
 
 def build_construction(
@@ -626,8 +626,7 @@ def build_construction(
         l_assign = zero_labels(inst)
     if tests is None:
         tests = optimal_splitting_tests(inst, x)
-    v_global = global_embed(space, l_assign, inst.delta)
-    rho_hat = embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h)
+    rho_prime = build_rho_prime(inst, x, l_assign)
     e_hat = space.sites_base_embed(quantum_sites(inst.k))
     images = [
         psp_embed(space, psp, l_assign, inst.delta) @ tests[psp].y_basis
@@ -640,8 +639,8 @@ def build_construction(
         x=x,
         l_assign=dict(l_assign),
         tests=tests,
-        v_global=v_global,
-        rho_hat=rho_hat,
+        v_global=rho_prime.factor,
+        rho_hat=rho_prime.core,
         e_hat=e_hat,
         q_tilted=q,
         b_factor=tilting.complement_factor(e_hat, q),
@@ -655,6 +654,14 @@ def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -
         l_assign = zero_labels(inst)
     v = global_embed(space, l_assign, inst.delta)
     return LowRankState(v, embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h))
+
+
+def split_embedded(inst: TypicalityInstance, x, psp: Psp, l_assign: dict, sigma=None) -> LowRankState:
+    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form."""
+    return LowRankState(
+        psp_embed(inst.space, psp, l_assign, inst.delta),
+        embed_with_ancilla(inst.split_state(x, psp, sigma), inst.k, inst.dim_h),
+    )
 
 
 def factored_partial_trace(
@@ -681,8 +688,7 @@ def marginal_block_state(
     sites outside the block are traced out.
     """
     space = inst.space
-    full = classical_coords(inst.c) + quantum_sites(inst.k)
-    sbar = [e for e in full if e not in set(block)]
+    sbar = [e for e in full_block(inst.c, inst.k) if e not in set(block)]
     sites = [e for e in block if e > 0]
     kept_c = tuple(e for e in block if e < 0)
     d = int(np.prod([space.site_dim(s) for s in sites]))
@@ -763,7 +769,7 @@ def split_decompose(
     space = inst.space
     if l_assign is None:
         l_assign = zero_labels(inst)
-    full = set(classical_coords(inst.c) + quantum_sites(inst.k))
+    full = set(full_block(inst.c, inst.k))
     checks: list = []
     params = {"psp": str(psp), "x": str(x)}
     n_full = normalization(tuple(sorted(full)), inst.delta)
@@ -785,14 +791,10 @@ def split_decompose(
     covered_q = [e for b in psp for e in b if e > 0]
     t_sites = [s for s in quantum_sites(inst.k) if s not in covered_q]
 
-    if len(psp) == 1 and set(psp[0]) == full:
+    if is_full_block(inst, psp):
         # the single full block: the split state is the smoothed state itself
-        constr_state = build_rho_prime(inst, x, l_assign)
-        lead = LowRankState(
-            global_embed(space, l_assign, inst.delta),
-            embed_with_ancilla(inst.split_state(x, psp, sigma), inst.k, inst.dim_h),
-        )
-        resid = l1_distance_factored(constr_state, lead)
+        lead = split_embedded(inst, x, psp, l_assign, sigma)
+        resid = l1_distance_factored(build_rho_prime(inst, x, l_assign), lead)
         checks.append(report.AuditCheck("split_identity_residual", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("claim5_identity", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("split_alpha_is_one", abs(alpha - 1.0), 0.0, 1e-12, params))
@@ -918,7 +920,6 @@ def claim4_stated_floor(inst: TypicalityInstance, eps_x: float) -> float:
 def audit_construction(constr: BlockConstruction, sigma=None) -> list:
     """Numeric audit of the per-block claims of the smoothing construction."""
     inst = constr.inst
-    space = inst.space
     k, c = inst.k, inst.c
     m = (2 * inst.dim_h) ** k
     params = {"x": str(constr.x), "delta": inst.delta, "k": k, "c": c, "L": inst.dim_l}
@@ -992,17 +993,12 @@ def audit_construction(constr: BlockConstruction, sigma=None) -> list:
     )
 
     for psp in lattice.linear_ext:
-        test = constr.tests[psp]
-        split = inst.split_state(constr.x, psp, sigma)
-        g = LowRankState(
-            psp_embed(space, psp, constr.l_assign, inst.delta),
-            embed_with_ancilla(split, k, inst.dim_h),
-        )
+        g = split_embedded(inst, constr.x, psp, constr.l_assign, sigma)
         checks.append(
             report.AuditCheck(
                 "claim6_soundness",
                 constr.pi_prime_expectation(g),
-                test.reject_mass,
+                constr.tests[psp].reject_mass,
                 1e-9,
                 dict(params, psp=str(psp)),
             )
@@ -1147,14 +1143,8 @@ def _split_expectation(
 ) -> float:
     """Tr[Pi' rho'_split] for one block, via per-factor application."""
     space = inst.space
-    if len(psp) == 1 and set(psp[0]) == set(
-        classical_coords(inst.c) + quantum_sites(inst.k)
-    ):
-        state = LowRankState(
-            global_embed(space, constr.l_assign, inst.delta),
-            embed_with_ancilla(inst.split_state(constr.x, psp), inst.k, inst.dim_h),
-        )
-        return constr.pi_prime_expectation(state)
+    if is_full_block(inst, psp):
+        return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.l_assign))
     factors = [(f.sites, f.rho) for f in dec.factors]
     covered = [s for f in dec.factors for s in f.sites]
     t_sites = [s for s in quantum_sites(inst.k) if s not in covered]
@@ -1206,10 +1196,7 @@ def union_of_intersections(
         raise ValueError("union construction exceeds the dense dimension cap")
 
     constructions = [build_construction(inst, (), l_assign) for inst in instances]
-    ranges = [
-        tilting.span_basis(hyptest.dilate_povm(c.b_factor @ c.b_factor.conj().T))
-        for c in constructions
-    ]
+    ranges = [hyptest.dilation_basis(c.b_factor @ c.b_factor.conj().T) for c in constructions]
     layout = tilting.TiltedLayout(2 * n, len(instances))
     union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
 
@@ -1248,11 +1235,7 @@ def union_of_intersections(
     for i, inst in enumerate(instances):
         constr = constructions[i]
         for psp in inst.lattice.linear_ext:
-            split = LowRankState(
-                psp_embed(inst.space, psp, constr.l_assign, inst.delta),
-                embed_with_ancilla(inst.split_state((), psp), inst.k, inst.dim_h),
-            )
-            lifted = lift(split)
+            lifted = lift(split_embedded(inst, (), psp, constr.l_assign))
             # acceptance of the dilated blocks on the (A'' x C^2)-level state
             per_inst = sum(accept(r, lifted) for r in ranges)
             rhs = (1 - alpha) / alpha * per_inst

@@ -133,6 +133,63 @@ class TestQuantumOptimalTest:
         assert res.accept_prob >= 1 - 0.3 - 1e-9
 
 
+def rank_deficient_case(seed):
+    """Seeded pair with sigma of random rank, so its kernel may carry rho."""
+    rng = rng_from_seed(seed)
+    d = int(rng.integers(2, 7))
+    rho = random_density(rng, d)
+    sigma = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+    return rho, sigma, float(rng.uniform(0.01, 0.9))
+
+
+def np_dual(rho, sigma, eps):
+    """max over mu >= 0 of mu (1 - eps) - Tr[(mu rho - sigma)_+], a lower bound on the optimum.
+
+    The objective is concave and negative beyond mu = 1/eps.
+    """
+    from scipy.optimize import minimize_scalar
+
+    def neg(mu):
+        w = np.linalg.eigvalsh(mu * rho - sigma)
+        return -(mu * (1 - eps) - w[w > 0].sum())
+
+    res = minimize_scalar(neg, bounds=(0.0, 1.0 / eps), method="bounded", options={"xatol": 1e-12})
+    return max(-res.fun, 0.0)
+
+
+class TestRankDeficientAlternate:
+    def test_kernel_carries_target(self):
+        # the kernel of sigma holds 0.665 of rho against 1 - eps = 0.338, so
+        # the optimal test rejects nothing
+        rho, sigma, eps = rank_deficient_case(24)
+        res = hyptest.quantum_optimal_test(rho, sigma, eps)
+        qla.povm_element(res.test)
+        assert res.accept_prob >= 1 - eps - 1e-9
+        assert res.reject_mass <= 1e-9
+
+    def test_matches_dual_on_seeded_recipe(self):
+        kernel_cases = 0
+        for seed in range(200):
+            rho, sigma, eps = rank_deficient_case(seed)
+            res = hyptest.quantum_optimal_test(rho, sigma, eps)
+            w, v = np.linalg.eigh(sigma)
+            ker = v[:, w <= 1e-12]
+            if float(np.trace(ker.conj().T @ rho @ ker).real) >= 1 - eps:
+                kernel_cases += 1
+                assert res.reject_mass <= 1e-9, seed
+            assert res.accept_prob >= 1 - eps - 1e-9, seed
+            assert res.reject_mass == pytest.approx(np_dual(rho, sigma, eps), abs=1e-7), seed
+        assert kernel_cases == 55
+
+    def test_bracket_cap_raises(self, monkeypatch):
+        # seed 60: the kernel holds 0.27 of rho against 1 - eps = 0.30, and
+        # the acceptance at lam_max is still above the target
+        rho, sigma, eps = rank_deficient_case(60)
+        monkeypatch.setattr(hyptest, "BRACKET_DOUBLINGS", 1)
+        with pytest.raises(ValueError, match="no multiplier"):
+            hyptest.quantum_optimal_test(rho, sigma, eps)
+
+
 class TestIhMutual:
     def test_product_state(self):
         rng = rng_from_seed(27)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -191,20 +192,74 @@ class TestEmbeddings:
         space = inst.space
         l_assign = {1: 0, 2: 1}
 
+        def site_matrix(s, label):
+            v = np.zeros((space.site_dim(s), space.base_dim))
+            v[space.site_rows(s, label, l_assign), np.arange(space.base_dim)] = 1.0
+            return v
+
         def direction(psp):
             site_of = {e: b for b in psp for e in b if e > 0}
-            mats = [
-                space.site_embed(s, site_of[s], l_assign)
-                if s in site_of
-                else space.site_embed(s, None, None)
-                for s in (1, 2)
-            ]
-            return np.kron(mats[0], mats[1])
+            return np.kron(site_matrix(1, site_of.get(1)), site_matrix(2, site_of.get(2)))
 
         lat = inst.lattice
         vs = [direction(p) for p in lat.linear_ext]
         for va, vb in itertools.combinations(vs, 2):
             assert np.max(np.abs(va.conj().T @ vb)) == 0.0
+
+
+def oracle_site_embed(space, i, label, l_assign):
+    """Dense 0/1 isometry H x C^2 -> A''_i into the labelled summand."""
+    m = space.base_dim
+    v = np.zeros((space.site_dim(i), m), dtype=complex)
+    off = space.site_offset(i, label)
+    if label is None:
+        v[off : off + m, :] = np.eye(m)
+        return v
+    idx = 0
+    for e in label:
+        idx = idx * space.dim_l + int(l_assign[e])
+    ls = space.dim_l ** len(label)
+    for h in range(m):
+        v[off + h * ls + idx, h] = 1.0
+    return v
+
+
+def oracle_psp_embed(space, psp, l_assign, delta, sites):
+    """Per-site 0/1 matrices joined by np.kron, summed over refining pseudosubpartitions."""
+    norm = float(np.prod([tp.normalization(b, delta) for b in psp])) if psp else 1.0
+    acc = np.zeros((space.total_dim(sites), space.base_dim ** len(sites)), dtype=complex)
+    for combo in itertools.product(*[tp.enum_psps(b) for b in psp]):
+        blocks = [b for sub in combo for b in sub]
+        site_of = {e: b for b in blocks for e in b if e > 0}
+        mats = [oracle_site_embed(space, s, site_of.get(s), l_assign) for s in sites]
+        acc += float(delta) ** len(blocks) * functools.reduce(np.kron, mats)
+    return acc / np.sqrt(norm)
+
+
+class TestEmbeddingOracle:
+    """The scatter builders equal the Kronecker-chain construction bit for bit."""
+
+    @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 2), (0, 2, 4), (1, 1, 2), (1, 2, 2), (2, 1, 2)])
+    def test_bitwise(self, c, k, L):
+        space = tp.AugmentedSpace(c, k, 2, L)
+        rng = rng_from_seed(1000 + 100 * c + 10 * k + L)
+        full = tp.full_block(c, k)
+        sites = tp.quantum_sites(k)
+        for r in range(1, k + 1):
+            for subset in itertools.combinations(sites, r):
+                want = functools.reduce(np.kron, [oracle_site_embed(space, s, None, None) for s in subset])
+                assert np.array_equal(space.sites_base_embed(subset), want)
+        for psp in tp.enum_psps(full):
+            l_assign = {e: int(rng.integers(0, L)) for e in full}
+            for block in psp:
+                bsites = [e for e in block if e > 0]
+                want = functools.reduce(
+                    np.kron, [oracle_site_embed(space, s, block, l_assign) for s in bsites]
+                )
+                assert np.array_equal(tp.coord_embed(space, block, l_assign), want)
+            for delta in (0.0, 0.3, 0.6):
+                want = oracle_psp_embed(space, psp, l_assign, delta, sites)
+                assert np.array_equal(tp.psp_embed(space, psp, l_assign, delta), want)
 
 
 class TestDilateToSites:

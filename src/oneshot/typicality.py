@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -190,6 +190,84 @@ def build_tilting_matrix(lattice: PsLattice, delta: float) -> tilting.TiltingMat
     return tilting.TiltingMatrix(a)
 
 
+@dataclass(frozen=True, eq=False)
+class Box:
+    """A product of per-site row sets of A''_sites, the support of box-local arrays.
+
+    rows[j] lists, ascending, the rows of A''_(sites[j]) (dimension dims[j])
+    inside the box.  A box-local array runs over the product of these rows
+    row-major; its dense form is zeros plus one index assignment.
+    """
+
+    sites: tuple[int, ...]
+    dims: tuple[int, ...]
+    rows: tuple[np.ndarray, ...]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Box)
+            and (self.sites, self.dims) == (other.sites, other.dims)
+            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+        )
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(r) for r in self.rows)
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The box's rows of A''_sites as flat indices, in box-local order."""
+        return np.ravel_multi_index(np.ix_(*self.rows), self.dims).ravel()
+
+    def index(self, site_rows) -> np.ndarray:
+        """Box-local flat positions of the product of per-site rows of A''."""
+        local = []
+        for r, x in zip(self.rows, site_rows):
+            pos = np.minimum(np.searchsorted(r, x), len(r) - 1)
+            if not np.array_equal(r[pos], x):
+                raise ValueError("rows outside the box")
+            local.append(pos)
+        return np.ravel_multi_index(np.ix_(*local), self.shape).ravel()
+
+    def restrict(self, sites) -> "Box":
+        pick = [self.sites.index(s) for s in sorted(sites)]
+        return Box(
+            tuple(self.sites[j] for j in pick),
+            tuple(self.dims[j] for j in pick),
+            tuple(self.rows[j] for j in pick),
+        )
+
+    def union(self, other: "Box") -> "Box":
+        return Box(self.sites, self.dims, tuple(map(np.union1d, self.rows, other.rows)))
+
+    def expand(self, local: np.ndarray) -> np.ndarray:
+        """Dense rows of A''_sites of a box-local array (zero outside the box)."""
+        out = np.zeros((int(np.prod(self.dims)),) + local.shape[1:], dtype=local.dtype)
+        out[self.flat] = local
+        return out
+
+    def expand_op(self, local: np.ndarray) -> np.ndarray:
+        """Dense operator on A''_sites of a box-local operator."""
+        flat = self.flat
+        n = int(np.prod(self.dims))
+        out = np.zeros((n, n), dtype=local.dtype)
+        out[np.ix_(flat, flat)] = local
+        return out
+
+    def lowest_eigenvalue(self, local: np.ndarray) -> float:
+        """Smallest eigenvalue of the dense form of a box-local Hermitian operator.
+
+        The dense operator is zero outside the box, so when the box leaves
+        rows out, 0 is among its eigenvalues.
+        """
+        low = float(np.linalg.eigvalsh(local)[0])
+        return min(low, 0.0) if self.size < int(np.prod(self.dims)) else low
+
+
 @dataclass(frozen=True)
 class AugmentedSpace:
     """Index bookkeeping for the per-site augmented spaces A''_i.
@@ -263,23 +341,44 @@ class AugmentedSpace:
         stride = self.dim_l ** len(registers)
         return self.site_offset(i, label) + np.arange(self.base_dim) * stride + idx
 
-    def scatter(self, sites, terms) -> np.ndarray:
-        """Sum of weighted coordinate embeddings (H x C^2)^(x sites) -> A''_sites.
+    def box(self, sites, l_assign: dict[int, int]) -> Box:
+        """The rows of A''_sites that site_rows reaches under l_assign.
+
+        Per site: the base summand, and each block summand whose registers
+        l_assign labels, at the rows those labels select.  Summands run in
+        offset order, so the rows come out ascending.
+        """
+        sites = tuple(sorted(sites))
+        rows = tuple(
+            np.concatenate([
+                self.site_rows(s, label, l_assign)
+                for label in self.site_labels[s]
+                if label is None or set(label) <= set(l_assign)
+            ])
+            for s in sites
+        )
+        return Box(sites, tuple(self.site_dim(s) for s in sites), rows)
+
+    def scatter(self, box: Box, terms) -> np.ndarray:
+        """Sum of weighted coordinate embeddings (H x C^2)^(x box sites) -> the box, box-local.
 
         terms lists (weight, rows) with one site_rows array per site; the term
         sends the base coordinate (h_1, ..., h_n) to the row
         (rows_1[h_1], ..., rows_n[h_n]), so it is a partial permutation.
         """
-        dims = [self.site_dim(s) for s in sites]
-        acc = np.zeros((int(np.prod(dims)), self.base_dim ** len(sites)), dtype=complex)
+        acc = np.zeros((box.size, self.base_dim ** len(box.sites)), dtype=complex)
         cols = np.arange(acc.shape[1])
         for weight, rows in terms:
-            acc[np.ravel_multi_index(np.ix_(*rows), dims).ravel(), cols] += weight
+            acc[box.index(rows), cols] += weight
         return acc
 
+    def base_local(self, box: Box) -> np.ndarray:
+        """The embedding of (H x C^2)^(x box sites) into the base summands, box-local."""
+        return self.scatter(box, [(1.0, [self.site_rows(s, None) for s in box.sites])])
+
     def sites_base_embed(self, sites) -> np.ndarray:
-        sites = sorted(sites)
-        return self.scatter(sites, [(1.0, [self.site_rows(s, None) for s in sites])])
+        box = self.box(sites, {})
+        return box.expand(self.base_local(box))
 
 
 def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarray:
@@ -288,30 +387,40 @@ def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarra
     sites = [e for e in S if e > 0]
     if not sites:
         raise ValueError("block contains no quantum site")
-    return space.scatter(sites, [(1.0, [space.site_rows(s, S, l_assign) for s in sites])])
+    box = space.box(sites, l_assign)
+    return box.expand(
+        space.scatter(box, [(1.0, [space.site_rows(s, S, l_assign) for s in sites])])
+    )
 
 
-def psp_embed(
-    space: AugmentedSpace, psp: Psp, l_assign: dict[int, int], delta: float, sites=None
+def psp_local(
+    space: AugmentedSpace, box: Box, psp: Psp, l_assign: dict[int, int], delta: float
 ) -> np.ndarray:
-    """Isometry T_(S_1..S_l),l,delta from (H x C^2)^(x sites) into A''_sites.
+    """Isometry T_(S_1..S_l),l,delta from (H x C^2)^(x box sites) into the box, box-local.
 
     Expands into a sum over all pseudosubpartitions refining the given one:
     the term for (W_1..W_n) embeds each site of W_j into the W_j summand
     carrying the labels l|_{W_j}, uncovered sites into the base summand,
     weighted by delta^n / sqrt(prod_i N(S_i, delta)).
     """
-    sites = tuple(sorted(quantum_sites(space.k) if sites is None else sites))
-    if not {e for b in psp for e in b if e > 0} <= set(sites):
+    if not {e for b in psp for e in b if e > 0} <= set(box.sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
     norm = float(np.prod([normalization(b, delta) for b in psp])) if psp else 1.0
     terms = []
     for combo in itertools.product(*[_psps_of(tuple(sorted(b))) for b in psp]):
         blocks = [b for sub in combo for b in sub]
         site_of = {e: b for b in blocks for e in b if e > 0}
-        rows = [space.site_rows(s, site_of.get(s), l_assign) for s in sites]
+        rows = [space.site_rows(s, site_of.get(s), l_assign) for s in box.sites]
         terms.append((float(delta) ** len(blocks), rows))
-    return space.scatter(sites, terms) / np.sqrt(norm)
+    return space.scatter(box, terms) / np.sqrt(norm)
+
+
+def psp_embed(
+    space: AugmentedSpace, psp: Psp, l_assign: dict[int, int], delta: float, sites=None
+) -> np.ndarray:
+    """Isometry T_(S_1..S_l),l,delta from (H x C^2)^(x sites) into A''_sites, dense."""
+    box = space.box(quantum_sites(space.k) if sites is None else sites, l_assign)
+    return box.expand(psp_local(space, box, psp, l_assign, delta))
 
 
 def smoothing_embed(
@@ -357,40 +466,65 @@ def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
 class LowRankState:
     """PSD operator factor @ core @ factor† kept in factored form.
 
-    The big augmented spaces are never materialized as dense matrices; traces
-    against factored POVM elements reduce to small matrix products.
+    With a box, local holds the factor's rows inside the box (all its other
+    rows are zero) and factor is the dense expansion; without one, local is
+    the factor itself.  Traces, spectra and partial traces run on local, so
+    the big augmented spaces are never materialized.
     """
 
-    factor: np.ndarray
+    local: np.ndarray
     core: np.ndarray
+    box: Box | None = None
+
+    @property
+    def factor(self) -> np.ndarray:
+        return self.local if self.box is None else self.box.expand(self.local)
+
+    def expanded(self) -> "LowRankState":
+        return LowRankState(self.factor, self.core)
 
     def dense(self) -> np.ndarray:
         return qla.hermitian_part(self.factor @ self.core @ self.factor.conj().T)
 
     def trace(self) -> float:
-        return float(np.trace(self.core @ (self.factor.conj().T @ self.factor)).real)
+        return float(np.trace(self.core @ (self.local.conj().T @ self.local)).real)
 
     def core_sqrt_cols(self) -> np.ndarray:
         w, v = np.linalg.eigh(qla.hermitian_part(self.core))
-        return self.factor @ (v * np.sqrt(np.maximum(w, 0.0)))
+        return self.local @ (v * np.sqrt(np.maximum(w, 0.0)))
 
     def eigenvalues(self) -> np.ndarray:
         cols = self.core_sqrt_cols()
         return np.linalg.eigvalsh(cols.conj().T @ cols)
 
+    def marginal(self, keep_sites) -> tuple[Box, np.ndarray]:
+        """Partial trace onto keep_sites, box-local on the box's kept sites."""
+        sub = self.box.restrict(keep_sites)
+        keep = [self.box.sites.index(s) for s in sub.sites]
+        # rho = C C†: put the kept sites first, then the traced sites and the
+        # columns of C contract in one product
+        t = self.core_sqrt_cols().reshape(self.box.shape + (-1,))
+        m = np.moveaxis(t, keep, range(len(keep))).reshape(sub.size, -1)
+        return sub, qla.hermitian_part(m @ m.conj().T)
+
 
 def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
-    """Tr[(B B†) rho] for a factored PSD POVM element and a factored state."""
+    """Tr[(B B†) rho] for a factored PSD POVM element and a factored state.
+
+    b_factor runs over the rows of state.local (the state's box, if any).
+    """
     cols = state.core_sqrt_cols()
     return float(np.linalg.norm(b_factor.conj().T @ cols) ** 2)
 
 
 def l1_distance_factored(a: LowRankState, b: LowRankState) -> float:
     """Trace distance between two factored operators via their joint column space."""
+    if a.box != b.box:
+        a, b = a.expanded(), b.expanded()
     cols = np.hstack([a.core_sqrt_cols(), b.core_sqrt_cols()])
     basis = tilting.orthonormalize(cols, tol=1e-12)
-    sa = basis.conj().T @ a.factor
-    sb = basis.conj().T @ b.factor
+    sa = basis.conj().T @ a.local
+    sb = basis.conj().T @ b.local
     small = sa @ a.core @ sa.conj().T - sb @ b.core @ sb.conj().T
     return qla.trace_norm_herm(small)
 
@@ -531,15 +665,15 @@ def assemble_on_sites(k: int, site_dim, factors) -> np.ndarray:
     return full.reshape(n, n)
 
 
-def apply_site_factors(space: AugmentedSpace, factors, cols: np.ndarray) -> np.ndarray:
-    """Apply a tensor product of per-site-group operators to stacked columns."""
-    dims = [space.site_dim(s) for s in quantum_sites(space.k)]
+def apply_site_factors(box: Box, factors, cols: np.ndarray) -> np.ndarray:
+    """Apply a tensor product of per-site-group operators to stacked box-local columns."""
+    dims = box.shape
+    n = len(dims)
     r = cols.shape[1]
     t = cols.reshape(tuple(dims) + (r,))
     for sites, mat in factors:
-        sites = sorted(sites)
-        axes = [s - 1 for s in sites]
-        rest = [ax for ax in range(space.k) if ax not in axes] + [space.k]
+        axes = [box.sites.index(s) for s in sorted(sites)]
+        rest = [ax for ax in range(n) if ax not in axes] + [n]
         perm = axes + rest
         tp = np.transpose(t, perm)
         merged = tp.reshape(int(np.prod([dims[ax] for ax in axes])), -1)
@@ -578,34 +712,54 @@ def optimal_splitting_tests(inst: TypicalityInstance, x) -> dict:
 
 @dataclass
 class BlockConstruction:
-    """The smoothed state and intersection POVM element for one (x, l) block."""
+    """The smoothed state and intersection POVM element for one (x, l) block.
+
+    v (the smoothing isometry), e_hat, q_tilted and b (the factor of Pi')
+    are box-local on box, the rows the block's embeddings reach;
+    v_global and b_factor are their dense forms on A''.
+    """
 
     inst: TypicalityInstance
     x: tuple
     l_assign: dict
     tests: dict
-    v_global: np.ndarray
+    box: Box
+    v: np.ndarray
     rho_hat: np.ndarray
     e_hat: np.ndarray
     q_tilted: np.ndarray
-    b_factor: np.ndarray
+    b: np.ndarray
+
+    @property
+    def v_global(self) -> np.ndarray:
+        return self.box.expand(self.v)
+
+    @property
+    def b_factor(self) -> np.ndarray:
+        return self.box.expand(self.b)
 
     @property
     def rho_prime(self) -> LowRankState:
-        return LowRankState(self.v_global, self.rho_hat)
+        return LowRankState(self.v, self.rho_hat, self.box)
 
     @property
     def embedded_original(self) -> LowRankState:
-        return LowRankState(self.e_hat, self.rho_hat)
+        return LowRankState(self.e_hat, self.rho_hat, self.box)
+
+    def _expectation(self, factor: np.ndarray, state: LowRankState) -> float:
+        # factor is box-local; a state on other rows meets it in dense form
+        if state.box != self.box:
+            factor, state = self.box.expand(factor), state.expanded()
+        return povm_expectation(factor, state)
 
     def pi_prime_expectation(self, state: LowRankState) -> float:
-        return povm_expectation(self.b_factor, state)
+        return self._expectation(self.b, state)
 
     def pi_prime_trace_norm(self) -> float:
-        return float(np.trace(self.b_factor.conj().T @ self.b_factor).real)
+        return float(np.trace(self.b.conj().T @ self.b).real)
 
     def y_projector_expectation(self, state: LowRankState) -> float:
-        return povm_expectation(self.q_tilted, state)
+        return self._expectation(self.q_tilted, state)
 
 
 def zero_labels(inst: TypicalityInstance) -> dict:
@@ -627,84 +781,85 @@ def build_construction(
     if tests is None:
         tests = optimal_splitting_tests(inst, x)
     rho_prime = build_rho_prime(inst, x, l_assign)
-    e_hat = space.sites_base_embed(quantum_sites(inst.k))
+    box = rho_prime.box
+    e_hat = space.base_local(box)
     images = [
-        psp_embed(space, psp, l_assign, inst.delta) @ tests[psp].y_basis
+        psp_local(space, box, psp, l_assign, inst.delta) @ tests[psp].y_basis
         for psp in inst.lattice.linear_ext
         if tests[psp].y_basis.shape[1]
     ]
-    q = tilting.image_basis(images, space.total_dim())
+    q = tilting.image_basis(images, box.size)
     return BlockConstruction(
         inst=inst,
         x=x,
         l_assign=dict(l_assign),
         tests=tests,
-        v_global=rho_prime.factor,
+        box=box,
+        v=rho_prime.local,
         rho_hat=rho_prime.core,
         e_hat=e_hat,
         q_tilted=q,
-        b_factor=tilting.complement_factor(e_hat, q),
+        b=tilting.complement_factor(e_hat, q),
     )
 
 
 def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
-    """The smoothed state rho'_{x,l,delta} as a factored density matrix."""
+    """The smoothed state rho'_{x,l,delta} as a factored density matrix, box-local."""
     space = inst.space
     if l_assign is None:
         l_assign = zero_labels(inst)
-    v = global_embed(space, l_assign, inst.delta)
-    return LowRankState(v, embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h))
+    box = space.box(quantum_sites(inst.k), l_assign)
+    v = psp_local(space, box, (full_block(inst.c, inst.k),), l_assign, inst.delta)
+    return LowRankState(v, embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h), box)
 
 
 def split_embedded(inst: TypicalityInstance, x, psp: Psp, l_assign: dict, sigma=None) -> LowRankState:
-    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form."""
+    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form, box-local."""
+    space = inst.space
+    box = space.box(quantum_sites(inst.k), l_assign)
     return LowRankState(
-        psp_embed(inst.space, psp, l_assign, inst.delta),
+        psp_local(space, box, psp, l_assign, inst.delta),
         embed_with_ancilla(inst.split_state(x, psp, sigma), inst.k, inst.dim_h),
+        box,
     )
 
 
 def factored_partial_trace(
     space: AugmentedSpace, state: LowRankState, keep_sites
 ) -> np.ndarray:
-    """Dense marginal of a factored state on a subset of augmented sites."""
-    keep = [s - 1 for s in sorted(keep_sites)]
-    dims = [space.site_dim(s) for s in quantum_sites(space.k)]
-    # rho = C C†: put the kept sites first, then the traced sites and the
-    # columns of C contract in one product
-    t = state.core_sqrt_cols().reshape(dims + [-1])
-    d = int(np.prod([dims[i] for i in keep]))
-    m = np.moveaxis(t, keep, range(len(keep))).reshape(d, -1)
-    return qla.hermitian_part(m @ m.conj().T)
+    """Dense marginal on A''_keep_sites of a box-local factored state of the space."""
+    sub, local = state.marginal(keep_sites)
+    return sub.expand_op(local)
 
 
 def marginal_block_state(
     inst: TypicalityInstance, block: Block, x_kept, l_block: dict
-) -> np.ndarray:
-    """The averaged marginal (rho')_{x_S, l_S, delta} on A''_{S cap [k]}.
+) -> tuple[Box, np.ndarray]:
+    """The averaged marginal (rho')_{x_S, l_S, delta} on A''_{S cap [k]}, box-local.
 
     Classical coordinates outside the block are averaged with the instance
     weights, ancilla labels outside the block uniformly, and the quantum
-    sites outside the block are traced out.
+    sites outside the block are traced out.  The marginal lives on the union
+    of the kept sites' boxes over the averaged labels, which it returns.
     """
     space = inst.space
     sbar = [e for e in full_block(inst.c, inst.k) if e not in set(block)]
     sites = [e for e in block if e > 0]
     kept_c = tuple(e for e in block if e < 0)
-    d = int(np.prod([space.site_dim(s) for s in sites]))
-    if d > DENSE_CAP:
-        raise ValueError(f"dense marginal of dimension {d} exceeds cap {DENSE_CAP}")
     weights = inst.avg_weights(kept_c, x_kept)
-    out = np.zeros((d, d), dtype=complex)
-    n_l = inst.dim_l ** len(sbar)
+    assigns = [
+        {**l_block, **dict(zip(sbar, l_rest))}
+        for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar))
+    ]
+    box = reduce(Box.union, [space.box(sites, a) for a in assigns])
+    out = np.zeros((box.size, box.size), dtype=complex)
     for x_rest, w in weights.items():
         x_full = inst.merge_word(kept_c, x_kept, x_rest)
-        for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
-            l_assign = dict(l_block)
-            l_assign.update(dict(zip(sbar, l_rest)))
-            st = build_rho_prime(inst, x_full, l_assign)
-            out += (w / n_l) * factored_partial_trace(space, st, sites)
-    return qla.hermitian_part(out)
+        for l_assign in assigns:
+            sub, m = build_rho_prime(inst, x_full, l_assign).marginal(sites)
+            pos = box.index(sub.rows)
+            out[np.ix_(pos, pos)] += (w / len(assigns)) * m
+    return box, qla.hermitian_part(out)
 
 
 def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.ndarray:
@@ -728,8 +883,11 @@ def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.nd
 
 @dataclass
 class SplitFactor:
+    """One block's marginal and its terms, box-local on box."""
+
     block: Block
     sites: tuple
+    box: Box
     rho: np.ndarray
     clean: np.ndarray
     crossing: np.ndarray
@@ -808,19 +966,22 @@ def split_decompose(
     for block, a_i in zip(psp, lead_weights):
         sites = tuple(e for e in block if e > 0)
         x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
-        rho_i = marginal_block_state(inst, block, x_kept, {e: l_assign[e] for e in block})
-        nc = qla.tensor_all([_site_noncross_mask(space, s, block).astype(float)[:, None] for s in sites]).ravel() > 0.5
-        p_nc = nc.astype(float)
+        l_block = {e: l_assign[e] for e in block}
+        box, rho_i = marginal_block_state(inst, block, x_kept, l_block)
+        p_nc = qla.tensor_all([
+            _site_noncross_mask(space, s, block)[rows].astype(float)[:, None]
+            for s, rows in zip(box.sites, box.rows)
+        ]).ravel()
         clean = rho_i * np.outer(p_nc, p_nc)
         crossing = rho_i * np.outer(1.0 - p_nc, 1.0 - p_nc)
         coh = qla.op_norm_herm(rho_i - clean - crossing)
 
         rho_bar = inst.averaged_marginal(block, x_kept)
-        t_embed = smoothing_embed(space, block, {e: l_assign[e] for e in block}, inst.delta)
+        t_embed = psp_local(space, box, (block,), l_block, inst.delta)
         lead = t_embed @ embed_with_ancilla(rho_bar, len(sites), inst.dim_h) @ t_embed.conj().T
         leak = clean - a_i * lead
         factors.append(
-            SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak)
+            SplitFactor(block, sites, box, rho_i, clean, crossing, coh, a_i, lead, leak)
         )
 
     fill_norm = 1.0
@@ -842,7 +1003,7 @@ def split_decompose(
                 "split_factor_unit_trace", abs(np.trace(f.rho).real - 1.0), 0.0, 1e-9, params
             )
         )
-    m_min = min(float(np.linalg.eigvalsh(f.crossing)[0]) for f in factors)
+    m_min = min(f.box.lowest_eigenvalue(f.crossing) for f in factors)
     checks.append(report.AuditCheck("split_m_psd", -m_min, 0.0, 1e-10, params))
 
     # ||M'||_inf is exact: terms indexed by which factors sit in crossing
@@ -1141,20 +1302,27 @@ def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> Lem
 def _split_expectation(
     inst: TypicalityInstance, constr: BlockConstruction, psp: Psp, dec: SplitDecomposition
 ) -> float:
-    """Tr[Pi' rho'_split] for one block, via per-factor application."""
-    space = inst.space
+    """Tr[Pi' rho'_split] for one block, via per-factor application.
+
+    B vanishes outside the block's box, so each factor enters through its
+    entries on the box's rows.
+    """
     if is_full_block(inst, psp):
         return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.l_assign))
-    factors = [(f.sites, f.rho) for f in dec.factors]
+    box = constr.box
+    factors = []
+    for f in dec.factors:
+        pos = f.box.index(box.restrict(f.sites).rows)
+        factors.append((f.sites, f.rho[np.ix_(pos, pos)]))
     covered = [s for f in dec.factors for s in f.sites]
     t_sites = [s for s in quantum_sites(inst.k) if s not in covered]
     if t_sites:
         fill = inst.quantum_marginal(constr.x, t_sites)
-        e_t = space.sites_base_embed(t_sites)
+        e_t = inst.space.base_local(box.restrict(t_sites))
         fill_emb = e_t @ embed_with_ancilla(fill, len(t_sites), inst.dim_h) @ e_t.conj().T
         factors.append((tuple(t_sites), fill_emb))
-    applied = apply_site_factors(space, factors, constr.b_factor)
-    return float(np.trace(constr.b_factor.conj().T @ applied).real)
+    applied = apply_site_factors(box, factors, constr.b)
+    return float(np.trace(constr.b.conj().T @ applied).real)
 
 
 @dataclass
@@ -1191,17 +1359,20 @@ def union_of_intersections(
         raise ValueError("the union audit covers instances without classical words")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    n = first.space.total_dim()
-    if 2 * n * (len(instances) + 1) > DENSE_CAP * 4:
+    if 2 * first.space.total_dim() * (len(instances) + 1) > DENSE_CAP * 4:
         raise ValueError("union construction exceeds the dense dimension cap")
 
+    # every instance shares l_assign, so every construction and lifted state
+    # lives on one box; outside it Pi' = 0, so the dilated ranges there are
+    # |v>|1>, orthogonal to every lifted state, and tilting keeps them so
     constructions = [build_construction(inst, (), l_assign) for inst in instances]
-    ranges = [hyptest.dilation_basis(c.b_factor @ c.b_factor.conj().T) for c in constructions]
+    n = constructions[0].box.size
+    ranges = [hyptest.dilation_basis(c.b @ c.b.conj().T) for c in constructions]
     layout = tilting.TiltedLayout(2 * n, len(instances))
     union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
 
     def lift(state: LowRankState) -> np.ndarray:
-        # A'' columns -> tensor |0> ancilla -> base summand of the tilted space
+        # box columns -> tensor |0> ancilla -> base summand of the tilted space
         cols = state.core_sqrt_cols()
         lifted = np.zeros((layout.total_dim, cols.shape[1]), dtype=complex)
         lifted[0 : 2 * n : 2, :] = cols
@@ -1209,7 +1380,7 @@ def union_of_intersections(
 
     def accept(basis: np.ndarray, lifted: np.ndarray) -> float:
         # ||basis† lifted||^2 on the basis's rows: the first 2n rows of the
-        # tilted space are the base copy of A'' x C^2
+        # tilted space are the base copy of (box of A'') x C^2
         return float(np.linalg.norm(basis.conj().T @ lifted[: basis.shape[0]]) ** 2)
 
     checks = []

@@ -171,6 +171,46 @@ class TestTypicalityBuild:
         assert payload["soundness"]
 
 
+# split_beta_zero asserts beta = 0 whenever some block of the split keeps every
+# classical coordinate, but beta vanishes only when every block does; at the
+# two-block splits below the other block averages the coordinate and leaks
+KNOWN_FAILING = {"split_beta_zero", "split_leak_vanishes", "claim5_identity"}
+KNOWN_FAILING_SPLITS = {"((-1, 1), (2,))", "((-1, 2), (1,))"}
+
+
+@pytest.fixture(scope="module")
+def c1_k2_runs(tmp_path_factory):
+    """typicality-build and audit typicality at c = 1, k = 2, L = 2, each run once."""
+    runs = {}
+    for name, argv, report_file in (
+        ("build", ["typicality-build"], "typicality_build.json"),
+        ("audit", ["audit", "typicality", "--trials", "1"], "audit_typicality.json"),
+    ):
+        out = str(tmp_path_factory.mktemp(name))
+        rc = run(argv + ["--c", "1", "--k", "2", "--L", "2", "--out", out])
+        runs[name] = (rc, json.load(open(os.path.join(out, report_file))))
+    return runs
+
+
+class TestTwoSitesOneCoordinate:
+    """A'' has 5776 rows here; the block marginals live on 784-row box unions."""
+
+    @pytest.mark.parametrize("name", ["build", "audit"])
+    def test_runs_the_audit(self, c1_k2_runs, name):
+        rc, payload = c1_k2_runs[name]
+        assert rc in (0, 1)  # audited, not rejected
+        assert len(payload["checks"]) > 250
+        for check in payload["checks"]:
+            if not check["pass"]:
+                assert check["name"] in KNOWN_FAILING, check
+                assert check["params"]["psp"] in KNOWN_FAILING_SPLITS, check
+
+    @pytest.mark.xfail(strict=True, reason="split_beta_zero fails at the splits keeping one coordinate")
+    @pytest.mark.parametrize("name", ["build", "audit"])
+    def test_exits_0(self, c1_k2_runs, name):
+        assert c1_k2_runs[name][0] == 0
+
+
 class TestRejectedInput:
     def test_dimension_cap_exits_2(self, monkeypatch, outdir, capsys):
         monkeypatch.setenv("ONESHOT_DIM_CAP", "10")

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import qla, report, typicality as tp
+from oneshot import audits, qla, report, typicality as tp
 from oneshot.rand import random_density, rng_from_seed
 
 
@@ -237,7 +237,11 @@ def oracle_psp_embed(space, psp, l_assign, delta, sites):
 
 
 class TestEmbeddingOracle:
-    """The scatter builders equal the Kronecker-chain construction bit for bit."""
+    """The scatter builders equal the Kronecker-chain construction bit for bit.
+
+    Every oracle embedding is zero outside the box of its label assignment,
+    and the box-local form expands to it exactly.
+    """
 
     @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 2), (0, 2, 4), (1, 1, 2), (1, 2, 2), (2, 1, 2)])
     def test_bitwise(self, c, k, L):
@@ -251,6 +255,8 @@ class TestEmbeddingOracle:
                 assert np.array_equal(space.sites_base_embed(subset), want)
         for psp in tp.enum_psps(full):
             l_assign = {e: int(rng.integers(0, L)) for e in full}
+            box = space.box(sites, l_assign)
+            outside = np.setdiff1d(np.arange(space.total_dim()), box.flat)
             for block in psp:
                 bsites = [e for e in block if e > 0]
                 want = functools.reduce(
@@ -259,6 +265,10 @@ class TestEmbeddingOracle:
                 assert np.array_equal(tp.coord_embed(space, block, l_assign), want)
             for delta in (0.0, 0.3, 0.6):
                 want = oracle_psp_embed(space, psp, l_assign, delta, sites)
+                assert not np.any(want[outside])
+                local = tp.psp_local(space, box, psp, l_assign, delta)
+                assert local.shape[0] == box.size < space.total_dim()
+                assert np.array_equal(box.expand(local), want)
                 assert np.array_equal(tp.psp_embed(space, psp, l_assign, delta), want)
 
 
@@ -303,13 +313,18 @@ class TestRhoPrime:
 
 
     @pytest.mark.parametrize(
-        "c, k, x, l_assign",
-        [(0, 2, (), {1: 1, 2: 0}), (1, 1, (1,), {-1: 1, 1: 0})],
+        "c, k, dim_h, x, l_assign",
+        [
+            (0, 2, 2, (), {1: 1, 2: 0}),
+            (1, 1, 2, (1,), {-1: 1, 1: 0}),
+            (1, 2, 1, (0,), {-1: 1, 1: 0, 2: 1}),
+        ],
     )
-    def test_factored_partial_trace_matches_dense(self, c, k, x, l_assign):
-        inst = small_instance(74, c=c, k=k, delta=0.4)
+    def test_factored_partial_trace_matches_dense(self, c, k, dim_h, x, l_assign):
+        inst = small_instance(74, c=c, k=k, dim_h=dim_h, delta=0.4)
         space = inst.space
         st = tp.build_rho_prime(inst, x, l_assign)
+        assert st.box.size < space.total_dim()
         dense = st.dense()
         dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
         for r in range(1, k + 1):
@@ -317,6 +332,82 @@ class TestRhoPrime:
                 got = tp.factored_partial_trace(space, st, keep)
                 want = qla.partial_trace(dense, dims, [s - 1 for s in keep])
                 npt.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "c, k, dim_h, block, x_kept",
+        [
+            (0, 2, 2, (1,), ()),
+            (0, 2, 2, (1, 2), ()),
+            (1, 1, 2, (1,), ()),
+            (1, 1, 2, (-1, 1), (1,)),
+            (1, 2, 1, (2,), ()),
+            (1, 2, 1, (-1, 1), (0,)),
+        ],
+    )
+    def test_marginal_block_state_matches_dense(self, c, k, dim_h, block, x_kept):
+        # oracle: the average over the classical words and labels outside the
+        # block of the dense partial traces of global_embed's states
+        inst = small_instance(75, c=c, k=k, dim_h=dim_h, delta=0.4)
+        space = inst.space
+        full = tp.full_block(c, k)
+        sbar = [e for e in full if e not in block]
+        kept_c = tuple(e for e in block if e < 0)
+        sites = [e for e in block if e > 0]
+        l_block = {e: 1 for e in block}
+        dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
+        n_l = inst.dim_l ** len(sbar)
+        want = 0.0
+        for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
+            x_full = inst.merge_word(kept_c, x_kept, x_rest)
+            for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
+                l_assign = {**l_block, **dict(zip(sbar, l_rest))}
+                v = tp.global_embed(space, l_assign, inst.delta)
+                rho = v @ tp.embed_with_ancilla(inst.rhos[x_full], k, dim_h) @ v.conj().T
+                want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
+        box, local = tp.marginal_block_state(inst, block, x_kept, l_block)
+        assert box.sites == tuple(sites)
+        npt.assert_allclose(box.expand_op(local), want, atol=1e-12)
+
+
+class TestBox:
+    def test_lowest_eigenvalue_on_strict_box(self):
+        # a positive-definite operator on a strict sub-box: the dense operator
+        # also has the zero block outside the box
+        space = tp.AugmentedSpace(0, 2, 2, 2)
+        box = space.box((1, 2), {1: 1, 2: 0})
+        assert box.size < space.total_dim()
+        rng = rng_from_seed(76)
+        g = rng.normal(size=(box.size, box.size)) + 1j * rng.normal(size=(box.size, box.size))
+        local = g @ g.conj().T + 0.1 * np.eye(box.size)
+        want = float(np.linalg.eigvalsh(box.expand_op(local))[0])
+        assert box.lowest_eigenvalue(local) == pytest.approx(want, abs=1e-12)
+        assert np.linalg.eigvalsh(local)[0] > 0.05
+
+    def test_lowest_eigenvalue_on_whole_space(self):
+        space = tp.AugmentedSpace(0, 1, 2, 2)
+        box = tp.Box((1,), (space.site_dim(1),), (np.arange(space.site_dim(1)),))
+        local = np.diag(np.arange(1.0, space.site_dim(1) + 1.0))
+        assert box.lowest_eigenvalue(local) == 1.0
+
+    def test_rows_outside_box_rejected(self):
+        space = tp.AugmentedSpace(0, 2, 2, 2)
+        box = space.box((1, 2), {1: 0, 2: 0})
+        other = space.site_rows(1, (1,), {1: 1})
+        with pytest.raises(ValueError, match="outside the box"):
+            box.index([other, space.site_rows(2, None)])
+
+    def test_audit_builds_no_dim_a_array(self, monkeypatch):
+        # the intersection lemma at the benchmark size runs on boxes only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dim A'' array built in the audit path")
+
+        monkeypatch.setattr(tp, "global_embed", forbidden)
+        monkeypatch.setattr(tp.Box, "expand", forbidden)
+        monkeypatch.setattr(tp.Box, "expand_op", forbidden)
+        monkeypatch.setattr(tp.LowRankState, "dense", forbidden)
+        res = tp.intersection_lemma(audits.random_instance(3, 0, 2, 2, 4, 0.2, 0.2))
+        bad = [c for c in res.checks if not c.passed]
+        assert not bad, bad[0].describe()
 
 
 class TestConstruction:
@@ -353,6 +444,10 @@ class TestConstruction:
         d1 = tp.l1_distance_factored(c1.rho_prime, c1.embedded_original)
         d2 = tp.l1_distance_factored(c2.rho_prime, c2.embedded_original)
         assert d1 == pytest.approx(d2, abs=1e-10)
+        # a state on another label block's box meets Pi' in dense form
+        b1 = c1.b_factor
+        cross = np.trace(b1.conj().T @ c2.rho_prime.dense() @ b1).real
+        assert c1.pi_prime_expectation(c2.rho_prime) == pytest.approx(cross, abs=1e-12)
 
 
 class TestSplitDecompose:
@@ -387,6 +482,29 @@ class TestSplitDecompose:
         assert dec.beta == pytest.approx(d2 / (1 + 2 * d2), abs=1e-12)
         assert dec.n_norm <= 3.0 / np.sqrt(inst.dim_l) + 1e-12
         assert report.all_pass(dec.checks)
+
+    @pytest.mark.parametrize(
+        "c, k, x, psp",
+        [(0, 2, (), ((1,), (2,))), (0, 2, (), ((2,),)), (1, 1, (1,), ((1,),))],
+    )
+    def test_split_expectation_matches_dense(self, c, k, x, psp):
+        # Tr[Pi' (x) factors] with the box-local factors expanded to A''
+        inst = small_instance(95, c=c, k=k, delta=0.4)
+        space = inst.space
+        l_assign = {e: 1 for e in tp.full_block(c, k)}
+        constr = tp.build_construction(inst, x, l_assign)
+        dec = tp.split_decompose(inst, x, psp, l_assign)
+        factors = [(f.sites, f.box.expand_op(f.rho)) for f in dec.factors]
+        t_sites = [s for s in tp.quantum_sites(k) if not any(s in f.sites for f in dec.factors)]
+        if t_sites:
+            e_t = space.sites_base_embed(t_sites)
+            fill = tp.embed_with_ancilla(inst.quantum_marginal(x, t_sites), len(t_sites), 2)
+            factors.append((tuple(t_sites), e_t @ fill @ e_t.conj().T))
+        dims = {s: space.site_dim(s) for s in tp.quantum_sites(k)}
+        b = constr.b_factor
+        want = np.trace(b.conj().T @ tp.assemble_on_sites(k, dims, factors) @ b).real
+        got = tp._split_expectation(inst, constr, psp, dec)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_c1_full_block_beta_zero(self):
         inst = small_instance(94, c=1, k=1, dim_l=2, delta=0.4)
@@ -441,6 +559,11 @@ class TestUnion:
         assert res.all_pass()
         drops = [c for c in res.checks if c.name == "union_completeness_drop"]
         assert len(drops) == 2
+
+    def test_two_site_instance(self):
+        res = tp.union_of_intersections([audits.random_instance(5, 0, 2, 2, 2, 0.3, 0.2)], 0.25)
+        assert res.all_pass()
+        assert len(res.checks) == 6
 
 
 def stirling_count_oracle(c, k):

@@ -313,14 +313,17 @@ class TestRhoPrime:
 
 
     @pytest.mark.parametrize(
-        "c, k, dim_h, x, l_assign",
-        [
-            (0, 2, 2, (), {1: 1, 2: 0}),
-            (1, 1, 2, (1,), {-1: 1, 1: 0}),
-            (1, 2, 1, (0,), {-1: 1, 1: 0, 2: 1}),
-        ],
+        "c, k, x, l_assign",
+        [(0, 2, (), {1: 1, 2: 0}), (1, 1, (1,), {-1: 1, 1: 0})],
     )
-    def test_factored_partial_trace_matches_dense(self, c, k, dim_h, x, l_assign):
+    def test_factored_partial_trace_matches_dense(self, c, k, x, l_assign):
+        self.check_factored_partial_trace(c, k, 2, x, l_assign)
+
+    def test_factored_partial_trace_matches_dense_one_dim_h(self):
+        self.check_factored_partial_trace(1, 2, 1, (0,), {-1: 1, 1: 0, 2: 1})
+
+    @staticmethod
+    def check_factored_partial_trace(c, k, dim_h, x, l_assign):
         inst = small_instance(74, c=c, k=k, dim_h=dim_h, delta=0.4)
         space = inst.space
         st = tp.build_rho_prime(inst, x, l_assign)

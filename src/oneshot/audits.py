@@ -230,7 +230,7 @@ def random_instance(
         p_x = {w: float(v) for w, v in zip(words, p)}
     return typicality.TypicalityInstance(
         c=c, k=k, dim_h=dim_h, dim_l=dim_l, delta=delta, rhos=rhos, p_x=p_x,
-        eps_total=eps, alphabet=1 if c == 0 else 2,
+        eps_total=eps,
     )
 
 

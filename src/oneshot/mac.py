@@ -838,7 +838,7 @@ def time_sharing_instance(
                 p_x[(u, x, y)] = w
     return typicality.TypicalityInstance(
         c=3, k=1, dim_h=spec.dz, dim_l=dim_l, delta=delta,
-        rhos=rhos, p_x=p_x, eps_total=eps, alphabet=max(spec.states.shape[:2]),
+        rhos=rhos, p_x=p_x, eps_total=eps,
     )
 
 

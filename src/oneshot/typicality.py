@@ -31,7 +31,8 @@ Block = tuple[int, ...]
 Psp = tuple[Block, ...]
 
 DEFAULT_SITE_DIM_CAP = 4096
-DENSE_CAP = 4200
+# rows of the tilted union space, (t + 1) copies of (box of A'') x C^2
+UNION_ROW_CAP = 16800
 IDENTITY_TOL = 1e-8
 
 
@@ -376,22 +377,6 @@ class AugmentedSpace:
         """The embedding of (H x C^2)^(x box sites) into the base summands, box-local."""
         return self.scatter(box, [(1.0, [self.site_rows(s, None) for s in box.sites])])
 
-    def sites_base_embed(self, sites) -> np.ndarray:
-        box = self.box(sites, {})
-        return box.expand(self.base_local(box))
-
-
-def coord_embed(space: AugmentedSpace, S, l_assign: dict[int, int]) -> np.ndarray:
-    """Permutation isometry appending the block's labels at each of its sites."""
-    S = tuple(sorted(S))
-    sites = [e for e in S if e > 0]
-    if not sites:
-        raise ValueError("block contains no quantum site")
-    box = space.box(sites, l_assign)
-    return box.expand(
-        space.scatter(box, [(1.0, [space.site_rows(s, S, l_assign) for s in sites])])
-    )
-
 
 def psp_local(
     space: AugmentedSpace, box: Box, psp: Psp, l_assign: dict[int, int], delta: float
@@ -415,27 +400,12 @@ def psp_local(
     return space.scatter(box, terms) / np.sqrt(norm)
 
 
-def psp_embed(
-    space: AugmentedSpace, psp: Psp, l_assign: dict[int, int], delta: float, sites=None
-) -> np.ndarray:
-    """Isometry T_(S_1..S_l),l,delta from (H x C^2)^(x sites) into A''_sites, dense."""
-    box = space.box(quantum_sites(space.k) if sites is None else sites, l_assign)
-    return box.expand(psp_local(space, box, psp, l_assign, delta))
-
-
-def smoothing_embed(
-    space: AugmentedSpace, S, l_assign: dict[int, int], delta: float
-) -> np.ndarray:
-    """Isometry T_{S, l_S, delta} on the sites of S (identity embed at delta = 0)."""
-    S = tuple(sorted(S))
-    return psp_embed(space, (S,), l_assign, delta, sites=[e for e in S if e > 0])
-
-
 def global_embed(
     space: AugmentedSpace, l_assign: dict[int, int], delta: float
 ) -> np.ndarray:
-    """The full smoothing isometry over all quantum sites and coordinates."""
-    return smoothing_embed(space, full_block(space.c, space.k), l_assign, delta)
+    """The full smoothing isometry over all quantum sites and coordinates, dense on A''."""
+    box = space.box(quantum_sites(space.k), l_assign)
+    return box.expand(psp_local(space, box, (full_block(space.c, space.k),), l_assign, delta))
 
 
 @lru_cache(maxsize=None)
@@ -469,7 +439,8 @@ class LowRankState:
     With a box, local holds the factor's rows inside the box (all its other
     rows are zero) and factor is the dense expansion; without one, local is
     the factor itself.  Traces, spectra and partial traces run on local, so
-    the big augmented spaces are never materialized.
+    the big augmented spaces are never materialized.  Two boxed states meet
+    only on the same box.
     """
 
     local: np.ndarray
@@ -479,9 +450,6 @@ class LowRankState:
     @property
     def factor(self) -> np.ndarray:
         return self.local if self.box is None else self.box.expand(self.local)
-
-    def expanded(self) -> "LowRankState":
-        return LowRankState(self.factor, self.core)
 
     def dense(self) -> np.ndarray:
         return qla.hermitian_part(self.factor @ self.core @ self.factor.conj().T)
@@ -511,16 +479,16 @@ class LowRankState:
 def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
     """Tr[(B B†) rho] for a factored PSD POVM element and a factored state.
 
-    b_factor runs over the rows of state.local (the state's box, if any).
+    b_factor runs over the rows of state.local.
     """
     cols = state.core_sqrt_cols()
     return float(np.linalg.norm(b_factor.conj().T @ cols) ** 2)
 
 
 def l1_distance_factored(a: LowRankState, b: LowRankState) -> float:
-    """Trace distance between two factored operators via their joint column space."""
+    """Trace distance between two factored operators (on one box) via their joint column space."""
     if a.box != b.box:
-        a, b = a.expanded(), b.expanded()
+        raise ValueError("states on different boxes")
     cols = np.hstack([a.core_sqrt_cols(), b.core_sqrt_cols()])
     basis = tilting.orthonormalize(cols, tol=1e-12)
     sa = basis.conj().T @ a.local
@@ -547,11 +515,9 @@ class TypicalityInstance:
     p_x: dict
     eps_total: float = 0.1
     eps_table: dict | None = None
-    alphabet: int = 1
 
     def __post_init__(self):
         if self.c == 0:
-            self.alphabet = 1
             if set(self.rhos) != {()}:
                 raise ValueError("c = 0 instances use the empty classical word ()")
         total = sum(self.p_x.values())
@@ -623,7 +589,7 @@ class TypicalityInstance:
             out = out + w * self.quantum_marginal(x_full, sites)
         return qla.hermitian_part(out)
 
-    def split_state(self, x, psp: Psp, sigma=None) -> np.ndarray:
+    def split_state(self, x, psp: Psp) -> np.ndarray:
         """Product of averaged block marginals (and the fill state) on H^(x k)."""
         covered = [e for b in psp for e in b if e > 0]
         t_sites = [s for s in quantum_sites(self.k) if s not in covered]
@@ -634,45 +600,24 @@ class TypicalityInstance:
                 (tuple(e for e in block if e > 0), self.averaged_marginal(block, x_kept))
             )
         if t_sites:
-            fill = self.quantum_marginal(x, t_sites) if sigma is None else sigma
-            factors.append((tuple(t_sites), fill))
-        return assemble_on_sites(self.k, self.dim_h, factors)
+            factors.append((tuple(t_sites), self.quantum_marginal(x, t_sites)))
+        n = self.dim_h**self.k
+        return apply_site_factors(
+            quantum_sites(self.k), (self.dim_h,) * self.k, factors, np.eye(n, dtype=complex)
+        )
 
 
-def assemble_on_sites(k: int, site_dim, factors) -> np.ndarray:
-    """Tensor operators on disjoint site groups into the full k-site operator.
+def apply_site_factors(sites, dims, factors, cols: np.ndarray) -> np.ndarray:
+    """Apply a tensor product of per-site-group operators to stacked columns.
 
-    factors is a list of (sites, matrix); the site groups must partition
-    1..k.  site_dim is the common per-site dimension or a dict site -> dim.
+    The columns run row-major over the given sites with per-site sizes dims;
+    factors lists (site group, operator on the group's sites in sorted order).
     """
-    dims = {s: site_dim[s] if isinstance(site_dim, dict) else site_dim for s in quantum_sites(k)}
-    seen = [s for sites, _ in factors for s in sites]
-    if sorted(seen) != sorted(quantum_sites(k)):
-        raise ValueError("factor site groups must partition the sites")
-    letters = "abcdefghijklmnopqrstuvwx"
-    out_rows = [letters[s - 1] for s in quantum_sites(k)]
-    out_cols = [letters[12 + s - 1] for s in quantum_sites(k)]
-    terms, ops = [], []
-    for sites, mat in factors:
-        sub_rows = "".join(letters[s - 1] for s in sites)
-        sub_cols = "".join(letters[12 + s - 1] for s in sites)
-        shape = tuple(dims[s] for s in sites) * 2
-        terms.append(sub_rows + sub_cols)
-        ops.append(np.asarray(mat, dtype=complex).reshape(shape))
-    spec = ",".join(terms) + "->" + "".join(out_rows) + "".join(out_cols)
-    full = np.einsum(spec, *ops)
-    n = int(np.prod([dims[s] for s in quantum_sites(k)]))
-    return full.reshape(n, n)
-
-
-def apply_site_factors(box: Box, factors, cols: np.ndarray) -> np.ndarray:
-    """Apply a tensor product of per-site-group operators to stacked box-local columns."""
-    dims = box.shape
     n = len(dims)
     r = cols.shape[1]
     t = cols.reshape(tuple(dims) + (r,))
-    for sites, mat in factors:
-        axes = [box.sites.index(s) for s in sorted(sites)]
+    for group, mat in factors:
+        axes = [sites.index(s) for s in sorted(group)]
         rest = [ax for ax in range(n) if ax not in axes] + [n]
         perm = axes + rest
         tp = np.transpose(t, perm)
@@ -747,9 +692,8 @@ class BlockConstruction:
         return LowRankState(self.e_hat, self.rho_hat, self.box)
 
     def _expectation(self, factor: np.ndarray, state: LowRankState) -> float:
-        # factor is box-local; a state on other rows meets it in dense form
         if state.box != self.box:
-            factor, state = self.box.expand(factor), state.expanded()
+            raise ValueError("state on another box than the construction")
         return povm_expectation(factor, state)
 
     def pi_prime_expectation(self, state: LowRankState) -> float:
@@ -803,25 +747,27 @@ def build_construction(
     )
 
 
-def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
-    """The smoothed state rho'_{x,l,delta} as a factored density matrix, box-local."""
-    space = inst.space
-    if l_assign is None:
-        l_assign = zero_labels(inst)
-    box = space.box(quantum_sites(inst.k), l_assign)
-    v = psp_local(space, box, (full_block(inst.c, inst.k),), l_assign, inst.delta)
-    return LowRankState(v, embed_with_ancilla(inst.rhos[x], inst.k, inst.dim_h), box)
-
-
-def split_embedded(inst: TypicalityInstance, x, psp: Psp, l_assign: dict, sigma=None) -> LowRankState:
-    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form, box-local."""
+def _embedded(inst: TypicalityInstance, psp: Psp, rho: np.ndarray, l_assign: dict) -> LowRankState:
+    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x k) in factored form, box-local."""
     space = inst.space
     box = space.box(quantum_sites(inst.k), l_assign)
     return LowRankState(
         psp_local(space, box, psp, l_assign, inst.delta),
-        embed_with_ancilla(inst.split_state(x, psp, sigma), inst.k, inst.dim_h),
+        embed_with_ancilla(rho, inst.k, inst.dim_h),
         box,
     )
+
+
+def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
+    """The smoothed state rho'_{x,l,delta} as a factored density matrix, box-local."""
+    if l_assign is None:
+        l_assign = zero_labels(inst)
+    return _embedded(inst, (full_block(inst.c, inst.k),), inst.rhos[x], l_assign)
+
+
+def split_embedded(inst: TypicalityInstance, x, psp: Psp, l_assign: dict) -> LowRankState:
+    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form, box-local."""
+    return _embedded(inst, psp, inst.split_state(x, psp), l_assign)
 
 
 def factored_partial_trace(
@@ -841,24 +787,28 @@ def marginal_block_state(
     weights, ancilla labels outside the block uniformly, and the quantum
     sites outside the block are traced out.  The marginal lives on the union
     of the kept sites' boxes over the averaged labels, which it returns.
+    The smoothing is linear in the state, so the words are averaged first
+    and each label assignment embeds that average once.
     """
     space = inst.space
-    sbar = [e for e in full_block(inst.c, inst.k) if e not in set(block)]
+    full = full_block(inst.c, inst.k)
+    sbar = [e for e in full if e not in set(block)]
     sites = [e for e in block if e > 0]
     kept_c = tuple(e for e in block if e < 0)
-    weights = inst.avg_weights(kept_c, x_kept)
+    rho = sum(
+        w * inst.rhos[inst.merge_word(kept_c, x_kept, x_rest)]
+        for x_rest, w in inst.avg_weights(kept_c, x_kept).items()
+    )
     assigns = [
         {**l_block, **dict(zip(sbar, l_rest))}
         for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar))
     ]
     box = reduce(Box.union, [space.box(sites, a) for a in assigns])
     out = np.zeros((box.size, box.size), dtype=complex)
-    for x_rest, w in weights.items():
-        x_full = inst.merge_word(kept_c, x_kept, x_rest)
-        for l_assign in assigns:
-            sub, m = build_rho_prime(inst, x_full, l_assign).marginal(sites)
-            pos = box.index(sub.rows)
-            out[np.ix_(pos, pos)] += (w / len(assigns)) * m
+    for l_assign in assigns:
+        sub, m = _embedded(inst, (full,), rho, l_assign).marginal(sites)
+        pos = box.index(sub.rows)
+        out[np.ix_(pos, pos)] += (1.0 / len(assigns)) * m
     return box, qla.hermitian_part(out)
 
 
@@ -903,10 +853,8 @@ class SplitDecomposition:
     alpha: float
     beta: float
     factors: list
-    fill_norm: float
     m_norm: float
     n_norm: float
-    n_norm_exact: bool
     checks: list
 
 
@@ -915,7 +863,6 @@ def split_decompose(
     x,
     psp: Psp,
     l_assign: dict | None = None,
-    sigma=None,
 ) -> SplitDecomposition:
     """Three-term decomposition of the split state and its Claim-level checks.
 
@@ -951,7 +898,7 @@ def split_decompose(
 
     if is_full_block(inst, psp):
         # the single full block: the split state is the smoothed state itself
-        lead = split_embedded(inst, x, psp, l_assign, sigma)
+        lead = split_embedded(inst, x, psp, l_assign)
         resid = l1_distance_factored(build_rho_prime(inst, x, l_assign), lead)
         checks.append(report.AuditCheck("split_identity_residual", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("claim5_identity", resid, 0.0, IDENTITY_TOL, params))
@@ -959,7 +906,7 @@ def split_decompose(
         checks.append(report.AuditCheck("split_beta_zero", abs(beta), 0.0, 1e-12, params))
         checks.append(report.AuditCheck("claim2_m_norm", 0.0, 1.0 / inst.dim_l, 0.0, params))
         checks.append(report.AuditCheck("claim2_n_norm", 0.0, 3.0 / np.sqrt(inst.dim_l), 0.0, params))
-        return SplitDecomposition(psp, alpha, beta, [], 1.0, 0.0, 0.0, True, checks)
+        return SplitDecomposition(psp, alpha, beta, [], 0.0, 0.0, checks)
 
     factors = []
     coords = classical_coords(inst.c)
@@ -986,8 +933,7 @@ def split_decompose(
 
     fill_norm = 1.0
     if t_sites:
-        fill = inst.quantum_marginal(x, t_sites) if sigma is None else sigma
-        fill_norm = float(np.linalg.eigvalsh(fill)[-1])
+        fill_norm = float(np.linalg.eigvalsh(inst.quantum_marginal(x, t_sites))[-1])
 
     coh_max = max(f.coherence_norm for f in factors)
     checks.append(report.AuditCheck("split_sector_coherence", coh_max, 0.0, IDENTITY_TOL, params))
@@ -1037,7 +983,6 @@ def split_decompose(
         n_norm = 0.0 if not leaky else leak_norms[leaky[0]] * float(
             np.prod([lead_norms[i] for i in range(len(factors)) if i != leaky[0]])
         ) * fill_norm
-        n_exact = True
     else:
         n_norm = 0.0
         for pick in itertools.product([0, 1], repeat=len(factors)):
@@ -1047,7 +992,6 @@ def split_decompose(
             for sel, ln, gn in zip(pick, leak_norms, lead_norms):
                 term *= ln if sel else gn
             n_norm += term
-        n_exact = False
     n_trace = float(
         np.prod([f.lead_weight + np.trace(f.leak).real for f in factors])
     ) - alpha
@@ -1067,9 +1011,7 @@ def split_decompose(
     checks.append(
         report.AuditCheck("claim5_identity", identity_residual, 0.0, IDENTITY_TOL, params)
     )
-    return SplitDecomposition(
-        psp, alpha, beta, factors, fill_norm, m_norm, n_norm, n_exact, checks
-    )
+    return SplitDecomposition(psp, alpha, beta, factors, m_norm, n_norm, checks)
 
 
 def claim4_stated_floor(inst: TypicalityInstance, eps_x: float) -> float:
@@ -1078,7 +1020,7 @@ def claim4_stated_floor(inst: TypicalityInstance, eps_x: float) -> float:
     return 1.0 - inst.delta ** (-2 * k) * 2.0 ** (2.0 ** (c * k + 4) * (k + 1) ** k) * eps_x
 
 
-def audit_construction(constr: BlockConstruction, sigma=None) -> list:
+def audit_construction(constr: BlockConstruction) -> list:
     """Numeric audit of the per-block claims of the smoothing construction."""
     inst = constr.inst
     k, c = inst.k, inst.c
@@ -1154,7 +1096,7 @@ def audit_construction(constr: BlockConstruction, sigma=None) -> list:
     )
 
     for psp in lattice.linear_ext:
-        g = split_embedded(inst, constr.x, psp, constr.l_assign, sigma)
+        g = split_embedded(inst, constr.x, psp, constr.l_assign)
         checks.append(
             report.AuditCheck(
                 "claim6_soundness",
@@ -1180,7 +1122,7 @@ class LemmaResult:
         return report.all_pass(self.checks)
 
 
-def _cq_split_test(inst: TypicalityInstance, psp: Psp, eps: float, q_x: dict):
+def _cq_split_test(inst: TypicalityInstance, psp: Psp, eps: float):
     """Optimal cq-level test for the lemma's soundness target at one split."""
     words = inst.words()
     dh = inst.dim_h**inst.k
@@ -1190,7 +1132,7 @@ def _cq_split_test(inst: TypicalityInstance, psp: Psp, eps: float, q_x: dict):
     for i, x in enumerate(words):
         sl = slice(i * dh, (i + 1) * dh)
         rho[sl, sl] = inst.p_x[x] * inst.rhos[x]
-        target[sl, sl] = q_x[x] * inst.split_state(x, psp)
+        target[sl, sl] = inst.p_x[x] * inst.split_state(x, psp)
     res = hyptest.quantum_optimal_test(rho, target, eps)
     per_x = {}
     for i, x in enumerate(words):
@@ -1201,15 +1143,13 @@ def _cq_split_test(inst: TypicalityInstance, psp: Psp, eps: float, q_x: dict):
     return res, per_x
 
 
-def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> LemmaResult:
+def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     """Assemble the lemma's state and POVM element and audit claims 2 - 4.
 
     All (x, l) blocks with the same x are unitarily equivalent under
     relabelings of the ancilla alphabet, so each claim is evaluated on the
     all-zero label block; the averages over l equal the per-block values.
     """
-    if q_x is None:
-        q_x = dict(inst.p_x)
     words = inst.words()
     lattice = inst.lattice
     k, c = inst.k, inst.c
@@ -1224,7 +1164,7 @@ def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> Lem
             cq_levels[psp] = None
             continue
         eps_psp = inst.eps_total / len(lattice.linear_ext)
-        res, per_x = _cq_split_test(inst, psp, eps_psp, q_x)
+        res, per_x = _cq_split_test(inst, psp, eps_psp)
         cq_levels[psp] = res
         for x, (_, eps_x) in per_x.items():
             eps_table[(x, psp)] = min(max(eps_x, 0.0), 1.0 - 1e-12)
@@ -1273,9 +1213,9 @@ def intersection_lemma(inst: TypicalityInstance, q_x: dict | None = None) -> Lem
             dec = split_decompose(inst, x, psp, constr.l_assign)
             checks.extend(dec.checks)
             val = _split_expectation(inst, constr, psp, dec)
-            lhs += q_x[x] * val
+            lhs += inst.p_x[x] * val
             pi_trace = constr.pi_prime_trace_norm()
-            chain_rhs += q_x[x] * (
+            chain_rhs += inst.p_x[x] * (
                 dec.alpha * constr.tests[psp].reject_mass
                 + pi_trace * dec.n_norm
                 + (1.0 - dec.alpha - dec.beta) * pi_trace * dec.m_norm
@@ -1321,24 +1261,21 @@ def _split_expectation(
         e_t = inst.space.base_local(box.restrict(t_sites))
         fill_emb = e_t @ embed_with_ancilla(fill, len(t_sites), inst.dim_h) @ e_t.conj().T
         factors.append((tuple(t_sites), fill_emb))
-    applied = apply_site_factors(box, factors, constr.b)
+    applied = apply_site_factors(box.sites, box.shape, factors, constr.b)
     return float(np.trace(constr.b.conj().T @ applied).real)
 
 
 @dataclass
 class UnionResult:
-    """Union-of-intersections POVM over several constructions, with audit."""
+    """Audit of the union-of-intersections POVM over several constructions."""
 
-    constructions: list
     checks: list
 
     def all_pass(self) -> bool:
         return report.all_pass(self.checks)
 
 
-def union_of_intersections(
-    instances: list, alpha: float, l_assign: dict | None = None
-) -> UnionResult:
+def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     """Tilted-span union of the per-instance intersection POVM elements.
 
     Each instance's Pi' block is dilated to a projector on A'' x C^2, then
@@ -1359,14 +1296,13 @@ def union_of_intersections(
         raise ValueError("the union audit covers instances without classical words")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if 2 * first.space.total_dim() * (len(instances) + 1) > DENSE_CAP * 4:
-        raise ValueError("union construction exceeds the dense dimension cap")
-
-    # every instance shares l_assign, so every construction and lifted state
-    # lives on one box; outside it Pi' = 0, so the dilated ranges there are
-    # |v>|1>, orthogonal to every lifted state, and tilting keeps them so
-    constructions = [build_construction(inst, (), l_assign) for inst in instances]
-    n = constructions[0].box.size
+    # every instance uses the all-zero labels, so every construction and
+    # lifted state lives on one box; outside it Pi' = 0, so the dilated ranges
+    # there are |v>|1>, orthogonal to every lifted state, and tilting keeps them so
+    n = first.space.box(quantum_sites(first.k), zero_labels(first)).size
+    if 2 * n * (len(instances) + 1) > UNION_ROW_CAP:
+        raise ValueError("union construction exceeds the box row cap")
+    constructions = [build_construction(inst, ()) for inst in instances]
     ranges = [hyptest.dilation_basis(c.b @ c.b.conj().T) for c in constructions]
     layout = tilting.TiltedLayout(2 * n, len(instances))
     union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
@@ -1419,4 +1355,4 @@ def union_of_intersections(
                     dict(params, i=i, psp=str(psp)),
                 )
             )
-    return UnionResult(constructions, checks)
+    return UnionResult(checks)

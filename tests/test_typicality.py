@@ -43,7 +43,7 @@ def small_instance(seed, c=0, k=1, dim_h=2, dim_l=2, delta=0.4, eps=0.2):
         p_x = {w: float(pi) for w, pi in zip(words, p)}
     return tp.TypicalityInstance(
         c=c, k=k, dim_h=dim_h, dim_l=dim_l, delta=delta, rhos=rhos, p_x=p_x,
-        eps_total=eps, alphabet=1 if c == 0 else 2,
+        eps_total=eps,
     )
 
 
@@ -142,12 +142,26 @@ class TestTiltingMatrixFromLattice:
             assert np.all(a[i, i:] <= a[i, i] + 1e-15)
 
 
+def coord_local(space, box, block, l_assign):
+    """The permutation isometry appending the block's labels at its sites, on box."""
+    rows = [space.site_rows(s, block, l_assign) for s in box.sites]
+    return space.scatter(box, [(1.0, rows)])
+
+
+def dense_base(space, sites):
+    """The embedding of (H x C^2)^(x sites) into the base summands of A''_sites, dense."""
+    box = space.box(sites, {})
+    return box.expand(space.base_local(box))
+
+
 class TestEmbeddings:
     def test_coord_embed_permutation(self):
         inst = small_instance(60, k=2, dim_l=3)
         space = inst.space
-        v = tp.coord_embed(space, (1, 2), {1: 2, 2: 1})
-        assert v.shape == (space.total_dim(), 16)
+        l_assign = {1: 2, 2: 1}
+        box = space.box((1, 2), l_assign)
+        v = coord_local(space, box, (1, 2), l_assign)
+        assert v.shape == (box.size, 16)
         col_norms = np.abs(v).sum(axis=0)
         npt.assert_allclose(col_norms, 1.0)  # one unit entry per column
         npt.assert_allclose(v.conj().T @ v, np.eye(16), atol=0)
@@ -155,21 +169,22 @@ class TestEmbeddings:
     def test_distinct_labels_orthogonal(self):
         inst = small_instance(61, k=1, dim_l=3)
         space = inst.space
-        v0 = tp.coord_embed(space, (1,), {1: 0})
-        v1 = tp.coord_embed(space, (1,), {1: 2})
+        box = space.box((1,), {1: 0}).union(space.box((1,), {1: 2}))
+        v0 = coord_local(space, box, (1,), {1: 0})
+        v1 = coord_local(space, box, (1,), {1: 2})
         assert np.max(np.abs(v0.conj().T @ v1)) == 0.0
 
     def test_smoothing_embed_delta_zero(self):
         inst = small_instance(62)
         space = inst.space
-        v = tp.smoothing_embed(space, (1,), {1: 0}, 0.0)
-        npt.assert_allclose(v, space.sites_base_embed([1]), atol=0)
+        v = tp.global_embed(space, {1: 0}, 0.0)
+        npt.assert_allclose(v, dense_base(space, [1]), atol=0)
 
     def test_smoothing_embed_overlap(self):
         inst = small_instance(63, dim_l=2, delta=0.5)
         space = inst.space
         v = tp.global_embed(space, {1: 0}, 0.5)
-        e = space.sites_base_embed([1])
+        e = dense_base(space, [1])
         h = np.zeros(4)
         h[1] = 1.0
         assert abs(np.vdot(e @ h, v @ h)) == pytest.approx(1 / np.sqrt(1.25), abs=1e-12)
@@ -237,10 +252,9 @@ def oracle_psp_embed(space, psp, l_assign, delta, sites):
 
 
 class TestEmbeddingOracle:
-    """The scatter builders equal the Kronecker-chain construction bit for bit.
+    """The box-local scatters expand to the Kronecker-chain construction bit for bit.
 
-    Every oracle embedding is zero outside the box of its label assignment,
-    and the box-local form expands to it exactly.
+    Every oracle embedding is zero outside the box of its label assignment.
     """
 
     @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 2), (0, 2, 4), (1, 1, 2), (1, 2, 2), (2, 1, 2)])
@@ -252,7 +266,7 @@ class TestEmbeddingOracle:
         for r in range(1, k + 1):
             for subset in itertools.combinations(sites, r):
                 want = functools.reduce(np.kron, [oracle_site_embed(space, s, None, None) for s in subset])
-                assert np.array_equal(space.sites_base_embed(subset), want)
+                assert np.array_equal(dense_base(space, subset), want)
         for psp in tp.enum_psps(full):
             l_assign = {e: int(rng.integers(0, L)) for e in full}
             box = space.box(sites, l_assign)
@@ -262,14 +276,14 @@ class TestEmbeddingOracle:
                 want = functools.reduce(
                     np.kron, [oracle_site_embed(space, s, block, l_assign) for s in bsites]
                 )
-                assert np.array_equal(tp.coord_embed(space, block, l_assign), want)
+                bbox = space.box(bsites, l_assign)
+                assert np.array_equal(bbox.expand(coord_local(space, bbox, block, l_assign)), want)
             for delta in (0.0, 0.3, 0.6):
                 want = oracle_psp_embed(space, psp, l_assign, delta, sites)
                 assert not np.any(want[outside])
                 local = tp.psp_local(space, box, psp, l_assign, delta)
                 assert local.shape[0] == box.size < space.total_dim()
                 assert np.array_equal(box.expand(local), want)
-                assert np.array_equal(tp.psp_embed(space, psp, l_assign, delta), want)
 
 
 class TestDilateToSites:
@@ -287,21 +301,22 @@ class TestDilateToSites:
 
 
 class TestRhoPrime:
+    @staticmethod
+    def embedded_original(inst, st):
+        # rho x |0><0| in the base summand, on the smoothed state's box
+        core = tp.embed_with_ancilla(inst.rhos[()], 1, 2)
+        return tp.LowRankState(inst.space.base_local(st.box), core, st.box)
+
     def test_delta_zero_exact(self):
         inst = small_instance(70, delta=0.0)
         st = tp.build_rho_prime(inst, ())
-        emb = tp.LowRankState(
-            inst.space.sites_base_embed([1]), tp.embed_with_ancilla(inst.rhos[()], 1, 2)
-        )
-        assert tp.l1_distance_factored(st, emb) <= 1e-12
+        assert tp.l1_distance_factored(st, self.embedded_original(inst, st)) <= 1e-12
 
     def test_distance_and_trace(self):
         inst = small_instance(71, delta=0.3)
         st = tp.build_rho_prime(inst, ())
         assert st.trace() == pytest.approx(1.0, abs=1e-12)
-        emb = tp.LowRankState(
-            inst.space.sites_base_embed([1]), tp.embed_with_ancilla(inst.rhos[()], 1, 2)
-        )
+        emb = self.embedded_original(inst, st)
         assert tp.l1_distance_factored(st, emb) <= 2 ** (0.5 + 1) * 0.3
 
     def test_spectrum_preserved(self):
@@ -421,7 +436,7 @@ class TestConstruction:
             t = tests[psp]
             tests[psp] = tp.SplitTest(psp, 0.0, 0.0, 1.0, t.y_basis[:, :0])
         constr = tp.build_construction(inst, (), tests=tests)
-        e = inst.space.sites_base_embed([1])
+        e = dense_base(inst.space, [1])
         npt.assert_allclose(
             constr.b_factor @ constr.b_factor.conj().T, e @ e.conj().T, atol=1e-12
         )
@@ -447,10 +462,20 @@ class TestConstruction:
         d1 = tp.l1_distance_factored(c1.rho_prime, c1.embedded_original)
         d2 = tp.l1_distance_factored(c2.rho_prime, c2.embedded_original)
         assert d1 == pytest.approx(d2, abs=1e-10)
-        # a state on another label block's box meets Pi' in dense form
-        b1 = c1.b_factor
-        cross = np.trace(b1.conj().T @ c2.rho_prime.dense() @ b1).real
-        assert c1.pi_prime_expectation(c2.rho_prime) == pytest.approx(cross, abs=1e-12)
+
+    def test_states_on_other_boxes_rejected(self):
+        # two label blocks have boxes of equal size on different rows
+        inst = small_instance(84, k=2, dim_l=2, delta=0.35)
+        tests = tp.optimal_splitting_tests(inst, ())
+        c1 = tp.build_construction(inst, (), {1: 0, 2: 0}, tests)
+        c2 = tp.build_construction(inst, (), {1: 1, 2: 0}, tests)
+        assert c1.box.size == c2.box.size and c1.box != c2.box
+        with pytest.raises(ValueError, match="box"):
+            c1.pi_prime_expectation(c2.rho_prime)
+        with pytest.raises(ValueError, match="box"):
+            c1.y_projector_expectation(c2.embedded_original)
+        with pytest.raises(ValueError, match="box"):
+            tp.l1_distance_factored(c1.rho_prime, c2.embedded_original)
 
 
 class TestSplitDecompose:
@@ -491,7 +516,9 @@ class TestSplitDecompose:
         [(0, 2, (), ((1,), (2,))), (0, 2, (), ((2,),)), (1, 1, (1,), ((1,),))],
     )
     def test_split_expectation_matches_dense(self, c, k, x, psp):
-        # Tr[Pi' (x) factors] with the box-local factors expanded to A''
+        # Tr[Pi' (x) factors] with the box-local factors expanded to A''; every
+        # case has single-site groups, so the Kronecker product in site order
+        # is the operator on A''
         inst = small_instance(95, c=c, k=k, delta=0.4)
         space = inst.space
         l_assign = {e: 1 for e in tp.full_block(c, k)}
@@ -500,12 +527,13 @@ class TestSplitDecompose:
         factors = [(f.sites, f.box.expand_op(f.rho)) for f in dec.factors]
         t_sites = [s for s in tp.quantum_sites(k) if not any(s in f.sites for f in dec.factors)]
         if t_sites:
-            e_t = space.sites_base_embed(t_sites)
+            e_t = dense_base(space, t_sites)
             fill = tp.embed_with_ancilla(inst.quantum_marginal(x, t_sites), len(t_sites), 2)
             factors.append((tuple(t_sites), e_t @ fill @ e_t.conj().T))
-        dims = {s: space.site_dim(s) for s in tp.quantum_sites(k)}
+        assert all(len(sites) == 1 for sites, _ in factors)
         b = constr.b_factor
-        want = np.trace(b.conj().T @ tp.assemble_on_sites(k, dims, factors) @ b).real
+        op = qla.tensor_all([m for _, m in sorted(factors, key=lambda f: f[0])])
+        want = np.trace(b.conj().T @ op @ b).real
         got = tp._split_expectation(inst, constr, psp, dec)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -564,9 +592,18 @@ class TestUnion:
         assert len(drops) == 2
 
     def test_two_site_instance(self):
-        res = tp.union_of_intersections([audits.random_instance(5, 0, 2, 2, 2, 0.3, 0.2)], 0.25)
-        assert res.all_pass()
-        assert len(res.checks) == 6
+        # at |L| = 4 the box holds 144 of the 7056 rows of A''
+        for dim_l in (2, 4):
+            inst = audits.random_instance(5, 0, 2, 2, dim_l, 0.3, 0.2)
+            res = tp.union_of_intersections([inst], 0.25)
+            assert res.all_pass()
+            assert len(res.checks) == 6
+
+    def test_refused_past_box_row_cap(self):
+        # three sites: 2 x 20^3 box rows per copy, 32000 in all
+        inst = audits.random_instance(5, 0, 3, 2, 2, 0.3, 0.2)
+        with pytest.raises(ValueError, match="box row cap"):
+            tp.union_of_intersections([inst], 0.25)
 
 
 def stirling_count_oracle(c, k):

@@ -131,10 +131,13 @@ def audit_dh(
     commuting_pairs: int = 200,
     bipartite_states: int = 100,
     optimality_instances: int = 50,
-    candidates: int = 2000,
     seed: int = 0,
 ) -> list:
-    """Hypothesis-testing entropy: classical agreement, self-distance, bounds."""
+    """Hypothesis-testing entropy: classical agreement, self-distance, bounds.
+
+    dh_optimality audits the duality gap: the alternate mass of the returned
+    test is at most the dual bound, so it is optimal within the tolerance.
+    """
     checks = []
     for t in range(commuting_pairs):
         rng = rng_from_seed(seed * 2_000_003 + t)
@@ -189,23 +192,11 @@ def audit_dh(
         sigma = random_density(rng, d)
         eps = float(rng.uniform(0.05, 0.8))
         res = hyptest.quantum_optimal_test(rho, sigma, eps)
-        best = np.inf
-        for _ in range(candidates):
-            cand = random_povm_element(rng, d)
-            acc = float(np.trace(cand @ rho).real)
-            if acc < 1e-9:
-                continue
-            if acc < 1 - eps:
-                scale = (1 - eps) / acc
-                if scale * float(np.linalg.eigvalsh(cand)[-1]) > 1.0:
-                    continue
-                cand = cand * scale
-            best = min(best, float(np.trace(cand @ sigma).real))
         checks.append(
             report.AuditCheck(
                 "dh_optimality",
                 res.reject_mass,
-                best,
+                res.dual,
                 1e-9,
                 {"seed": seed, "trial": t, "d": d, "eps": eps},
             )

@@ -4,6 +4,8 @@ All entropies are base-2 (rates in bits).  The classical solver is a greedy
 likelihood-ratio test with a fractional boundary outcome; the quantum solver
 is the Neyman-Pearson construction with a bisection over the trade-off
 parameter and a fractional weight on the zero-crossing eigenvalue cluster.
+Every result carries the SDP dual bound mu (1 - eps) - Tr[(mu rho - sigma)_+]
+at the solver's multiplier, which certifies the optimum up to its gap.
 """
 
 from __future__ import annotations
@@ -28,12 +30,16 @@ class HypTestResult:
     value_bits is -log2 of the acceptance of the alternate hypothesis
     (math.inf when that mass is exactly zero); test is the optimizer, a
     vector over the sample space classically or a POVM element quantumly.
+    dual is mu (1 - eps) - Tr[(mu rho - sigma)_+] at the solver's multiplier
+    mu, a lower bound on the optimal alternate mass by weak duality, so gap
+    certifies how far reject_mass can be from the optimum.
     """
 
     value_bits: float
     test: np.ndarray
     accept_prob: float
     reject_mass: float
+    dual: float
 
     def __post_init__(self):
         if self.accept_prob < -1e-12 or self.accept_prob > 1 + 1e-9:
@@ -43,11 +49,15 @@ class HypTestResult:
             if dev > ACCEPT_TOL:
                 raise ValueError(f"value_bits inconsistent with reject_mass ({dev:.2e})")
 
+    @property
+    def gap(self) -> float:
+        return self.reject_mass - self.dual
 
-def _result(test: np.ndarray, accept: float, reject: float) -> HypTestResult:
+
+def _result(test: np.ndarray, accept: float, reject: float, dual: float) -> HypTestResult:
     reject = max(float(reject), 0.0)
     value = float("inf") if reject == 0.0 else float(-np.log2(reject))
-    return HypTestResult(value_bits=value, test=test, accept_prob=float(accept), reject_mass=reject)
+    return HypTestResult(value, test, float(accept), reject, float(dual))
 
 
 def dh_classical(p: np.ndarray, q: np.ndarray, eps: float) -> HypTestResult:
@@ -55,7 +65,8 @@ def dh_classical(p: np.ndarray, q: np.ndarray, eps: float) -> HypTestResult:
 
     Outcomes are accepted greedily by likelihood ratio p/q descending (q = 0,
     p > 0 outcomes first); the boundary outcome is accepted fractionally so
-    the acceptance of p equals 1 - eps exactly.
+    the acceptance of p equals 1 - eps exactly.  The LP dual at the boundary
+    ratio mu = q_b / p_b equals the optimum.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -75,9 +86,11 @@ def dh_classical(p: np.ndarray, q: np.ndarray, eps: float) -> HypTestResult:
     f = np.zeros_like(p)
     target = 1.0 - eps
     cum = 0.0
+    b = None
     for i in order:
         if p[i] <= 0.0:
             continue
+        b = i
         if cum + p[i] < target:
             f[i] = 1.0
             cum += p[i]
@@ -87,17 +100,21 @@ def dh_classical(p: np.ndarray, q: np.ndarray, eps: float) -> HypTestResult:
             break
     accept = float(np.dot(f, p))
     reject = float(np.dot(f, q))
-    return _result(f, accept, reject)
+    mu = q[b] / p[b] if b is not None and q[b] > 0 else 0.0
+    return _result(f, accept, reject, mu * target - np.maximum(mu * p - q, 0.0).sum())
 
 
 def _np_split(rho: np.ndarray, sigma: np.ndarray, lam: float):
-    """Strictly-positive spectral projector of rho - lam*sigma plus the zero cluster."""
+    """Spectrum of rho - lam*sigma, its strictly-positive and its zero-cluster projectors."""
     w, v = np.linalg.eigh(qla.hermitian_part(rho - lam * sigma))
-    pos = w > CLUSTER_GAP
-    zero = np.abs(w) <= CLUSTER_GAP
-    vp = v[:, pos]
-    vz = v[:, zero]
-    return vp @ vp.conj().T, vz @ vz.conj().T
+    vp = v[:, w > CLUSTER_GAP]
+    vz = v[:, np.abs(w) <= CLUSTER_GAP]
+    return w, v, vp @ vp.conj().T, vz @ vz.conj().T
+
+
+def _dual(target: float, w: np.ndarray, lam: float) -> float:
+    """The SDP dual mu target - Tr[(mu rho - sigma)_+] at mu = 1/lam, w the spectrum of rho - lam sigma."""
+    return float((target - w[w > 0].sum()) / lam)
 
 
 def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypTestResult:
@@ -109,6 +126,11 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     among all operators 0 <= Pi <= 1.  When the kernel of sigma alone carries
     1 - eps of rho, the optimum rejects nothing and is a multiple of the
     kernel projector.
+
+    The dual is evaluated at mu = 1/lam and at the first-order zero crossing
+    of each zero-cluster eigenvalue, which lands on the kink the bisection
+    stops short of.  sigma is solved at the power-of-two scale nearest unit
+    trace, which is exact, so the absolute bisection width stays relative.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -117,6 +139,9 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     if not 0 <= eps < 1:
         raise ValueError("eps must be in [0, 1)")
     target = 1.0 - eps
+    tr_sigma = float(np.trace(sigma).real)
+    scale = 2.0 ** round(np.log2(tr_sigma)) if tr_sigma > 0 else 1.0
+    sigma = sigma / scale
 
     sw = np.linalg.eigvalsh(qla.hermitian_part(sigma))
     cutoff = max(1e-12, 1e-12 * max(sw[-1], 0.0))
@@ -126,15 +151,15 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
         ker = v[:, w <= cutoff]
         a_ker = float(np.trace(ker.conj().T @ rho @ ker).real)
         if a_ker >= target:
+            # supported on the kernel up to the cutoff: rejects nothing, dual 0
             pi = qla.hermitian_part((target / a_ker) * (ker @ ker.conj().T))
-            return _result(pi, float(np.trace(pi @ rho).real), float(np.trace(pi @ sigma).real))
+            return _result(pi, float(np.trace(pi @ rho).real), 0.0, 0.0)
     sig_min = float(sig_supp[0]) if sig_supp.size else 1.0
     rho_inf = float(np.linalg.eigvalsh(qla.hermitian_part(rho))[-1])
     lam_max = rho_inf / sig_min + 1.0
 
     def accept_strict(lam: float) -> float:
-        pos, _ = _np_split(rho, sigma, lam)
-        return float(np.trace(pos @ rho).real)
+        return float(np.trace(_np_split(rho, sigma, lam)[2] @ rho).real)
 
     # lam_max brackets the multiplier when sigma has full support; otherwise
     # the kernel keeps part of rho accepted at every lam, so widen until the
@@ -156,7 +181,7 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
             hi = mid
     lam = hi
 
-    pos, zero = _np_split(rho, sigma, lam)
+    w, v, pos, zero = _np_split(rho, sigma, lam)
     a_pos = float(np.trace(pos @ rho).real)
     a_zero = float(np.trace(zero @ rho).real)
     if a_zero > 1e-15:
@@ -168,7 +193,14 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     if accept < target - ACCEPT_TOL:
         raise ValueError(f"acceptance {accept} fell short of {target} (degenerate inputs)")
     reject = float(np.trace(pi @ sigma).real)
-    return _result(pi, accept, reject)
+    # each zero-cluster eigenvalue w_i moves with slope -<v_i|sigma|v_i> in
+    # lam; the dual peaks at the kink where one of them crosses zero
+    z = np.abs(w) <= CLUSTER_GAP
+    slopes = np.einsum("ij,ik,kj->j", v[:, z].conj(), sigma, v[:, z]).real
+    kinks = [lam + wi / s for wi, s in zip(w[z], slopes) if s > 0 and wi > -lam * s]
+    spectra = [np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)) for x in kinks]
+    dual = max(_dual(target, wx, x) for wx, x in zip([w] + spectra, [lam] + kinks))
+    return _result(pi, accept, scale * reject, scale * dual)
 
 
 def ih_mutual(rho_ab: np.ndarray, dims: tuple[int, int], eps: float) -> float:

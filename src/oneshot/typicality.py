@@ -324,10 +324,6 @@ class AugmentedSpace:
             off += self.summand_dim(lab)
         raise KeyError(label)
 
-    def total_dim(self, sites=None) -> int:
-        sites = quantum_sites(self.k) if sites is None else sorted(sites)
-        return int(np.prod([self.site_dim(s) for s in sites]))
-
     def site_rows(self, i: int, label, l_assign: dict[int, int] | None = None) -> np.ndarray:
         """Row of A''_i that each coordinate of H x C^2 lands on in the labelled summand.
 
@@ -999,11 +995,14 @@ def split_decompose(
     checks.append(
         report.AuditCheck("claim2_n_norm", n_norm, 3.0 / np.sqrt(inst.dim_l), 1e-12, params)
     )
-    if inst.c == 0 or any(set(classical_coords(inst.c)) <= set(b) for b in psp):
+    # beta vanishes when every block keeps the classical coordinates; a block
+    # that keeps them leaks nothing, while the others average over x and leak
+    keeps_c = [set(coords) <= set(f.block) for f in factors]
+    if all(keeps_c):
         checks.append(report.AuditCheck("split_beta_zero", abs(beta), 0.0, 1e-12, params))
-        checks.append(
-            report.AuditCheck("split_leak_vanishes", max(leak_norms), 0.0, IDENTITY_TOL, params)
-        )
+    if any(keeps_c):
+        kept_leak = max(ln for ln, keep in zip(leak_norms, keeps_c) if keep)
+        checks.append(report.AuditCheck("split_leak_vanishes", kept_leak, 0.0, IDENTITY_TOL, params))
     # roll-up of the identity/orthogonality family for the per-claim report
     identity_residual = max(
         c.lhs for c in checks if c.rhs == 0.0 and c.name.startswith("split_")

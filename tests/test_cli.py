@@ -171,13 +171,6 @@ class TestTypicalityBuild:
         assert payload["soundness"]
 
 
-# split_beta_zero asserts beta = 0 whenever some block of the split keeps every
-# classical coordinate, but beta vanishes only when every block does; at the
-# two-block splits below the other block averages the coordinate and leaks
-KNOWN_FAILING = {"split_beta_zero", "split_leak_vanishes", "claim5_identity"}
-KNOWN_FAILING_SPLITS = {"((-1, 1), (2,))", "((-1, 2), (1,))"}
-
-
 @pytest.fixture(scope="module")
 def c1_k2_runs(tmp_path_factory):
     """typicality-build and audit typicality at c = 1, k = 2, L = 2, each run once."""
@@ -201,11 +194,8 @@ class TestTwoSitesOneCoordinate:
         assert rc in (0, 1)  # audited, not rejected
         assert len(payload["checks"]) > 250
         for check in payload["checks"]:
-            if not check["pass"]:
-                assert check["name"] in KNOWN_FAILING, check
-                assert check["params"]["psp"] in KNOWN_FAILING_SPLITS, check
+            assert check["pass"], check
 
-    @pytest.mark.xfail(strict=True, reason="split_beta_zero fails at the splits keeping one coordinate")
     @pytest.mark.parametrize("name", ["build", "audit"])
     def test_exits_0(self, c1_k2_runs, name):
         assert c1_k2_runs[name][0] == 0

@@ -1,13 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshot import hyptest, qla
 from oneshot.rand import (
     haar_isometry,
+    haar_unitary,
     random_density,
     random_distribution,
     random_povm_element,
+    random_pure,
     rng_from_seed,
 )
 
@@ -176,8 +180,10 @@ class TestRankDeficientAlternate:
             ker = v[:, w <= 1e-12]
             if float(np.trace(ker.conj().T @ rho @ ker).real) >= 1 - eps:
                 kernel_cases += 1
-                assert res.reject_mass <= 1e-9, seed
+                assert res.value_bits == np.inf, seed
+                assert res.reject_mass == res.dual == 0.0, seed
             assert res.accept_prob >= 1 - eps - 1e-9, seed
+            assert abs(res.gap) <= 1e-9, seed
             assert res.reject_mass == pytest.approx(np_dual(rho, sigma, eps), abs=1e-7), seed
         assert kernel_cases == 55
 
@@ -188,6 +194,126 @@ class TestRankDeficientAlternate:
         monkeypatch.setattr(hyptest, "BRACKET_DOUBLINGS", 1)
         with pytest.raises(ValueError, match="no multiplier"):
             hyptest.quantum_optimal_test(rho, sigma, eps)
+
+
+def lp_min_rejection(p, q, eps):
+    """min q.f over 0 <= f <= 1 with p.f >= 1 - eps, by scipy's LP solver."""
+    from scipy.optimize import linprog
+
+    res = linprog(q, A_ub=-p[None, :], b_ub=[-(1.0 - eps)], bounds=[(0.0, 1.0)] * p.size, method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def assert_certified(res, rho, eps, scale=1.0):
+    """A POVM element accepting 1 - eps of rho whose duality gap is rounding."""
+    qla.povm_element(res.test)
+    assert res.accept_prob >= 1 - eps - 1e-9
+    assert float(np.trace(res.test @ rho).real) >= 1 - eps - 1e-9
+    assert abs(res.gap) <= 1e-9 * scale
+
+
+def diag_pair_with_ties(rng, n):
+    """p and q whose likelihood ratios repeat: q_i is p_i times one of three levels."""
+    p = random_distribution(rng, n)
+    q = p * rng.choice([0.5, 1.0, 2.0], size=n)
+    return p, q / q.sum()
+
+
+class TestDualCertificate:
+    """Every result carries the dual bound mu (1 - eps) - Tr[(mu rho - sigma)_+] and its gap."""
+
+    def test_gap_on_audit_recipes(self):
+        # at mu = 1/lam alone these gaps reach 9.4e-9 and 1.2e-9: the bisection
+        # stops about 1e-9 short of the kink the dual peaks at
+        for t in range(200):
+            rng = rng_from_seed(13 * 2_000_003 + t)
+            n = int(rng.integers(2, 7))
+            p = random_distribution(rng, n)
+            q = random_distribution(rng, n)
+            eps = float(rng.uniform(0.02, 0.95))
+            assert_certified(hyptest.quantum_optimal_test(np.diag(p), np.diag(q), eps), np.diag(p), eps)
+            assert abs(hyptest.dh_classical(p, q, eps).gap) <= 1e-12
+        rho = random_density(rng_from_seed(13 * 2_000_029), 4)
+        for eps in np.arange(0.1, 0.95, 0.1):
+            assert_certified(hyptest.quantum_optimal_test(rho, rho, float(eps)), rho, float(eps))
+
+    def test_scaled_alternate_seed_1(self):
+        # d = 4, eps = 0.233: bisecting on the unscaled sigma falls short of
+        # the target acceptance at 8192 and 1e4
+        rng = rng_from_seed(1)
+        d = int(rng.integers(2, 7))
+        rho = random_density(rng, d)
+        sigma = random_density(rng, d)
+        eps = float(rng.uniform(0.05, 0.9))
+        base = hyptest.quantum_optimal_test(rho, sigma, eps)
+        for c in (8192.0, 1e4):
+            res = hyptest.quantum_optimal_test(rho, c * sigma, eps)
+            assert res.value_bits == pytest.approx(base.value_bits - np.log2(c), abs=1e-8)
+            assert_certified(res, rho, eps, scale=8192.0)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 6),
+        eps=st.floats(0.05, 0.9),
+        log10_c=st.floats(-3.0, 4.0),
+    )
+    def test_scaled_alternate(self, seed, d, eps, log10_c):
+        rng = rng_from_seed(seed)
+        rho = random_density(rng, d)
+        sigma = random_density(rng, d)
+        c = 10.0**log10_c
+        base = hyptest.quantum_optimal_test(rho, sigma, eps)
+        res = hyptest.quantum_optimal_test(rho, c * sigma, eps)
+        assert res.value_bits == pytest.approx(base.value_bits - np.log2(c), abs=1e-8)
+        assert_certified(res, rho, eps, scale=2.0 ** round(np.log2(c)))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), eps=st.sampled_from([1e-6, 0.3, 0.999]))
+    def test_pure_null(self, seed, d, eps):
+        rng = rng_from_seed(seed)
+        psi = random_pure(rng, d)
+        rho = np.outer(psi, psi.conj())
+        sigma = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        assert_certified(hyptest.quantum_optimal_test(rho, sigma, eps), rho, eps)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        eps=st.one_of(st.sampled_from([1e-6, 0.999]), st.floats(0.01, 0.95)),
+        equal=st.booleans(),
+    )
+    def test_commuting_ties(self, seed, n, eps, equal):
+        rng = rng_from_seed(seed)
+        p, q = diag_pair_with_ties(rng, n)
+        if equal:
+            q = p
+        c_res = hyptest.dh_classical(p, q, eps)
+        assert np.all((c_res.test >= 0) & (c_res.test <= 1))
+        assert c_res.accept_prob >= 1 - eps - 1e-9
+        lp = lp_min_rejection(p, q, eps)
+        assert c_res.dual == pytest.approx(lp, abs=1e-9)
+        assert c_res.reject_mass == pytest.approx(lp, abs=1e-9)
+        # the same pair in a random common eigenbasis
+        u = haar_unitary(rng, n)
+        rho = u @ np.diag(p) @ u.conj().T
+        q_res = hyptest.quantum_optimal_test(rho, u @ np.diag(q) @ u.conj().T, eps)
+        assert_certified(q_res, rho, eps)
+        assert q_res.reject_mass == pytest.approx(lp, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), eps=st.floats(0.0, 0.999))
+    def test_classical_dual_matches_lp(self, seed, n, eps):
+        rng = rng_from_seed(seed)
+        p = random_distribution(rng, n)
+        q = random_distribution(rng, n)
+        q[int(rng.integers(n))] = 0.0  # an outcome of infinite ratio
+        q /= q.sum()
+        res = hyptest.dh_classical(p, q, eps)
+        assert res.dual == pytest.approx(lp_min_rejection(p, q, eps), abs=1e-9)
+        assert abs(res.gap) <= 1e-12
 
 
 class TestIhMutual:

@@ -242,7 +242,7 @@ def oracle_site_embed(space, i, label, l_assign):
 def oracle_psp_embed(space, psp, l_assign, delta, sites):
     """Per-site 0/1 matrices joined by np.kron, summed over refining pseudosubpartitions."""
     norm = float(np.prod([tp.normalization(b, delta) for b in psp])) if psp else 1.0
-    acc = np.zeros((space.total_dim(sites), space.base_dim ** len(sites)), dtype=complex)
+    acc = np.zeros((int(np.prod([space.site_dim(s) for s in sites])), space.base_dim ** len(sites)), dtype=complex)
     for combo in itertools.product(*[tp.enum_psps(b) for b in psp]):
         blocks = [b for sub in combo for b in sub]
         site_of = {e: b for b in blocks for e in b if e > 0}
@@ -270,7 +270,7 @@ class TestEmbeddingOracle:
         for psp in tp.enum_psps(full):
             l_assign = {e: int(rng.integers(0, L)) for e in full}
             box = space.box(sites, l_assign)
-            outside = np.setdiff1d(np.arange(space.total_dim()), box.flat)
+            outside = np.setdiff1d(np.arange(np.prod(box.dims)), box.flat)
             for block in psp:
                 bsites = [e for e in block if e > 0]
                 want = functools.reduce(
@@ -282,7 +282,7 @@ class TestEmbeddingOracle:
                 want = oracle_psp_embed(space, psp, l_assign, delta, sites)
                 assert not np.any(want[outside])
                 local = tp.psp_local(space, box, psp, l_assign, delta)
-                assert local.shape[0] == box.size < space.total_dim()
+                assert local.shape[0] == box.size < np.prod(box.dims)
                 assert np.array_equal(box.expand(local), want)
 
 
@@ -342,7 +342,7 @@ class TestRhoPrime:
         inst = small_instance(74, c=c, k=k, dim_h=dim_h, delta=0.4)
         space = inst.space
         st = tp.build_rho_prime(inst, x, l_assign)
-        assert st.box.size < space.total_dim()
+        assert st.box.size < np.prod(st.box.dims)
         dense = st.dense()
         dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
         for r in range(1, k + 1):
@@ -393,7 +393,7 @@ class TestBox:
         # also has the zero block outside the box
         space = tp.AugmentedSpace(0, 2, 2, 2)
         box = space.box((1, 2), {1: 1, 2: 0})
-        assert box.size < space.total_dim()
+        assert box.size < np.prod(box.dims)
         rng = rng_from_seed(76)
         g = rng.normal(size=(box.size, box.size)) + 1j * rng.normal(size=(box.size, box.size))
         local = g @ g.conj().T + 0.1 * np.eye(box.size)

@@ -19,7 +19,9 @@ quantum sites, each containing at least one quantum site).
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
@@ -251,23 +253,6 @@ class Box:
         out[self.flat] = local
         return out
 
-    def expand_op(self, local: np.ndarray) -> np.ndarray:
-        """Dense operator on A''_sites of a box-local operator."""
-        flat = self.flat
-        n = int(np.prod(self.dims))
-        out = np.zeros((n, n), dtype=local.dtype)
-        out[np.ix_(flat, flat)] = local
-        return out
-
-    def lowest_eigenvalue(self, local: np.ndarray) -> float:
-        """Smallest eigenvalue of the dense form of a box-local Hermitian operator.
-
-        The dense operator is zero outside the box, so when the box leaves
-        rows out, 0 is among its eigenvalues.
-        """
-        low = float(np.linalg.eigvalsh(local)[0])
-        return min(low, 0.0) if self.size < int(np.prod(self.dims)) else low
-
 
 @dataclass(frozen=True)
 class AugmentedSpace:
@@ -369,10 +354,6 @@ class AugmentedSpace:
             acc[box.index(rows), cols] += weight
         return acc
 
-    def base_local(self, box: Box) -> np.ndarray:
-        """The embedding of (H x C^2)^(x box sites) into the base summands, box-local."""
-        return self.scatter(box, [(1.0, [self.site_rows(s, None) for s in box.sites])])
-
 
 def psp_local(
     space: AugmentedSpace, box: Box, psp: Psp, l_assign: dict[int, int], delta: float
@@ -382,7 +363,8 @@ def psp_local(
     Expands into a sum over all pseudosubpartitions refining the given one:
     the term for (W_1..W_n) embeds each site of W_j into the W_j summand
     carrying the labels l|_{W_j}, uncovered sites into the base summand,
-    weighted by delta^n / sqrt(prod_i N(S_i, delta)).
+    weighted by delta^n / sqrt(prod_i N(S_i, delta)).  The empty one gives
+    the plain embedding into the base summands.
     """
     if not {e for b in psp for e in b if e > 0} <= set(box.sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
@@ -436,12 +418,20 @@ class LowRankState:
     rows are zero) and factor is the dense expansion; without one, local is
     the factor itself.  Traces, spectra and partial traces run on local, so
     the big augmented spaces are never materialized.  Two boxed states meet
-    only on the same box.
+    only on the same box.  The columns local core^(1/2) are computed once.
     """
 
     local: np.ndarray
     core: np.ndarray
     box: Box | None = None
+    _cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of_factor(cls, cols: np.ndarray, box: Box | None = None) -> "LowRankState":
+        """The state cols cols† (identity core)."""
+        state = cls(cols, np.eye(cols.shape[1]), box)
+        state._cols = cols
+        return state
 
     @property
     def factor(self) -> np.ndarray:
@@ -454,22 +444,34 @@ class LowRankState:
         return float(np.trace(self.core @ (self.local.conj().T @ self.local)).real)
 
     def core_sqrt_cols(self) -> np.ndarray:
-        w, v = np.linalg.eigh(qla.hermitian_part(self.core))
-        return self.local @ (v * np.sqrt(np.maximum(w, 0.0)))
+        if self._cols is None:
+            w, v = np.linalg.eigh(qla.hermitian_part(self.core))
+            self._cols = self.local @ (v * np.sqrt(np.maximum(w, 0.0)))
+        return self._cols
 
     def eigenvalues(self) -> np.ndarray:
+        """The spectrum of the Gram matrix F†F of the factor F = local core^(1/2)."""
         cols = self.core_sqrt_cols()
         return np.linalg.eigvalsh(cols.conj().T @ cols)
 
+    def lowest_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the dense operator F F†.
+
+        On N rows F F† has the eigenvalues of F†F plus N - width zeros, so
+        a factor narrower than the dense space adds 0 to the spectrum.
+        """
+        low = float(self.eigenvalues()[0])
+        rows = self.local.shape[0] if self.box is None else int(np.prod(self.box.dims))
+        return min(low, 0.0) if rows > self.core.shape[0] else low
+
     def marginal(self, keep_sites) -> tuple[Box, np.ndarray]:
-        """Partial trace onto keep_sites, box-local on the box's kept sites."""
+        """Partial trace onto keep_sites as the factor m of m m†, box-local on the kept sites."""
         sub = self.box.restrict(keep_sites)
         keep = [self.box.sites.index(s) for s in sub.sites]
         # rho = C C†: put the kept sites first, then the traced sites and the
-        # columns of C contract in one product
+        # columns of C together index the columns of m
         t = self.core_sqrt_cols().reshape(self.box.shape + (-1,))
-        m = np.moveaxis(t, keep, range(len(keep))).reshape(sub.size, -1)
-        return sub, qla.hermitian_part(m @ m.conj().T)
+        return sub, np.moveaxis(t, keep, range(len(keep))).reshape(sub.size, -1)
 
 
 def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
@@ -481,16 +483,25 @@ def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
     return float(np.linalg.norm(b_factor.conj().T @ cols) ** 2)
 
 
+def joint_spectrum(terms) -> np.ndarray:
+    """Eigenvalues of sum_i w_i rho_i for (w_i, rho_i) pairs of factored states on one box.
+
+    The sum is compressed onto the joint column span of the factors; the
+    dense operator has these eigenvalues plus zeros.
+    """
+    if any(st.box != terms[0][1].box for _, st in terms):
+        raise ValueError("states on different boxes")
+    basis = tilting.orthonormalize(np.hstack([st.core_sqrt_cols() for _, st in terms]), tol=1e-12)
+    small = 0.0
+    for w, st in terms:
+        s = basis.conj().T @ st.local
+        small = small + w * (s @ st.core @ s.conj().T)
+    return np.linalg.eigvalsh(qla.hermitian_part(small))
+
+
 def l1_distance_factored(a: LowRankState, b: LowRankState) -> float:
     """Trace distance between two factored operators (on one box) via their joint column space."""
-    if a.box != b.box:
-        raise ValueError("states on different boxes")
-    cols = np.hstack([a.core_sqrt_cols(), b.core_sqrt_cols()])
-    basis = tilting.orthonormalize(cols, tol=1e-12)
-    sa = basis.conj().T @ a.local
-    sb = basis.conj().T @ b.local
-    small = sa @ a.core @ sa.conj().T - sb @ b.core @ sb.conj().T
-    return qla.trace_norm_herm(small)
+    return float(np.sum(np.abs(joint_spectrum([(1.0, a), (-1.0, b)]))))
 
 
 @dataclass
@@ -722,7 +733,7 @@ def build_construction(
         tests = optimal_splitting_tests(inst, x)
     rho_prime = build_rho_prime(inst, x, l_assign)
     box = rho_prime.box
-    e_hat = space.base_local(box)
+    e_hat = psp_local(space, box, (), l_assign, inst.delta)
     images = [
         psp_local(space, box, psp, l_assign, inst.delta) @ tests[psp].y_basis
         for psp in inst.lattice.linear_ext
@@ -743,13 +754,19 @@ def build_construction(
     )
 
 
-def _embedded(inst: TypicalityInstance, psp: Psp, rho: np.ndarray, l_assign: dict) -> LowRankState:
-    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x k) in factored form, box-local."""
+def _embedded(
+    inst: TypicalityInstance, psp: Psp, rho: np.ndarray, l_assign: dict, box: Box | None = None
+) -> LowRankState:
+    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, box-local.
+
+    The box defaults to the one all quantum sites reach under l_assign.
+    """
     space = inst.space
-    box = space.box(quantum_sites(inst.k), l_assign)
+    if box is None:
+        box = space.box(quantum_sites(inst.k), l_assign)
     return LowRankState(
         psp_local(space, box, psp, l_assign, inst.delta),
-        embed_with_ancilla(rho, inst.k, inst.dim_h),
+        embed_with_ancilla(rho, len(box.sites), inst.dim_h),
         box,
     )
 
@@ -770,21 +787,23 @@ def factored_partial_trace(
     space: AugmentedSpace, state: LowRankState, keep_sites
 ) -> np.ndarray:
     """Dense marginal on A''_keep_sites of a box-local factored state of the space."""
-    sub, local = state.marginal(keep_sites)
-    return sub.expand_op(local)
+    sub, m = state.marginal(keep_sites)
+    return LowRankState.of_factor(m, sub).dense()
 
 
 def marginal_block_state(
     inst: TypicalityInstance, block: Block, x_kept, l_block: dict
 ) -> tuple[Box, np.ndarray]:
-    """The averaged marginal (rho')_{x_S, l_S, delta} on A''_{S cap [k]}, box-local.
+    """The averaged marginal (rho')_{x_S, l_S, delta} on A''_{S cap [k]} as a factor C.
 
     Classical coordinates outside the block are averaged with the instance
     weights, ancilla labels outside the block uniformly, and the quantum
-    sites outside the block are traced out.  The marginal lives on the union
-    of the kept sites' boxes over the averaged labels, which it returns.
-    The smoothing is linear in the state, so the words are averaged first
-    and each label assignment embeds that average once.
+    sites outside the block are traced out.  The marginal is C C†, box-local
+    on the union of the kept sites' boxes over the averaged labels, which
+    it returns with C.  The smoothing is linear in the state, so the words
+    are averaged first and each label assignment embeds that average once;
+    C stacks the assignments' marginal factors and is then compressed by a
+    QR factorization to at most one column per box row.
     """
     space = inst.space
     full = full_block(inst.c, inst.k)
@@ -800,12 +819,20 @@ def marginal_block_state(
         for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar))
     ]
     box = reduce(Box.union, [space.box(sites, a) for a in assigns])
-    out = np.zeros((box.size, box.size), dtype=complex)
+    # T (rho x |0><0|) T† with the ancilla isometry moved into the factor, so
+    # the core is rho and each assignment adds dim rho columns per traced row
+    anc = qla.tensor_all([_ancilla_zero(inst.dim_h)] * inst.k)
+    parts = []
     for l_assign in assigns:
-        sub, m = _embedded(inst, (full,), rho, l_assign).marginal(sites)
-        pos = box.index(sub.rows)
-        out[np.ix_(pos, pos)] += (1.0 / len(assigns)) * m
-    return box, qla.hermitian_part(out)
+        full_box = space.box(quantum_sites(inst.k), l_assign)
+        t = psp_local(space, full_box, (full,), l_assign, inst.delta) @ anc
+        sub, m = LowRankState(t, rho, full_box).marginal(sites)
+        part = np.zeros((box.size, m.shape[1]), dtype=complex)
+        part[box.index(sub.rows)] = m
+        parts.append(part)
+    stacked = np.hstack(parts) / np.sqrt(len(assigns))
+    # C C† = R† R for the QR factorization C† = Q R
+    return box, np.linalg.qr(stacked.conj().T, mode="r").conj().T
 
 
 def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.ndarray:
@@ -829,18 +856,21 @@ def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.nd
 
 @dataclass
 class SplitFactor:
-    """One block's marginal and its terms, box-local on box."""
+    """One block's marginal and its terms as factored states on the marginal's box.
+
+    rho = clean + crossing + their coherences; the leak term
+    clean - lead_weight * lead is kept as its spectrum.
+    """
 
     block: Block
     sites: tuple
-    box: Box
-    rho: np.ndarray
-    clean: np.ndarray
-    crossing: np.ndarray
+    rho: LowRankState
+    clean: LowRankState
+    crossing: LowRankState
     coherence_norm: float
     lead_weight: float
-    lead: np.ndarray
-    leak: np.ndarray
+    lead: LowRankState
+    leak_spectrum: np.ndarray
 
 
 @dataclass
@@ -910,22 +940,21 @@ def split_decompose(
         sites = tuple(e for e in block if e > 0)
         x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
         l_block = {e: l_assign[e] for e in block}
-        box, rho_i = marginal_block_state(inst, block, x_kept, l_block)
-        p_nc = qla.tensor_all([
-            _site_noncross_mask(space, s, block)[rows].astype(float)[:, None]
-            for s, rows in zip(box.sites, box.rows)
+        box, c_i = marginal_block_state(inst, block, x_kept, l_block)
+        inside = reduce(np.logical_and.outer, [
+            _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
         ]).ravel()
-        clean = rho_i * np.outer(p_nc, p_nc)
-        crossing = rho_i * np.outer(1.0 - p_nc, 1.0 - p_nc)
-        coh = qla.op_norm_herm(rho_i - clean - crossing)
-
-        rho_bar = inst.averaged_marginal(block, x_kept)
-        t_embed = psp_local(space, box, (block,), l_block, inst.delta)
-        lead = t_embed @ embed_with_ancilla(rho_bar, len(sites), inst.dim_h) @ t_embed.conj().T
-        leak = clean - a_i * lead
-        factors.append(
-            SplitFactor(block, sites, box, rho_i, clean, crossing, coh, a_i, lead, leak)
-        )
+        clean = LowRankState.of_factor(c_i * inside[:, None], box)
+        crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
+        # rho - clean - crossing = C_p C_q† + C_q C_p† for the clean and crossing
+        # rows C_p, C_q of C; the row sets are disjoint, so its norm is
+        # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
+        r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
+        coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
+        lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), l_block, box)
+        leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
+        rho_i = LowRankState.of_factor(c_i, box)
+        factors.append(SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak))
 
     fill_norm = 1.0
     if t_sites:
@@ -933,7 +962,7 @@ def split_decompose(
 
     coh_max = max(f.coherence_norm for f in factors)
     checks.append(report.AuditCheck("split_sector_coherence", coh_max, 0.0, IDENTITY_TOL, params))
-    trace_prod = float(np.prod([np.trace(f.clean).real for f in factors]))
+    trace_prod = float(np.prod([f.clean.trace() for f in factors]))
     checks.append(
         report.AuditCheck(
             "split_alpha_beta_trace", abs(trace_prod - alpha_beta), 0.0, IDENTITY_TOL, params
@@ -942,24 +971,17 @@ def split_decompose(
     for f in factors:
         checks.append(
             report.AuditCheck(
-                "split_factor_unit_trace", abs(np.trace(f.rho).real - 1.0), 0.0, 1e-9, params
+                "split_factor_unit_trace", abs(f.rho.trace() - 1.0), 0.0, 1e-9, params
             )
         )
-    m_min = min(f.box.lowest_eigenvalue(f.crossing) for f in factors)
+    m_min = min(f.crossing.lowest_eigenvalue() for f in factors)
     checks.append(report.AuditCheck("split_m_psd", -m_min, 0.0, 1e-10, params))
 
     # ||M'||_inf is exact: terms indexed by which factors sit in crossing
     # sectors have mutually orthogonal supports
-    c_norms = [qla.op_norm_herm(f.clean) for f in factors]
-    m_norms = [qla.op_norm_herm(f.crossing) for f in factors]
-    m_prime_norm = 0.0
-    for pick in itertools.product([0, 1], repeat=len(factors)):
-        if not any(pick):
-            continue
-        term = fill_norm
-        for sel, cn, mn in zip(pick, c_norms, m_norms):
-            term *= mn if sel else cn
-        m_prime_norm = max(m_prime_norm, term)
+    c_norms = [float(f.clean.eigenvalues()[-1]) for f in factors]
+    m_norms = [float(f.crossing.eigenvalues()[-1]) for f in factors]
+    m_prime_norm = max(_subset_terms(fill_norm, m_norms, c_norms))
     m_weight = 1.0 - alpha - beta
     m_norm = m_prime_norm / m_weight if m_weight > 1e-12 else 0.0
     m_trace = 1.0 - trace_prod
@@ -970,26 +992,14 @@ def split_decompose(
         report.AuditCheck("claim2_m_norm", m_norm, 1.0 / inst.dim_l, 1e-12, params)
     )
 
-    # N' = sum over non-empty subsets of factors of leak terms tensored with
-    # the leading terms; exact norm when at most one factor actually leaks
-    leak_norms = [qla.op_norm_herm(f.leak) for f in factors]
-    lead_norms = [f.lead_weight * qla.op_norm_herm(f.lead) for f in factors]
-    leaky = [i for i, ln in enumerate(leak_norms) if ln > 1e-12]
-    if len(leaky) <= 1:
-        n_norm = 0.0 if not leaky else leak_norms[leaky[0]] * float(
-            np.prod([lead_norms[i] for i in range(len(factors)) if i != leaky[0]])
-        ) * fill_norm
-    else:
-        n_norm = 0.0
-        for pick in itertools.product([0, 1], repeat=len(factors)):
-            if not any(pick):
-                continue
-            term = fill_norm
-            for sel, ln, gn in zip(pick, leak_norms, lead_norms):
-                term *= ln if sel else gn
-            n_norm += term
+    # N' = sum over non-empty subsets of the leaking factors of leak terms
+    # tensored with the leading terms; the exact norm when one factor leaks
+    leak_norms = [float(np.max(np.abs(f.leak_spectrum))) for f in factors]
+    lead_norms = [f.lead_weight * float(f.lead.eigenvalues()[-1]) for f in factors]
+    leaks = [ln if ln > 1e-12 else 0.0 for ln in leak_norms]
+    n_norm = sum(_subset_terms(fill_norm, leaks, lead_norms))
     n_trace = float(
-        np.prod([f.lead_weight + np.trace(f.leak).real for f in factors])
+        np.prod([f.lead_weight + np.sum(f.leak_spectrum) for f in factors])
     ) - alpha
     checks.append(report.AuditCheck("split_n_trace", abs(n_trace - beta), 0.0, IDENTITY_TOL, params))
     checks.append(
@@ -1013,10 +1023,26 @@ def split_decompose(
     return SplitDecomposition(psp, alpha, beta, factors, m_norm, n_norm, checks)
 
 
+def _subset_terms(fill: float, picked: list, unpicked: list) -> list:
+    """fill times, per factor, picked[i] for i in S and unpicked[i] otherwise, over non-empty S."""
+    return [
+        math.prod([fill] + [p if sel else u for sel, p, u in zip(pick, picked, unpicked)])
+        for pick in itertools.product([0, 1], repeat=len(picked))
+        if any(pick)
+    ]
+
+
 def claim4_stated_floor(inst: TypicalityInstance, eps_x: float) -> float:
-    """The completeness floor with the stated (astronomically weak) constant."""
+    """The completeness floor with the stated (astronomically weak) constant.
+
+    The constant is a power of two, so it scales exactly; past the float
+    range the floor is -sys.float_info.max, which lies above the true floor.
+    """
     k, c = inst.k, inst.c
-    return 1.0 - inst.delta ** (-2 * k) * 2.0 ** (2.0 ** (c * k + 4) * (k + 1) ** k) * eps_x
+    try:
+        return 1.0 - math.ldexp(inst.delta ** (-2 * k) * eps_x, 2 ** (c * k + 4) * (k + 1) ** k)
+    except OverflowError:
+        return -sys.float_info.max
 
 
 def audit_construction(constr: BlockConstruction) -> list:
@@ -1244,23 +1270,22 @@ def _split_expectation(
     """Tr[Pi' rho'_split] for one block, via per-factor application.
 
     B vanishes outside the block's box, so each factor enters through its
-    entries on the box's rows.
+    rows on the box.
     """
     if is_full_block(inst, psp):
         return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.l_assign))
     box = constr.box
-    factors = []
-    for f in dec.factors:
-        pos = f.box.index(box.restrict(f.sites).rows)
-        factors.append((f.sites, f.rho[np.ix_(pos, pos)]))
+    parts = [(f.sites, f.rho) for f in dec.factors]
     covered = [s for f in dec.factors for s in f.sites]
-    t_sites = [s for s in quantum_sites(inst.k) if s not in covered]
+    t_sites = tuple(s for s in quantum_sites(inst.k) if s not in covered)
     if t_sites:
         fill = inst.quantum_marginal(constr.x, t_sites)
-        e_t = inst.space.base_local(box.restrict(t_sites))
-        fill_emb = e_t @ embed_with_ancilla(fill, len(t_sites), inst.dim_h) @ e_t.conj().T
-        factors.append((tuple(t_sites), fill_emb))
-    applied = apply_site_factors(box.sites, box.shape, factors, constr.b)
+        parts.append((t_sites, _embedded(inst, (), fill, constr.l_assign, box.restrict(t_sites))))
+    ops = []
+    for sites, st in parts:
+        cols = st.core_sqrt_cols()[st.box.index(box.restrict(sites).rows)]
+        ops.append((sites, cols @ cols.conj().T))
+    applied = apply_site_factors(box.sites, box.shape, ops, constr.b)
     return float(np.trace(constr.b.conj().T @ applied).real)
 
 

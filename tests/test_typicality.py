@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -151,7 +152,7 @@ def coord_local(space, box, block, l_assign):
 def dense_base(space, sites):
     """The embedding of (H x C^2)^(x sites) into the base summands of A''_sites, dense."""
     box = space.box(sites, {})
-    return box.expand(space.base_local(box))
+    return box.expand(tp.psp_local(space, box, (), {}, 1.0))
 
 
 class TestEmbeddings:
@@ -305,7 +306,7 @@ class TestRhoPrime:
     def embedded_original(inst, st):
         # rho x |0><0| in the base summand, on the smoothed state's box
         core = tp.embed_with_ancilla(inst.rhos[()], 1, 2)
-        return tp.LowRankState(inst.space.base_local(st.box), core, st.box)
+        return tp.LowRankState(tp.psp_local(inst.space, st.box, (), {}, inst.delta), core, st.box)
 
     def test_delta_zero_exact(self):
         inst = small_instance(70, delta=0.0)
@@ -382,30 +383,45 @@ class TestRhoPrime:
                 v = tp.global_embed(space, l_assign, inst.delta)
                 rho = v @ tp.embed_with_ancilla(inst.rhos[x_full], k, dim_h) @ v.conj().T
                 want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
-        box, local = tp.marginal_block_state(inst, block, x_kept, l_block)
+        box, c_factor = tp.marginal_block_state(inst, block, x_kept, l_block)
         assert box.sites == tuple(sites)
-        npt.assert_allclose(box.expand_op(local), want, atol=1e-12)
+        assert c_factor.shape[1] <= box.size
+        npt.assert_allclose(tp.LowRankState.of_factor(c_factor, box).dense(), want, atol=1e-12)
 
 
 class TestBox:
+    # F F† on N rows has the eigenvalues of F†F plus N - width zeros
     def test_lowest_eigenvalue_on_strict_box(self):
-        # a positive-definite operator on a strict sub-box: the dense operator
-        # also has the zero block outside the box
+        # a full-rank factor on a strict sub-box: the dense operator also has
+        # the zero block outside the box
         space = tp.AugmentedSpace(0, 2, 2, 2)
         box = space.box((1, 2), {1: 1, 2: 0})
         assert box.size < np.prod(box.dims)
         rng = rng_from_seed(76)
         g = rng.normal(size=(box.size, box.size)) + 1j * rng.normal(size=(box.size, box.size))
-        local = g @ g.conj().T + 0.1 * np.eye(box.size)
-        want = float(np.linalg.eigvalsh(box.expand_op(local))[0])
-        assert box.lowest_eigenvalue(local) == pytest.approx(want, abs=1e-12)
-        assert np.linalg.eigvalsh(local)[0] > 0.05
+        st = tp.LowRankState(g, np.eye(box.size), box)
+        want = float(np.linalg.eigvalsh(st.dense())[0])
+        assert st.lowest_eigenvalue() == pytest.approx(want, abs=1e-12)
+        assert st.lowest_eigenvalue() == 0.0
+        assert st.eigenvalues()[0] > 1e-3
+
+    def test_lowest_eigenvalue_of_rank_deficient_factor(self):
+        # on the whole space, but narrower than it: the spectrum gains zeros
+        n = 6
+        rng = rng_from_seed(77)
+        f = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        st = tp.LowRankState(f, np.diag([1.0, 2.0, 0.5]))
+        assert st.eigenvalues()[0] > 1e-3
+        assert st.lowest_eigenvalue() == 0.0
+        assert float(np.linalg.eigvalsh(st.dense())[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_lowest_eigenvalue_on_whole_space(self):
         space = tp.AugmentedSpace(0, 1, 2, 2)
-        box = tp.Box((1,), (space.site_dim(1),), (np.arange(space.site_dim(1)),))
-        local = np.diag(np.arange(1.0, space.site_dim(1) + 1.0))
-        assert box.lowest_eigenvalue(local) == 1.0
+        n = space.site_dim(1)
+        box = tp.Box((1,), (n,), (np.arange(n),))
+        st = tp.LowRankState(np.eye(n), np.diag(np.arange(1.0, n + 1.0)), box)
+        assert st.lowest_eigenvalue() == pytest.approx(1.0, abs=1e-12)
+        assert float(np.linalg.eigvalsh(st.dense())[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_outside_box_rejected(self):
         space = tp.AugmentedSpace(0, 2, 2, 2)
@@ -421,7 +437,6 @@ class TestBox:
 
         monkeypatch.setattr(tp, "global_embed", forbidden)
         monkeypatch.setattr(tp.Box, "expand", forbidden)
-        monkeypatch.setattr(tp.Box, "expand_op", forbidden)
         monkeypatch.setattr(tp.LowRankState, "dense", forbidden)
         res = tp.intersection_lemma(audits.random_instance(3, 0, 2, 2, 4, 0.2, 0.2))
         bad = [c for c in res.checks if not c.passed]
@@ -524,7 +539,7 @@ class TestSplitDecompose:
         l_assign = {e: 1 for e in tp.full_block(c, k)}
         constr = tp.build_construction(inst, x, l_assign)
         dec = tp.split_decompose(inst, x, psp, l_assign)
-        factors = [(f.sites, f.box.expand_op(f.rho)) for f in dec.factors]
+        factors = [(f.sites, f.rho.dense()) for f in dec.factors]
         t_sites = [s for s in tp.quantum_sites(k) if not any(s in f.sites for f in dec.factors)]
         if t_sites:
             e_t = dense_base(space, t_sites)
@@ -542,6 +557,126 @@ class TestSplitDecompose:
         dec = tp.split_decompose(inst, (1,), ((-1, 1),))
         assert dec.beta == pytest.approx(0.0, abs=1e-12)
         assert report.all_pass(dec.checks)
+
+    @staticmethod
+    def dense_factor(inst, x, block, l_assign):
+        """The dense route for one block: its marginal and lead term on A''_sites."""
+        space = inst.space
+        full = tp.full_block(inst.c, inst.k)
+        sbar = [e for e in full if e not in block]
+        kept_c = tuple(e for e in block if e < 0)
+        x_kept = tuple(x[tp.classical_coords(inst.c).index(e)] for e in kept_c)
+        sites = [e for e in block if e > 0]
+        l_block = {e: l_assign[e] for e in block}
+        dims = [space.site_dim(s) for s in tp.quantum_sites(inst.k)]
+        rho = 0.0
+        for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
+            x_full = inst.merge_word(kept_c, x_kept, x_rest)
+            for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
+                v = tp.global_embed(space, {**l_block, **dict(zip(sbar, l_rest))}, inst.delta)
+                st = v @ tp.embed_with_ancilla(inst.rhos[x_full], inst.k, inst.dim_h) @ v.conj().T
+                rho = rho + w / inst.dim_l ** len(sbar) * qla.partial_trace(
+                    st, dims, [s - 1 for s in sites]
+                )
+        box = space.box(sites, l_block)
+        t = box.expand(tp.psp_local(space, box, (block,), l_block, inst.delta))
+        rho_bar = tp.embed_with_ancilla(inst.averaged_marginal(block, x_kept), len(sites), inst.dim_h)
+        return rho, t @ rho_bar @ t.conj().T
+
+    @staticmethod
+    def check_factor(inst, f, rho, lead):
+        """Compare a factor's numbers with dense eigvalsh; return its dense norms."""
+        p = qla.tensor_all([
+            tp._site_noncross_mask(inst.space, s, f.block).astype(float)[:, None] for s in f.sites
+        ]).ravel()
+        clean = rho * np.outer(p, p)
+        crossing = rho * np.outer(1.0 - p, 1.0 - p)
+        dense = {"clean": clean, "crossing": crossing, "lead": lead,
+                 "leak": clean - f.lead_weight * lead, "coh": rho - clean - crossing}
+        # eigvalsh on the rows the operators reach; the others add zeros
+        keep = np.flatnonzero((np.abs(rho) + np.abs(lead)).sum(axis=1))
+        spec = {name: np.linalg.eigvalsh(qla.hermitian_part(op[np.ix_(keep, keep)]))
+                for name, op in dense.items()}
+        norm = {name: float(np.max(np.abs(w))) for name, w in spec.items()}
+        low = float(spec["crossing"][0])
+        if len(keep) < len(rho):
+            low = min(low, 0.0)
+        pairs = [
+            (f.rho.trace(), np.trace(rho).real),
+            (f.clean.trace(), np.trace(clean).real),
+            (f.crossing.trace(), np.trace(crossing).real),
+            (f.lead.trace(), np.trace(lead).real),
+            (float(np.sum(f.leak_spectrum)), np.trace(dense["leak"]).real),
+            (float(np.max(f.clean.eigenvalues())), norm["clean"]),
+            (float(np.max(f.crossing.eigenvalues())), norm["crossing"]),
+            (float(np.max(f.lead.eigenvalues())), norm["lead"]),
+            (float(np.max(np.abs(f.leak_spectrum))), norm["leak"]),
+            (f.coherence_norm, norm["coh"]),
+            (f.crossing.lowest_eigenvalue(), low),
+        ]
+        for i, (got, want) in enumerate(pairs):
+            assert got == pytest.approx(want, abs=1e-12), (f.block, i)
+        return norm["clean"], norm["crossing"], norm["leak"], f.lead_weight * norm["lead"], low
+
+    def test_numbers_on_generic_factor(self, monkeypatch):
+        # the marginals of the construction have no coherence between the
+        # sectors; a perturbed factor on the same box has, and every number of
+        # the factored algebra must still match the dense one
+        inst = small_instance(103, c=1, k=2, dim_h=1, dim_l=2, delta=0.4)
+        x, l_assign = inst.words()[0], {-1: 1, 1: 1, 2: 1}
+        rng = rng_from_seed(104)
+        made = {}
+        exact = tp.marginal_block_state
+
+        def perturbed(inst, block, x_kept, l_block):
+            box, c = exact(inst, block, x_kept, l_block)
+            c = c + 0.05 * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
+            made[block] = (box, c)
+            return box, c
+
+        monkeypatch.setattr(tp, "marginal_block_state", perturbed)
+        dec = tp.split_decompose(inst, x, ((1,), (2,)), l_assign)
+        for f in dec.factors:
+            box, c = made[f.block]
+            _, lead = self.dense_factor(inst, x, f.block, l_assign)
+            self.check_factor(inst, f, tp.LowRankState.of_factor(c, box).dense(), lead)
+            assert f.coherence_norm > 1e-3 and f.crossing.eigenvalues()[-1] > 1e-3
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 2), (1, 1, 2), (1, 2, 2)])
+    def test_numbers_match_dense_oracle(self, c, k, L):
+        # every number of the decomposition against dense eigvalsh on A''_sites,
+        # at |H| = 1 so that the dense marginals stay small; at c = 1, k = 2
+        # the splits include the block (1, 2) with its classical coordinate averaged
+        inst = small_instance(100 + c + k, c=c, k=k, dim_h=1, dim_l=L, delta=0.4)
+        x = inst.words()[-1]
+        l_assign = {e: 1 for e in tp.full_block(c, k)}
+        splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
+        assert splits
+        if (c, k) == (1, 2):
+            assert ((1, 2),) in splits
+
+        for psp in splits:
+            dec = tp.split_decompose(inst, x, psp, l_assign)
+            rows = [
+                self.check_factor(inst, f, *self.dense_factor(inst, x, f.block, l_assign))
+                for f in dec.factors
+            ]
+            m_psd = [ch.lhs for ch in dec.checks if ch.name == "split_m_psd"]
+            assert m_psd[0] == pytest.approx(-min(r[4] for r in rows), abs=1e-12)
+            covered = [s for f in dec.factors for s in f.sites]
+            t_sites = [s for s in tp.quantum_sites(k) if s not in covered]
+            fill = np.linalg.eigvalsh(inst.quantum_marginal(x, t_sites))[-1] if t_sites else 1.0
+            picks = [p for p in itertools.product([0, 1], repeat=len(rows)) if any(p)]
+            m_prime = max(fill * np.prod([r[1] if sel else r[0] for sel, r in zip(p, rows)])
+                          for p in picks)
+            m_weight = 1.0 - dec.alpha - dec.beta
+            want_m = m_prime / m_weight if m_weight > 1e-12 else 0.0
+            # only the factors that leak enter N'
+            leaks = [r[2] if r[2] > 1e-12 else 0.0 for r in rows]
+            want_n = sum(fill * np.prod([lk if sel else r[3] for sel, lk, r in zip(p, leaks, rows)])
+                         for p in picks)
+            assert dec.m_norm == pytest.approx(want_m, abs=1e-12), psp
+            assert dec.n_norm == pytest.approx(want_n, abs=1e-12), psp
 
 
 class TestIntersectionLemma:
@@ -573,6 +708,54 @@ class TestIntersectionLemma:
         eps_psp = 0.4 / 4
         s = res.soundness[((1,), (2,))]
         assert s["dh_reject"] == pytest.approx(1 - eps_psp, abs=1e-9)
+
+    def test_no_large_eigenproblem(self, monkeypatch):
+        # at c = 1, k = 2, L = 2 the split marginals have up to 784 box rows;
+        # their factors keep every eigenvalue problem on at most 64 rows
+        largest = [0]
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                largest[0] = max(largest[0], np.shape(a)[0])
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        res = tp.intersection_lemma(small_instance(101, c=1, k=2, dim_l=2, delta=0.3))
+        assert res.all_pass()
+        assert 0 < largest[0] <= 64
+
+
+class TestStatedConstants:
+    def test_floor_for_every_accepted_size(self):
+        # |H| = |L| = 1 admits the most (c, k), and the floor depends on (c, k)
+        # only.  Where the direct formula computes, the floor keeps its bits;
+        # where its 2^E overflows, the floor is astronomically negative but
+        # finite, never an exception or -inf
+        sizes = []
+        for k in itertools.count(1):
+            for c in itertools.count(0):
+                try:
+                    tp.AugmentedSpace(c, k, 1, 1)
+                except ValueError:
+                    break
+                sizes.append((c, k))
+            if c == 0:
+                break
+        assert (2, 2) in sizes and (0, 3) in sizes
+        for c, k in sizes:
+            x = (0,) * c
+            inst = tp.TypicalityInstance(
+                c=c, k=k, dim_h=1, dim_l=1, delta=0.3, rhos={x: np.ones((1, 1))}, p_x={x: 1.0}
+            )
+            floor = tp.claim4_stated_floor(inst, 0.05)
+            try:
+                want = 1.0 - 0.3 ** (-2 * k) * 2.0 ** (2.0 ** (c * k + 4) * (k + 1) ** k) * 0.05
+                assert floor == want, (c, k)
+            except OverflowError:
+                assert -sys.float_info.max <= floor < -1e300, (c, k)
+            assert np.isfinite(floor - 2.0 ** ((c + k) / 2.0 + 1.0) * inst.delta)
 
 
 class TestUnion:

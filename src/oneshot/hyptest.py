@@ -203,6 +203,28 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     return _result(pi, accept, scale * reject, scale * dual)
 
 
+def cq_optimal_test(
+    weights, rhos, sigmas, eps: float
+) -> tuple[HypTestResult, list[np.ndarray]]:
+    """D_H^eps between sum_x w_x |x><x| (x) rho_x and sum_x w_x |x><x| (x) sigma_x.
+
+    Solved once on the block-diagonal pair.  Returns the result and each
+    letter's Hermitian block T_x of the test: by the Neyman-Pearson form, T_x
+    is itself optimal for D_H(rho_x || sigma_x) at eps_x = 1 - Tr[T_x rho_x]
+    (Wang-Renner 2012, PRL 108, 200501).
+    """
+    d = rhos[0].shape[0]
+    n = len(weights) * d
+    slices = [slice(i * d, (i + 1) * d) for i in range(len(weights))]
+    rho = np.zeros((n, n), dtype=complex)
+    sigma = np.zeros((n, n), dtype=complex)
+    for sl, w, r, s in zip(slices, weights, rhos, sigmas):
+        rho[sl, sl] = w * r
+        sigma[sl, sl] = w * s
+    res = quantum_optimal_test(rho, sigma, eps)
+    return res, [qla.hermitian_part(res.test[sl, sl]) for sl in slices]
+
+
 def ih_mutual(rho_ab: np.ndarray, dims: tuple[int, int], eps: float) -> float:
     """Hypothesis testing mutual information D_H^eps(rho_AB || rho_A x rho_B)."""
     da, db = int(dims[0]), int(dims[1])

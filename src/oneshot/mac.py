@@ -298,31 +298,6 @@ class CqChannelSpec:
     def avg(self) -> np.ndarray:
         return np.einsum("x,y,xyab->ab", self.p_x, self.p_y, self.states)
 
-    def _block_diag(self, block) -> np.ndarray:
-        """sum_{x,y} p(x) p(y) |x y><x y| (x) block(x, y)."""
-        nx, ny, dz = self.nx, self.ny, self.dz
-        out = np.zeros((nx * ny * dz,) * 2, dtype=complex)
-        for x in range(nx):
-            for y in range(ny):
-                sl = slice((x * ny + y) * dz, (x * ny + y + 1) * dz)
-                out[sl, sl] = self.p_x[x] * self.p_y[y] * block(x, y)
-        return out
-
-    def cq_state(self) -> np.ndarray:
-        """The controlling state, classical on XY and quantum on Z."""
-        return self._block_diag(lambda x, y: self.states[x, y])
-
-    def cq_false(self, kind: str) -> np.ndarray:
-        """Product-of-marginals alternates on the same block structure."""
-        blocks = {
-            "keep_x": lambda x, y: self.avg_x(x),
-            "keep_y": lambda x, y: self.avg_y(y),
-            "none": lambda x, y: self.avg(),
-        }
-        if kind not in blocks:
-            raise ValueError(kind)
-        return self._block_diag(blocks[kind])
-
 
 class PerturbedChannel:
     """The extended output space Z' and the label-controlled tilting maps.
@@ -546,24 +521,24 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     joint test stays untilted in the base copy.
     """
     chan = PerturbedChannel(spec, dim_l, delta)
-    rho = spec.cq_state()
-    res_x = hyptest.quantum_optimal_test(rho, spec.cq_false("keep_x"), eps)
-    res_y = hyptest.quantum_optimal_test(rho, spec.cq_false("keep_y"), eps)
-    res_xy = hyptest.quantum_optimal_test(rho, spec.cq_false("none"), eps)
+    letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
+    weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]
+    states = [spec.states[x, y] for x, y in letters]
 
-    def complements(res):
-        out = {}
-        for x in range(spec.nx):
-            for y in range(spec.ny):
-                sl = slice((x * spec.ny + y) * spec.dz, (x * spec.ny + y + 1) * spec.dz)
-                blk = qla.hermitian_part(res.test[sl, sl])
-                out[x, y] = tilting.rejection_basis(hyptest.dilate_povm(blk))
-        return out
+    def solve(alternates):
+        # the cq state against product-of-marginals alternates, letter by letter
+        res, blocks = hyptest.cq_optimal_test(weights, states, alternates, eps)
+        return res, {
+            xy: tilting.rejection_basis(hyptest.dilate_povm(blk))
+            for xy, blk in zip(letters, blocks)
+        }
 
+    res_x, w_x = solve([spec.avg_x(x) for x, _ in letters])
+    res_y, w_y = solve([spec.avg_y(y) for _, y in letters])
+    res_xy, w_xy = solve([spec.avg() for _ in letters])
     return DecodingSet(
         chan=chan, eps=eps, i_x_yz=res_y.value_bits, i_y_xz=res_x.value_bits,
-        i_xy_z=res_xy.value_bits, w_x=complements(res_x), w_y=complements(res_y),
-        w_xy=complements(res_xy),
+        i_xy_z=res_xy.value_bits, w_x=w_x, w_y=w_y, w_xy=w_xy,
     )
 
 
@@ -896,8 +871,6 @@ def time_sharing_experiment(
     }
     bounds["hn"] = bounds["fallback"] + bounds["r1"] + bounds["r2"] + bounds["sum"]
 
-    inst = lemma.inst  # carries the per-word test budgets of the lemma
-    test_cache: dict = {}
     errors = np.empty(trials)
     rows = []
     for t in range(trials):
@@ -912,11 +885,8 @@ def time_sharing_experiment(
             for i2 in range(m2):
                 word = (u, int(cb.xs[i1]), int(cb.ys[i2]))
                 l_assign = {-3: l_u, -2: int(cb.lxs[i1]), -1: int(cb.lys[i2]), 1: 0}
-                if word not in test_cache:
-                    test_cache[word] = typicality.optimal_splitting_tests(inst, word)
-                constrs.append(
-                    typicality.build_construction(inst, word, l_assign, test_cache[word])
-                )
+                tests = lemma.constructions[word].tests
+                constrs.append(typicality.build_construction(inst, word, l_assign, tests))
         success = pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
         errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
         rows.append((t, seed + t, errors[t]))

@@ -22,8 +22,8 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -40,6 +40,15 @@ IDENTITY_TOL = 1e-8
 
 def site_dim_cap() -> int:
     return int(os.environ.get("ONESHOT_DIM_CAP", DEFAULT_SITE_DIM_CAP))
+
+
+def site_dim_formula(c: int, k: int, dim_h: int, dim_l: int) -> int:
+    """dim A''_i: the base summand plus 2|H| L^|S| per block S through site i.
+
+    Summing over the blocks, subsets of the other c + k - 1 elements, gives
+    2|H| (1 + |L| (1 + |L|)^(c + k - 1)).
+    """
+    return 2 * dim_h * (1 + dim_l * (1 + dim_l) ** (c + k - 1))
 
 
 def quantum_sites(k: int) -> tuple[int, ...]:
@@ -272,6 +281,11 @@ class AugmentedSpace:
     def __post_init__(self):
         if self.k < 1 or self.c < 0 or self.dim_h < 1 or self.dim_l < 1:
             raise ValueError("invalid space parameters")
+        # checked before the labels are enumerated, which costs k 2^(c+k) tuples
+        dim = site_dim_formula(self.c, self.k, self.dim_h, self.dim_l)
+        cap = site_dim_cap()
+        if dim > cap:
+            raise ValueError(f"per-site dimension {dim} exceeds cap {cap}")
         elements = full_block(self.c, self.k)
         labels = {}
         for i in quantum_sites(self.k):
@@ -283,11 +297,6 @@ class AugmentedSpace:
             )
             labels[i] = (None,) + tuple(blocks)
         object.__setattr__(self, "site_labels", labels)
-        cap = site_dim_cap()
-        if self.site_dim(1) > cap:
-            raise ValueError(
-                f"per-site dimension {self.site_dim(1)} exceeds cap {cap}"
-            )
 
     @property
     def base_dim(self) -> int:
@@ -510,7 +519,8 @@ class TypicalityInstance:
 
     rhos maps each classical word x (a tuple, () when c = 0) to a state on
     H^(x k); eps_total is split uniformly over the non-empty
-    pseudosubpartitions unless eps_table overrides individual entries.
+    pseudosubpartitions.  The augmented space is built (and its size
+    checked) on construction, the lattice on first use.
     """
 
     c: int
@@ -521,7 +531,6 @@ class TypicalityInstance:
     rhos: dict
     p_x: dict
     eps_total: float = 0.1
-    eps_table: dict | None = None
 
     def __post_init__(self):
         if self.c == 0:
@@ -533,19 +542,15 @@ class TypicalityInstance:
         for x, rho in self.rhos.items():
             if rho.shape != (self.dim_h**self.k,) * 2:
                 raise ValueError(f"state for {x} has wrong shape {rho.shape}")
+        self.space  # refuses an oversized space before any solve
 
-    @property
+    @cached_property
     def space(self) -> AugmentedSpace:
         return AugmentedSpace(self.c, self.k, self.dim_h, self.dim_l)
 
-    @property
+    @cached_property
     def lattice(self) -> PsLattice:
         return enum_pslattice(self.c, self.k)
-
-    def eps_for(self, x, psp: Psp) -> float:
-        if self.eps_table is not None and (x, psp) in self.eps_table:
-            return float(self.eps_table[(x, psp)])
-        return self.eps_total / len(self.lattice.linear_ext)
 
     def words(self):
         return sorted(self.rhos)
@@ -644,21 +649,32 @@ class SplitTest:
     y_basis: np.ndarray
 
 
-def optimal_splitting_tests(inst: TypicalityInstance, x) -> dict:
-    """Per-pseudosubpartition optimal tests, dilated to site-local projectors.
+def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
+    """Per-word optimal tests for every pseudosubpartition, dilated to site-local projectors.
 
-    For each non-empty pseudosubpartition the optimal test for
-    D_H^eps(rho_x || split state) is computed on H^(x k), then dilated to a
-    projector on (H x C^2)^(x k); y_basis spans the orthogonal complement of
-    its support.
+    Each non-empty pseudosubpartition takes one cq-level solve: the test of
+    sum_x p(x) |x><x| (x) rho_x against the same sum over the split states
+    at the split's share of eps_total (c = 0 is the one-word case).  Word x
+    gets the test's block T_x, optimal for D_H(rho_x || split_x) at its own
+    budget eps_x = 1 - Tr[T_x rho_x], and T_x is dilated to a projector on
+    (H x C^2)^(x k); y_basis spans the orthogonal complement of its support.
+    Returns {x: {psp: SplitTest}}.
     """
-    out = {}
+    words = inst.words()
+    eps = inst.eps_total / len(inst.lattice.linear_ext)
+    out: dict = {x: {} for x in words}
     for psp in inst.lattice.linear_ext:
-        eps = inst.eps_for(x, psp)
-        target = inst.split_state(x, psp)
-        res = hyptest.quantum_optimal_test(inst.rhos[x], target, eps)
-        y_basis = tilting.rejection_basis(dilate_to_sites(res.test, inst.k, inst.dim_h))
-        out[psp] = SplitTest(psp, eps, res.value_bits, res.reject_mass, y_basis)
+        splits = [inst.split_state(x, psp) for x in words]
+        _, blocks = hyptest.cq_optimal_test(
+            [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
+        )
+        for x, t, split in zip(words, blocks, splits):
+            # a block that accepts all of rho_x overshoots 1 by rounding
+            eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
+            reject = max(float(np.trace(t @ split).real), 0.0)
+            dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
+            y_basis = tilting.rejection_basis(dilate_to_sites(t, inst.k, inst.dim_h))
+            out[x][psp] = SplitTest(psp, eps_x, dh_bits, reject, y_basis)
     return out
 
 
@@ -730,7 +746,7 @@ def build_construction(
     if l_assign is None:
         l_assign = zero_labels(inst)
     if tests is None:
-        tests = optimal_splitting_tests(inst, x)
+        tests = optimal_splitting_tests(inst)[x]
     rho_prime = build_rho_prime(inst, x, l_assign)
     box = rho_prime.box
     e_hat = psp_local(space, box, (), l_assign, inst.delta)
@@ -1147,27 +1163,6 @@ class LemmaResult:
         return report.all_pass(self.checks)
 
 
-def _cq_split_test(inst: TypicalityInstance, psp: Psp, eps: float):
-    """Optimal cq-level test for the lemma's soundness target at one split."""
-    words = inst.words()
-    dh = inst.dim_h**inst.k
-    n = len(words) * dh
-    rho = np.zeros((n, n), dtype=complex)
-    target = np.zeros((n, n), dtype=complex)
-    for i, x in enumerate(words):
-        sl = slice(i * dh, (i + 1) * dh)
-        rho[sl, sl] = inst.p_x[x] * inst.rhos[x]
-        target[sl, sl] = inst.p_x[x] * inst.split_state(x, psp)
-    res = hyptest.quantum_optimal_test(rho, target, eps)
-    per_x = {}
-    for i, x in enumerate(words):
-        sl = slice(i * dh, (i + 1) * dh)
-        block = res.test[sl, sl]
-        accept = float(np.trace(block @ inst.rhos[x]).real)
-        per_x[x] = (qla.hermitian_part(block), 1.0 - accept)
-    return res, per_x
-
-
 def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     """Assemble the lemma's state and POVM element and audit claims 2 - 4.
 
@@ -1179,24 +1174,8 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     lattice = inst.lattice
     k, c = inst.k, inst.c
     m = (2 * inst.dim_h) ** inst.k
-
-    # split the per-pseudosubpartition budgets across the classical words by
-    # slicing the optimal cq-level test into its x-blocks
-    eps_table: dict = {}
-    cq_levels: dict = {}
-    for psp in lattice.linear_ext:
-        if c == 0:
-            cq_levels[psp] = None
-            continue
-        eps_psp = inst.eps_total / len(lattice.linear_ext)
-        res, per_x = _cq_split_test(inst, psp, eps_psp)
-        cq_levels[psp] = res
-        for x, (_, eps_x) in per_x.items():
-            eps_table[(x, psp)] = min(max(eps_x, 0.0), 1.0 - 1e-12)
-    if eps_table:
-        inst = replace(inst, eps_table=eps_table)
-
-    constructions = {x: build_construction(inst, x) for x in words}
+    tests = optimal_splitting_tests(inst)
+    constructions = {x: build_construction(inst, x, tests=tests[x]) for x in words}
     checks = []
     params = {"k": k, "c": c, "H": inst.dim_h, "L": inst.dim_l, "delta": inst.delta}
     for x in words:
@@ -1220,7 +1199,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
         for x in words
     )
     eps_sums = {
-        psp: sum(inst.p_x[x] * inst.eps_for(x, psp) for x in words)
+        psp: sum(inst.p_x[x] * tests[x][psp].eps for x in words)
         for psp in lattice.linear_ext
     }
     floor = claim4_stated_floor(inst, sum(eps_sums.values()))
@@ -1245,10 +1224,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
                 + pi_trace * dec.n_norm
                 + (1.0 - dec.alpha - dec.beta) * pi_trace * dec.m_norm
             )
-        if c == 0:
-            dh_reject = constructions[words[0]].tests[psp].reject_mass
-        else:
-            dh_reject = cq_levels[psp].reject_mass
+        dh_reject = sum(inst.p_x[x] * tests[x][psp].reject_mass for x in words)
         rhs = max(dh_reject, 3.0 * m / np.sqrt(inst.dim_l))
         soundness[psp] = {"lhs": lhs, "dh_reject": dh_reject, "chain_rhs": chain_rhs}
         checks.append(

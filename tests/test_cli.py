@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oneshot import cli
+from oneshot import cli, hyptest
 
 
 def run(args):
@@ -208,6 +208,15 @@ class TestRejectedInput:
         assert run(["audit", "typicality", "--trials", "1", "--out", outdir]) == 2
         err = capsys.readouterr().err
         assert err.count("error: per-site dimension") == 2
+
+    def test_oversized_space_rejected_before_any_solve(self, monkeypatch, outdir, capsys):
+        # --c 6 --k 1 asks for 250004 rows per site: refused before any D_H solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("D_H solve before the size check")
+
+        monkeypatch.setattr(hyptest, "quantum_optimal_test", forbidden)
+        assert run(["typicality-build", "--c", "6", "--k", "1", "--out", outdir]) == 2
+        assert "error: per-site dimension 250004 exceeds cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

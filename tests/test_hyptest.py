@@ -316,6 +316,28 @@ class TestDualCertificate:
         assert abs(res.gap) <= 1e-12
 
 
+class TestCqOptimalTest:
+    def test_blocks_are_per_letter_optima(self):
+        # the blocks of the one block-diagonal solve carry its acceptance and
+        # alternate mass, and each is optimal for its letter at its own budget
+        rng = rng_from_seed(140)
+        weights = [0.5, 0.3, 0.2]
+        rhos = [random_density(rng, 3) for _ in weights]
+        sigmas = [random_density(rng, 3) for _ in weights]
+        res, blocks = hyptest.cq_optimal_test(weights, rhos, sigmas, 0.1)
+        assert len(blocks) == 3
+        accepts = [float(np.trace(t @ r).real) for t, r in zip(blocks, rhos)]
+        rejects = [float(np.trace(t @ s).real) for t, s in zip(blocks, sigmas)]
+        assert np.dot(weights, accepts) == pytest.approx(res.accept_prob, abs=1e-12)
+        assert np.dot(weights, rejects) == pytest.approx(res.reject_mass, abs=1e-12)
+        for t, r, s, a, b in zip(blocks, rhos, sigmas, accepts, rejects):
+            npt.assert_array_equal(t, t.conj().T)
+            w = np.linalg.eigvalsh(t)
+            assert w[0] >= -1e-12 and w[-1] <= 1 + 1e-12
+            oracle = hyptest.quantum_optimal_test(r, s, 1.0 - a)
+            assert abs(b - oracle.dual) <= 1e-10
+
+
 class TestIhMutual:
     def test_product_state(self):
         rng = rng_from_seed(27)

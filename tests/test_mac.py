@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import mac, qla, report, typicality
+from oneshot import hyptest, mac, qla, report, typicality
 from oneshot.rand import random_density, random_povm_element, rng_from_seed
 
 
@@ -508,23 +508,48 @@ class TestCqExperiment:
         assert 6 * 0.2 * 2 / np.sqrt(L) <= 2.0**-2.0 + 1e-12
 
 
+def time_sharing_spec():
+    rng = rng_from_seed(25)
+    states = np.array(
+        [[random_density(rng, 2) for _ in range(2)] for _ in range(2)]
+    )
+    return mac.TimeSharingSpec(
+        states,
+        np.array([0.5, 0.5]),
+        np.array([[0.8, 0.2], [0.3, 0.7]]),
+        np.array([[0.6, 0.4], [0.1, 0.9]]),
+    )
+
+
 class TestTimeSharing:
     def test_experiment_runs_and_bounds(self):
-        rng = rng_from_seed(25)
-        states = np.array(
-            [[random_density(rng, 2) for _ in range(2)] for _ in range(2)]
-        )
-        ts = mac.TimeSharingSpec(
-            states,
-            np.array([0.5, 0.5]),
-            np.array([[0.8, 0.2], [0.3, 0.7]]),
-            np.array([[0.6, 0.4], [0.1, 0.9]]),
-        )
+        ts = time_sharing_spec()
         res = mac.time_sharing_experiment(ts, 0.0, 0.0, 0.05, dim_l=2, trials=3, seed=1)
         assert res.mc_mean <= res.bounds["fallback"] + 3 * res.mc_sem + 1e-9
         assert res.bounds["i_x_yz_u"] >= 0
         res2 = mac.time_sharing_experiment(ts, 0.5, 0.0, 0.05, dim_l=2, trials=3, seed=2)
         assert res2.mc_mean <= res2.bounds["hn"] + 3 * res2.mc_sem + 1e-9
+
+    def test_solves_only_in_its_lemma(self, monkeypatch):
+        # the codebook words reuse the lemma's tests: one cq solve per split
+        calls = [0]
+        solve = hyptest.quantum_optimal_test
+
+        def counting(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(hyptest, "quantum_optimal_test", counting)
+        mac.time_sharing_experiment(time_sharing_spec(), 0.5, 0.0, 0.05, dim_l=2, trials=3, seed=2)
+        assert calls[0] == len(typicality.enum_pslattice(3, 1).linear_ext)
+
+    def test_per_word_budgets_clipped_at_zero(self):
+        # several words' blocks accept all of rho_x, where 1 - Tr[T_x rho_x]
+        # rounds as low as -4.4e-16; a negative budget would lift the stated
+        # completeness floor of claim 4 far above 1
+        inst = mac.time_sharing_instance(time_sharing_spec(), 2, 0.05 ** (1 / 3), 0.05)
+        tests = typicality.optimal_splitting_tests(inst)
+        assert min(t.eps for per_x in tests.values() for t in per_x.values()) == 0.0
 
 
 class TestTrivialDecodingSet:

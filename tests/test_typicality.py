@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import audits, qla, report, typicality as tp
+from oneshot import audits, hyptest, qla, report, typicality as tp
 from oneshot.rand import random_density, rng_from_seed
 
 
@@ -46,6 +46,22 @@ def small_instance(seed, c=0, k=1, dim_h=2, dim_l=2, delta=0.4, eps=0.2):
         c=c, k=k, dim_h=dim_h, dim_l=dim_l, delta=delta, rhos=rhos, p_x=p_x,
         eps_total=eps,
     )
+
+
+@functools.cache
+def accepted_sizes():
+    """The (c, k) that AugmentedSpace accepts at |H| = |L| = 1."""
+    sizes = []
+    for k in itertools.count(1):
+        for c in itertools.count(0):
+            try:
+                tp.AugmentedSpace(c, k, 1, 1)
+            except ValueError:
+                break
+            sizes.append((c, k))
+        if c == 0:
+            break
+    return sizes
 
 
 class TestLattice:
@@ -446,7 +462,7 @@ class TestBox:
 class TestConstruction:
     def test_trivial_tests_give_slice_projector(self):
         inst = small_instance(73, delta=0.4)
-        tests = tp.optimal_splitting_tests(inst, ())
+        tests = tp.optimal_splitting_tests(inst)[()]
         for psp in list(tests):
             t = tests[psp]
             tests[psp] = tp.SplitTest(psp, 0.0, 0.0, 1.0, t.y_basis[:, :0])
@@ -468,7 +484,7 @@ class TestConstruction:
 
     def test_label_covariance(self):
         inst = small_instance(84, k=2, dim_l=2, delta=0.35)
-        tests = tp.optimal_splitting_tests(inst, ())
+        tests = tp.optimal_splitting_tests(inst)[()]
         c1 = tp.build_construction(inst, (), {1: 0, 2: 0}, tests)
         c2 = tp.build_construction(inst, (), {1: 1, 2: 0}, tests)
         v1 = c1.pi_prime_expectation(c1.rho_prime)
@@ -481,7 +497,7 @@ class TestConstruction:
     def test_states_on_other_boxes_rejected(self):
         # two label blocks have boxes of equal size on different rows
         inst = small_instance(84, k=2, dim_l=2, delta=0.35)
-        tests = tp.optimal_splitting_tests(inst, ())
+        tests = tp.optimal_splitting_tests(inst)[()]
         c1 = tp.build_construction(inst, (), {1: 0, 2: 0}, tests)
         c2 = tp.build_construction(inst, (), {1: 1, 2: 0}, tests)
         assert c1.box.size == c2.box.size and c1.box != c2.box
@@ -709,6 +725,21 @@ class TestIntersectionLemma:
         s = res.soundness[((1,), (2,))]
         assert s["dh_reject"] == pytest.approx(1 - eps_psp, abs=1e-9)
 
+    @pytest.mark.parametrize("c, k", [(0, 2), (1, 1), (2, 1)])
+    def test_one_solve_per_split(self, monkeypatch, c, k):
+        calls = [0]
+        solve = hyptest.quantum_optimal_test
+
+        def counting(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(hyptest, "quantum_optimal_test", counting)
+        inst = small_instance(102 + c, c=c, k=k, dim_l=2, delta=0.3)
+        res = tp.intersection_lemma(inst)
+        assert res.all_pass()
+        assert calls[0] == len(inst.lattice.linear_ext)
+
     def test_no_large_eigenproblem(self, monkeypatch):
         # at c = 1, k = 2, L = 2 the split marginals have up to 784 box rows;
         # their factors keep every eigenvalue problem on at most 64 rows
@@ -733,16 +764,7 @@ class TestStatedConstants:
         # only.  Where the direct formula computes, the floor keeps its bits;
         # where its 2^E overflows, the floor is astronomically negative but
         # finite, never an exception or -inf
-        sizes = []
-        for k in itertools.count(1):
-            for c in itertools.count(0):
-                try:
-                    tp.AugmentedSpace(c, k, 1, 1)
-                except ValueError:
-                    break
-                sizes.append((c, k))
-            if c == 0:
-                break
+        sizes = accepted_sizes()
         assert (2, 2) in sizes and (0, 3) in sizes
         for c, k in sizes:
             x = (0,) * c
@@ -825,6 +847,35 @@ class TestDimensionCap:
         monkeypatch.setenv("ONESHOT_DIM_CAP", "100")
         tp.AugmentedSpace(0, 1, 2, 2)
 
+    def test_closed_form_site_dim(self):
+        # the cap is checked on the closed form, before the labels exist
+        sizes = accepted_sizes()
+        assert len(sizes) == 66
+        for c, k in sizes:
+            space = tp.AugmentedSpace(c, k, 1, 1)
+            assert tp.site_dim_formula(c, k, 1, 1) == space.site_dim(1) == space.site_dim(k)
+        for c, k, dim_h, dim_l in [(0, 2, 2, 4), (1, 2, 2, 2), (2, 1, 3, 4)]:
+            space = tp.AugmentedSpace(c, k, dim_h, dim_l)
+            assert tp.site_dim_formula(c, k, dim_h, dim_l) == space.site_dim(1)
+
+    def test_space_and_lattice_built_once(self, monkeypatch):
+        built = {"space": 0, "lattice": 0}
+        post_init, enum = tp.AugmentedSpace.__post_init__, tp.enum_pslattice
+
+        def counting_post_init(self):
+            built["space"] += 1
+            post_init(self)
+
+        def counting_enum(*args):
+            built["lattice"] += 1
+            return enum(*args)
+
+        monkeypatch.setattr(tp.AugmentedSpace, "__post_init__", counting_post_init)
+        monkeypatch.setattr(tp, "enum_pslattice", counting_enum)
+        res = tp.intersection_lemma(audits.random_instance(3, 0, 2, 2, 4, 0.2, 0.2))
+        assert res.all_pass()
+        assert built == {"space": 1, "lattice": 1}
+
 
 class TestSplittingTests:
     def test_bell_state_split_oracle(self):
@@ -835,9 +886,9 @@ class TestSplittingTests:
         inst = tp.TypicalityInstance(
             c=0, k=2, dim_h=2, dim_l=2, delta=0.3,
             rhos={(): np.outer(bell, bell.conj())}, p_x={(): 1.0},
-            eps_total=1.0, eps_table={((), ((1,), (2,))): 0.25},
+            eps_total=1.0,
         )
-        tests = tp.optimal_splitting_tests(inst, ())
+        tests = tp.optimal_splitting_tests(inst)[()]
         res = tests[((1,), (2,))]
         assert res.reject_mass == pytest.approx(0.75 / 4.0, abs=1e-9)
         assert res.dh_bits == pytest.approx(-np.log2(0.75 / 4.0), abs=1e-9)
@@ -849,6 +900,23 @@ class TestSplittingTests:
             c=0, k=2, dim_h=2, dim_l=2, delta=0.3, rhos={(): rho}, p_x={(): 1.0},
             eps_total=0.4,
         )
-        tests = tp.optimal_splitting_tests(inst, ())
+        tests = tp.optimal_splitting_tests(inst)[()]
         res = tests[((1,), (2,))]
         assert res.dh_bits == pytest.approx(-np.log2(1 - 0.1), abs=1e-8)
+
+    @pytest.mark.parametrize("c, k, L", [(1, 2, 2), (2, 1, 4)])
+    def test_blocks_are_per_word_optima(self, c, k, L):
+        # each word's block of the one cq solve per split accepts 1 - eps_x of
+        # rho_x and rejects what a per-word solve at eps_x rejects, to within
+        # that solve's dual bound
+        inst = small_instance(130 + c, c=c, k=k, dim_l=L, delta=0.3)
+        tests = tp.optimal_splitting_tests(inst)
+        assert sorted(tests) == inst.words()
+        for x in inst.words():
+            rho_hat = tp.embed_with_ancilla(inst.rhos[x], k, inst.dim_h)
+            assert list(tests[x]) == list(inst.lattice.linear_ext)
+            for psp, t in tests[x].items():
+                rejected = np.trace(t.y_basis.conj().T @ rho_hat @ t.y_basis).real
+                assert 1.0 - rejected == pytest.approx(1.0 - t.eps, abs=1e-10)
+                oracle = hyptest.quantum_optimal_test(inst.rhos[x], inst.split_state(x, psp), t.eps)
+                assert abs(t.reject_mass - oracle.dual) <= 1e-10

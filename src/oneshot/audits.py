@@ -207,6 +207,7 @@ def audit_dh(
 def random_instance(
     seed: int, c: int, k: int, dim_h: int, dim_l: int, delta: float, eps: float
 ) -> typicality.TypicalityInstance:
+    typicality.check_space(c, k, dim_h, dim_l)
     rng = rng_from_seed(seed)
     if c == 0:
         rhos = {(): random_density(rng, dim_h**k)}

@@ -885,8 +885,7 @@ def time_sharing_experiment(
             for i2 in range(m2):
                 word = (u, int(cb.xs[i1]), int(cb.ys[i2]))
                 l_assign = {-3: l_u, -2: int(cb.lxs[i1]), -1: int(cb.lys[i2]), 1: 0}
-                tests = lemma.constructions[word].tests
-                constrs.append(typicality.build_construction(inst, word, l_assign, tests))
+                constrs.append(lemma.constructions[word].relabeled(l_assign))
         success = pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
         errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
         rows.append((t, seed + t, errors[t]))

@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -49,6 +49,20 @@ def site_dim_formula(c: int, k: int, dim_h: int, dim_l: int) -> int:
     2|H| (1 + |L| (1 + |L|)^(c + k - 1)).
     """
     return 2 * dim_h * (1 + dim_l * (1 + dim_l) ** (c + k - 1))
+
+
+def check_space(c: int, k: int, dim_h: int, dim_l: int) -> None:
+    """Refuse invalid space parameters and a per-site dimension over the cap.
+
+    Works from the closed form alone, so callers can check before drawing
+    any state or enumerating any label.
+    """
+    if k < 1 or c < 0 or dim_h < 1 or dim_l < 1:
+        raise ValueError("invalid space parameters")
+    dim = site_dim_formula(c, k, dim_h, dim_l)
+    cap = site_dim_cap()
+    if dim > cap:
+        raise ValueError(f"per-site dimension {dim} exceeds cap {cap}")
 
 
 def quantum_sites(k: int) -> tuple[int, ...]:
@@ -235,6 +249,12 @@ class Box:
         """The box's rows of A''_sites as flat indices, in box-local order."""
         return np.ravel_multi_index(np.ix_(*self.rows), self.dims).ravel()
 
+    def place(self, sub: "Box", local: np.ndarray) -> np.ndarray:
+        """A box-local array of sub, a box inside this one on the same sites, on this box."""
+        out = np.zeros((self.size,) + local.shape[1:], dtype=local.dtype)
+        out[self.index(sub.rows)] = local
+        return out
+
     def index(self, site_rows) -> np.ndarray:
         """Box-local flat positions of the product of per-site rows of A''."""
         local = []
@@ -279,13 +299,8 @@ class AugmentedSpace:
     site_labels: dict[int, tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.k < 1 or self.c < 0 or self.dim_h < 1 or self.dim_l < 1:
-            raise ValueError("invalid space parameters")
         # checked before the labels are enumerated, which costs k 2^(c+k) tuples
-        dim = site_dim_formula(self.c, self.k, self.dim_h, self.dim_l)
-        cap = site_dim_cap()
-        if dim > cap:
-            raise ValueError(f"per-site dimension {dim} exceeds cap {cap}")
+        check_space(self.c, self.k, self.dim_h, self.dim_l)
         elements = full_block(self.c, self.k)
         labels = {}
         for i in quantum_sites(self.k):
@@ -335,56 +350,47 @@ class AugmentedSpace:
     def box(self, sites, l_assign: dict[int, int]) -> Box:
         """The rows of A''_sites that site_rows reaches under l_assign.
 
-        Per site: the base summand, and each block summand whose registers
-        l_assign labels, at the rows those labels select.  Summands run in
-        offset order, so the rows come out ascending.
+        l_assign must label every element.  Per site: every summand, base
+        first, at the rows its labels select; summands run in offset order, so
+        the rows come out ascending.  Hence coordinate h of a site's j-th
+        summand sits at box-local position j 2|H| + h whatever the labels:
+        box-local arrays are label-free, and the labels pick only the rows.
         """
+        if not set(full_block(self.c, self.k)) <= set(l_assign):
+            raise ValueError("a box needs a label for every element")
         sites = tuple(sorted(sites))
         rows = tuple(
-            np.concatenate([
-                self.site_rows(s, label, l_assign)
-                for label in self.site_labels[s]
-                if label is None or set(label) <= set(l_assign)
-            ])
+            np.concatenate([self.site_rows(s, label, l_assign) for label in self.site_labels[s]])
             for s in sites
         )
         return Box(sites, tuple(self.site_dim(s) for s in sites), rows)
 
-    def scatter(self, box: Box, terms) -> np.ndarray:
-        """Sum of weighted coordinate embeddings (H x C^2)^(x box sites) -> the box, box-local.
 
-        terms lists (weight, rows) with one site_rows array per site; the term
-        sends the base coordinate (h_1, ..., h_n) to the row
-        (rows_1[h_1], ..., rows_n[h_n]), so it is a partial permutation.
-        """
-        acc = np.zeros((box.size, self.base_dim ** len(box.sites)), dtype=complex)
-        cols = np.arange(acc.shape[1])
-        for weight, rows in terms:
-            acc[box.index(rows), cols] += weight
-        return acc
-
-
-def psp_local(
-    space: AugmentedSpace, box: Box, psp: Psp, l_assign: dict[int, int], delta: float
-) -> np.ndarray:
-    """Isometry T_(S_1..S_l),l,delta from (H x C^2)^(x box sites) into the box, box-local.
+def psp_local(space: AugmentedSpace, sites, psp: Psp, delta: float) -> np.ndarray:
+    """Isometry T_(S_1..S_l),delta from (H x C^2)^(x sites) into the sites' box, box-local.
 
     Expands into a sum over all pseudosubpartitions refining the given one:
-    the term for (W_1..W_n) embeds each site of W_j into the W_j summand
-    carrying the labels l|_{W_j}, uncovered sites into the base summand,
-    weighted by delta^n / sqrt(prod_i N(S_i, delta)).  The empty one gives
-    the plain embedding into the base summands.
+    the term for (W_1..W_n) embeds each site of W_j into the W_j summand,
+    uncovered sites into the base summand, weighted by
+    delta^n / sqrt(prod_i N(S_i, delta)).  The empty one gives the plain
+    embedding into the base summands.  Each term is a partial permutation;
+    by the box's position rule (AugmentedSpace.box) one array serves every
+    label assignment.
     """
-    if not {e for b in psp for e in b if e > 0} <= set(box.sites):
+    sites = tuple(sorted(sites))
+    if not {e for b in psp for e in b if e > 0} <= set(sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
     norm = float(np.prod([normalization(b, delta) for b in psp])) if psp else 1.0
-    terms = []
+    n = space.base_dim
+    shape = tuple(len(space.site_labels[s]) * n for s in sites)
+    acc = np.zeros((math.prod(shape), n ** len(sites)), dtype=complex)
+    cols = np.arange(acc.shape[1])
     for combo in itertools.product(*[_psps_of(tuple(sorted(b))) for b in psp]):
         blocks = [b for sub in combo for b in sub]
         site_of = {e: b for b in blocks for e in b if e > 0}
-        rows = [space.site_rows(s, site_of.get(s), l_assign) for s in box.sites]
-        terms.append((float(delta) ** len(blocks), rows))
-    return space.scatter(box, terms) / np.sqrt(norm)
+        pos = [space.site_labels[s].index(site_of.get(s)) * n + np.arange(n) for s in sites]
+        acc[np.ravel_multi_index(np.ix_(*pos), shape).ravel(), cols] += float(delta) ** len(blocks)
+    return acc / np.sqrt(norm)
 
 
 def global_embed(
@@ -392,7 +398,7 @@ def global_embed(
 ) -> np.ndarray:
     """The full smoothing isometry over all quantum sites and coordinates, dense on A''."""
     box = space.box(quantum_sites(space.k), l_assign)
-    return box.expand(psp_local(space, box, (full_block(space.c, space.k),), l_assign, delta))
+    return box.expand(psp_local(space, box.sites, (full_block(space.c, space.k),), delta))
 
 
 @lru_cache(maxsize=None)
@@ -684,7 +690,8 @@ class BlockConstruction:
 
     v (the smoothing isometry), e_hat, q_tilted and b (the factor of Pi')
     are box-local on box, the rows the block's embeddings reach;
-    v_global and b_factor are their dense forms on A''.
+    v_global and b_factor are their dense forms on A''.  The box-local
+    arrays are the same for every l; only the box depends on it.
     """
 
     inst: TypicalityInstance
@@ -719,6 +726,11 @@ class BlockConstruction:
             raise ValueError("state on another box than the construction")
         return povm_expectation(factor, state)
 
+    def relabeled(self, l_assign: dict) -> "BlockConstruction":
+        """The (x, l_assign) block: the same box-local arrays on that block's box."""
+        box = self.inst.space.box(self.box.sites, l_assign)
+        return replace(self, l_assign=dict(l_assign), box=box)
+
     def pi_prime_expectation(self, state: LowRankState) -> float:
         return self._expectation(self.b, state)
 
@@ -739,19 +751,20 @@ def is_full_block(inst: TypicalityInstance, psp: Psp) -> bool:
 
 
 def build_construction(
-    inst: TypicalityInstance, x, l_assign: dict | None = None, tests: dict | None = None
+    inst: TypicalityInstance, x, tests: dict | None = None
 ) -> BlockConstruction:
-    """Assemble rho'_{x,l,delta} and Pi'_{x,l,delta} in factored form."""
+    """Assemble rho'_{x,l,delta} and Pi'_{x,l,delta} in factored form on the zero-label block.
+
+    Every other label block is its relabeled copy.
+    """
     space = inst.space
-    if l_assign is None:
-        l_assign = zero_labels(inst)
     if tests is None:
         tests = optimal_splitting_tests(inst)[x]
-    rho_prime = build_rho_prime(inst, x, l_assign)
+    rho_prime = build_rho_prime(inst, x)
     box = rho_prime.box
-    e_hat = psp_local(space, box, (), l_assign, inst.delta)
+    e_hat = psp_local(space, box.sites, (), inst.delta)
     images = [
-        psp_local(space, box, psp, l_assign, inst.delta) @ tests[psp].y_basis
+        psp_local(space, box.sites, psp, inst.delta) @ tests[psp].y_basis
         for psp in inst.lattice.linear_ext
         if tests[psp].y_basis.shape[1]
     ]
@@ -759,7 +772,7 @@ def build_construction(
     return BlockConstruction(
         inst=inst,
         x=x,
-        l_assign=dict(l_assign),
+        l_assign=zero_labels(inst),
         tests=tests,
         box=box,
         v=rho_prime.local,
@@ -770,18 +783,10 @@ def build_construction(
     )
 
 
-def _embedded(
-    inst: TypicalityInstance, psp: Psp, rho: np.ndarray, l_assign: dict, box: Box | None = None
-) -> LowRankState:
-    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, box-local.
-
-    The box defaults to the one all quantum sites reach under l_assign.
-    """
-    space = inst.space
-    if box is None:
-        box = space.box(quantum_sites(inst.k), l_assign)
+def _embedded(inst: TypicalityInstance, psp: Psp, rho: np.ndarray, box: Box) -> LowRankState:
+    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, on box."""
     return LowRankState(
-        psp_local(space, box, psp, l_assign, inst.delta),
+        psp_local(inst.space, box.sites, psp, inst.delta),
         embed_with_ancilla(rho, len(box.sites), inst.dim_h),
         box,
     )
@@ -791,12 +796,13 @@ def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -
     """The smoothed state rho'_{x,l,delta} as a factored density matrix, box-local."""
     if l_assign is None:
         l_assign = zero_labels(inst)
-    return _embedded(inst, (full_block(inst.c, inst.k),), inst.rhos[x], l_assign)
+    box = inst.space.box(quantum_sites(inst.k), l_assign)
+    return _embedded(inst, (full_block(inst.c, inst.k),), inst.rhos[x], box)
 
 
-def split_embedded(inst: TypicalityInstance, x, psp: Psp, l_assign: dict) -> LowRankState:
-    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form, box-local."""
-    return _embedded(inst, psp, inst.split_state(x, psp), l_assign)
+def split_embedded(inst: TypicalityInstance, x, psp: Psp, box: Box) -> LowRankState:
+    """The embedded split state T_psp (rho_split x |0><0|) T_psp† in factored form, on box."""
+    return _embedded(inst, psp, inst.split_state(x, psp), box)
 
 
 def factored_partial_trace(
@@ -817,9 +823,12 @@ def marginal_block_state(
     sites outside the block are traced out.  The marginal is C C†, box-local
     on the union of the kept sites' boxes over the averaged labels, which
     it returns with C.  The smoothing is linear in the state, so the words
-    are averaged first and each label assignment embeds that average once;
-    C stacks the assignments' marginal factors and is then compressed by a
-    QR factorization to at most one column per box row.
+    are averaged first.  The embedding, and so the marginal's factor, is
+    the same box-local array under every label assignment; each assignment
+    places a copy on its own rows of the union, so a label outside the
+    block that sits in the registers of two kept sites moves the rows of
+    both together.  C stacks the copies and is then compressed by a QR
+    factorization to at most one column per box row.
     """
     space = inst.space
     full = full_block(inst.c, inst.k)
@@ -834,19 +843,15 @@ def marginal_block_state(
         {**l_block, **dict(zip(sbar, l_rest))}
         for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar))
     ]
-    box = reduce(Box.union, [space.box(sites, a) for a in assigns])
+    boxes = [space.box(sites, a) for a in assigns]
+    box = reduce(Box.union, boxes)
     # T (rho x |0><0|) T† with the ancilla isometry moved into the factor, so
     # the core is rho and each assignment adds dim rho columns per traced row
     anc = qla.tensor_all([_ancilla_zero(inst.dim_h)] * inst.k)
-    parts = []
-    for l_assign in assigns:
-        full_box = space.box(quantum_sites(inst.k), l_assign)
-        t = psp_local(space, full_box, (full,), l_assign, inst.delta) @ anc
-        sub, m = LowRankState(t, rho, full_box).marginal(sites)
-        part = np.zeros((box.size, m.shape[1]), dtype=complex)
-        part[box.index(sub.rows)] = m
-        parts.append(part)
-    stacked = np.hstack(parts) / np.sqrt(len(assigns))
+    t = psp_local(space, quantum_sites(inst.k), (full,), inst.delta) @ anc
+    full_box = space.box(quantum_sites(inst.k), assigns[0])
+    _, m = LowRankState(t, rho, full_box).marginal(sites)
+    stacked = np.hstack([box.place(sub, m) for sub in boxes]) / np.sqrt(len(assigns))
     # C C† = R† R for the QR factorization C† = Q R
     return box, np.linalg.qr(stacked.conj().T, mode="r").conj().T
 
@@ -940,8 +945,8 @@ def split_decompose(
 
     if is_full_block(inst, psp):
         # the single full block: the split state is the smoothed state itself
-        lead = split_embedded(inst, x, psp, l_assign)
-        resid = l1_distance_factored(build_rho_prime(inst, x, l_assign), lead)
+        rho_prime = build_rho_prime(inst, x, l_assign)
+        resid = l1_distance_factored(rho_prime, split_embedded(inst, x, psp, rho_prime.box))
         checks.append(report.AuditCheck("split_identity_residual", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("claim5_identity", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("split_alpha_is_one", abs(alpha - 1.0), 0.0, 1e-12, params))
@@ -967,7 +972,9 @@ def split_decompose(
         # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
         r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
         coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
-        lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), l_block, box)
+        own_box = space.box(sites, l_assign)
+        own = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), own_box)
+        lead = LowRankState(box.place(own.box, own.local), own.core, box)
         leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
         rho_i = LowRankState.of_factor(c_i, box)
         factors.append(SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak))
@@ -1137,7 +1144,7 @@ def audit_construction(constr: BlockConstruction) -> list:
     )
 
     for psp in lattice.linear_ext:
-        g = split_embedded(inst, constr.x, psp, constr.l_assign)
+        g = split_embedded(inst, constr.x, psp, constr.box)
         checks.append(
             report.AuditCheck(
                 "claim6_soundness",
@@ -1249,14 +1256,14 @@ def _split_expectation(
     rows on the box.
     """
     if is_full_block(inst, psp):
-        return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.l_assign))
+        return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.box))
     box = constr.box
     parts = [(f.sites, f.rho) for f in dec.factors]
     covered = [s for f in dec.factors for s in f.sites]
     t_sites = tuple(s for s in quantum_sites(inst.k) if s not in covered)
     if t_sites:
         fill = inst.quantum_marginal(constr.x, t_sites)
-        parts.append((t_sites, _embedded(inst, (), fill, constr.l_assign, box.restrict(t_sites))))
+        parts.append((t_sites, _embedded(inst, (), fill, box.restrict(t_sites))))
     ops = []
     for sites, st in parts:
         cols = st.core_sqrt_cols()[st.box.index(box.restrict(sites).rows)]
@@ -1342,7 +1349,7 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     for i, inst in enumerate(instances):
         constr = constructions[i]
         for psp in inst.lattice.linear_ext:
-            lifted = lift(split_embedded(inst, (), psp, constr.l_assign))
+            lifted = lift(split_embedded(inst, (), psp, constr.box))
             # acceptance of the dilated blocks on the (A'' x C^2)-level state
             per_inst = sum(accept(r, lifted) for r in ranges)
             rhs = (1 - alpha) / alpha * per_inst

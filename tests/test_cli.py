@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from oneshot import cli, hyptest
+from oneshot import audits, cli, hyptest, rand
 
 
 def run(args):
@@ -217,6 +217,16 @@ class TestRejectedInput:
         monkeypatch.setattr(hyptest, "quantum_optimal_test", forbidden)
         assert run(["typicality-build", "--c", "6", "--k", "1", "--out", outdir]) == 2
         assert "error: per-site dimension 250004 exceeds cap" in capsys.readouterr().err
+
+    def test_oversized_space_rejected_before_any_state(self, monkeypatch, outdir, capsys):
+        # --c 16 --k 1 would draw 2^16 word states before the space is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state drawn before the size check")
+
+        monkeypatch.setattr(rand, "random_density", forbidden)
+        monkeypatch.setattr(audits, "random_density", forbidden)
+        assert run(["typicality-build", "--c", "16", "--k", "1", "--out", outdir]) == 2
+        assert "error: per-site dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -433,7 +433,7 @@ class TestPgmSuccess:
         for x, y, lx, ly in [(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0)]:
             word = (1, x, y)
             l_assign = {-3: 1, -2: lx, -1: ly, 1: 0}
-            constrs.append(mac.typicality.build_construction(inst, word, l_assign))
+            constrs.append(mac.typicality.build_construction(inst, word).relabeled(l_assign))
         got = mac.pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
         want = dense_pgm_success(
             [c.b_factor @ c.b_factor.conj().T for c in constrs],
@@ -542,6 +542,29 @@ class TestTimeSharing:
         monkeypatch.setattr(hyptest, "quantum_optimal_test", counting)
         mac.time_sharing_experiment(time_sharing_spec(), 0.5, 0.0, 0.05, dim_l=2, trials=3, seed=2)
         assert calls[0] == len(typicality.enum_pslattice(3, 1).linear_ext)
+
+    def test_codebooks_relabel_the_lemma(self, monkeypatch):
+        # each codeword pair's block is a relabeled copy of its word's
+        # construction: no embedding is built after the lemma
+        done = [False]
+        lemma = typicality.intersection_lemma
+
+        def recording(inst):
+            res = lemma(inst)
+            done[0] = True
+            return res
+
+        def guarded(fn):
+            def wrapped(*args, **kwargs):
+                assert not done[0], f"{fn.__name__} called after the lemma"
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(typicality, "intersection_lemma", recording)
+        monkeypatch.setattr(typicality, "build_construction", guarded(typicality.build_construction))
+        monkeypatch.setattr(typicality, "psp_local", guarded(typicality.psp_local))
+        res = mac.time_sharing_experiment(time_sharing_spec(), 0.5, 0.5, 0.05, dim_l=2, trials=3, seed=2)
+        assert done[0] and res.errors.shape == (3,)
 
     def test_per_word_budgets_clipped_at_zero(self):
         # several words' blocks accept all of rho_x, where 1 - Tr[T_x rho_x]

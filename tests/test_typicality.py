@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import audits, hyptest, qla, report, typicality as tp
+from oneshot import audits, hyptest, qla, report, tilting, typicality as tp
 from oneshot.rand import random_density, rng_from_seed
 
 
@@ -162,13 +162,22 @@ class TestTiltingMatrixFromLattice:
 def coord_local(space, box, block, l_assign):
     """The permutation isometry appending the block's labels at its sites, on box."""
     rows = [space.site_rows(s, block, l_assign) for s in box.sites]
-    return space.scatter(box, [(1.0, rows)])
+    v = np.zeros((box.size, space.base_dim ** len(box.sites)), dtype=complex)
+    v[box.index(rows), np.arange(v.shape[1])] = 1.0
+    return v
+
+
+def all_labels(space):
+    """Every label assignment of the space's elements."""
+    full = tp.full_block(space.c, space.k)
+    for labels in itertools.product(range(space.dim_l), repeat=len(full)):
+        yield dict(zip(full, labels))
 
 
 def dense_base(space, sites):
     """The embedding of (H x C^2)^(x sites) into the base summands of A''_sites, dense."""
-    box = space.box(sites, {})
-    return box.expand(tp.psp_local(space, box, (), {}, 1.0))
+    box = space.box(sites, {e: 0 for e in tp.full_block(space.c, space.k)})
+    return box.expand(tp.psp_local(space, sites, (), 1.0))
 
 
 class TestEmbeddings:
@@ -269,9 +278,10 @@ def oracle_psp_embed(space, psp, l_assign, delta, sites):
 
 
 class TestEmbeddingOracle:
-    """The box-local scatters expand to the Kronecker-chain construction bit for bit.
+    """The box-local embeddings expand to the Kronecker-chain construction bit for bit.
 
-    Every oracle embedding is zero outside the box of its label assignment.
+    Every oracle embedding is zero outside the box of its label assignment,
+    and one label-free box-local array expands to it at every assignment.
     """
 
     @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 2), (0, 2, 4), (1, 1, 2), (1, 2, 2), (2, 1, 2)])
@@ -286,8 +296,6 @@ class TestEmbeddingOracle:
                 assert np.array_equal(dense_base(space, subset), want)
         for psp in tp.enum_psps(full):
             l_assign = {e: int(rng.integers(0, L)) for e in full}
-            box = space.box(sites, l_assign)
-            outside = np.setdiff1d(np.arange(np.prod(box.dims)), box.flat)
             for block in psp:
                 bsites = [e for e in block if e > 0]
                 want = functools.reduce(
@@ -296,11 +304,14 @@ class TestEmbeddingOracle:
                 bbox = space.box(bsites, l_assign)
                 assert np.array_equal(bbox.expand(coord_local(space, bbox, block, l_assign)), want)
             for delta in (0.0, 0.3, 0.6):
-                want = oracle_psp_embed(space, psp, l_assign, delta, sites)
-                assert not np.any(want[outside])
-                local = tp.psp_local(space, box, psp, l_assign, delta)
-                assert local.shape[0] == box.size < np.prod(box.dims)
-                assert np.array_equal(box.expand(local), want)
+                local = tp.psp_local(space, sites, psp, delta)
+                for labels in all_labels(space):
+                    box = space.box(sites, labels)
+                    outside = np.setdiff1d(np.arange(np.prod(box.dims)), box.flat)
+                    want = oracle_psp_embed(space, psp, labels, delta, sites)
+                    assert not np.any(want[outside])
+                    assert local.shape[0] == box.size < np.prod(box.dims)
+                    assert np.array_equal(box.expand(local), want)
 
 
 class TestDilateToSites:
@@ -322,7 +333,7 @@ class TestRhoPrime:
     def embedded_original(inst, st):
         # rho x |0><0| in the base summand, on the smoothed state's box
         core = tp.embed_with_ancilla(inst.rhos[()], 1, 2)
-        return tp.LowRankState(tp.psp_local(inst.space, st.box, (), {}, inst.delta), core, st.box)
+        return tp.LowRankState(tp.psp_local(inst.space, st.box.sites, (), inst.delta), core, st.box)
 
     def test_delta_zero_exact(self):
         inst = small_instance(70, delta=0.0)
@@ -404,6 +415,26 @@ class TestRhoPrime:
         assert c_factor.shape[1] <= box.size
         npt.assert_allclose(tp.LowRankState.of_factor(c_factor, box).dense(), want, atol=1e-12)
 
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (2, 2, 2)])
+    def test_marginal_block_state_embeds_once(self, monkeypatch, c, k, L):
+        # the label assignments outside the block place copies of one marginal
+        inst = small_instance(140 + c, c=c, k=k, dim_l=L, delta=0.3)
+        calls = [0]
+        embed = tp.psp_local
+
+        def counting(*args):
+            calls[0] += 1
+            return embed(*args)
+
+        monkeypatch.setattr(tp, "psp_local", counting)
+        x = inst.words()[-1]
+        splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
+        for block in sorted({b for p in splits for b in p}):
+            x_kept = tuple(x[tp.classical_coords(c).index(e)] for e in block if e < 0)
+            calls[0] = 0
+            tp.marginal_block_state(inst, block, x_kept, {e: 1 for e in block})
+            assert calls[0] == 1, block
+
 
 class TestBox:
     # F F† on N rows has the eigenvalues of F†F plus N - width zeros
@@ -438,6 +469,15 @@ class TestBox:
         st = tp.LowRankState(np.eye(n), np.diag(np.arange(1.0, n + 1.0)), box)
         assert st.lowest_eigenvalue() == pytest.approx(1.0, abs=1e-12)
         assert float(np.linalg.eigvalsh(st.dense())[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unlabelled_element_rejected(self):
+        # box-local positions hold for boxes that label every element only
+        space = tp.AugmentedSpace(1, 2, 2, 2)
+        with pytest.raises(ValueError, match="label for every element"):
+            space.box((1, 2), {1: 0, 2: 0})
+        with pytest.raises(ValueError, match="label for every element"):
+            space.box((1,), {})
+        space.box((1,), {-1: 1, 1: 0, 2: 1})
 
     def test_rows_outside_box_rejected(self):
         space = tp.AugmentedSpace(0, 2, 2, 2)
@@ -484,9 +524,9 @@ class TestConstruction:
 
     def test_label_covariance(self):
         inst = small_instance(84, k=2, dim_l=2, delta=0.35)
-        tests = tp.optimal_splitting_tests(inst)[()]
-        c1 = tp.build_construction(inst, (), {1: 0, 2: 0}, tests)
-        c2 = tp.build_construction(inst, (), {1: 1, 2: 0}, tests)
+        base = tp.build_construction(inst, ())
+        c1 = base.relabeled({1: 0, 2: 0})
+        c2 = base.relabeled({1: 1, 2: 0})
         v1 = c1.pi_prime_expectation(c1.rho_prime)
         v2 = c2.pi_prime_expectation(c2.rho_prime)
         assert v1 == pytest.approx(v2, abs=1e-10)
@@ -494,12 +534,29 @@ class TestConstruction:
         d2 = tp.l1_distance_factored(c2.rho_prime, c2.embedded_original)
         assert d1 == pytest.approx(d2, abs=1e-10)
 
+    @pytest.mark.parametrize("c, k", [(1, 1), (0, 2)])
+    def test_relabeled_matches_dense_route(self, c, k):
+        # every label block against one built from scratch on A'' from the
+        # Kronecker-chain oracle embeddings at its labels
+        inst = small_instance(150 + c, c=c, k=k, dim_l=2, delta=0.35)
+        space, sites = inst.space, tp.quantum_sites(k)
+        for x in inst.words():
+            base = tp.build_construction(inst, x)
+            for l_assign in all_labels(space):
+                images = [
+                    oracle_psp_embed(space, psp, l_assign, inst.delta, sites) @ t.y_basis
+                    for psp, t in base.tests.items()
+                ]
+                e = oracle_psp_embed(space, (), l_assign, inst.delta, sites)
+                b = tilting.complement_factor(e, tilting.image_basis(images, e.shape[0]))
+                npt.assert_allclose(base.relabeled(l_assign).b_factor, b, atol=1e-12)
+
     def test_states_on_other_boxes_rejected(self):
         # two label blocks have boxes of equal size on different rows
         inst = small_instance(84, k=2, dim_l=2, delta=0.35)
-        tests = tp.optimal_splitting_tests(inst)[()]
-        c1 = tp.build_construction(inst, (), {1: 0, 2: 0}, tests)
-        c2 = tp.build_construction(inst, (), {1: 1, 2: 0}, tests)
+        base = tp.build_construction(inst, ())
+        c1 = base.relabeled({1: 0, 2: 0})
+        c2 = base.relabeled({1: 1, 2: 0})
         assert c1.box.size == c2.box.size and c1.box != c2.box
         with pytest.raises(ValueError, match="box"):
             c1.pi_prime_expectation(c2.rho_prime)
@@ -553,7 +610,7 @@ class TestSplitDecompose:
         inst = small_instance(95, c=c, k=k, delta=0.4)
         space = inst.space
         l_assign = {e: 1 for e in tp.full_block(c, k)}
-        constr = tp.build_construction(inst, x, l_assign)
+        constr = tp.build_construction(inst, x).relabeled(l_assign)
         dec = tp.split_decompose(inst, x, psp, l_assign)
         factors = [(f.sites, f.rho.dense()) for f in dec.factors]
         t_sites = [s for s in tp.quantum_sites(k) if not any(s in f.sites for f in dec.factors)]
@@ -594,8 +651,8 @@ class TestSplitDecompose:
                 rho = rho + w / inst.dim_l ** len(sbar) * qla.partial_trace(
                     st, dims, [s - 1 for s in sites]
                 )
-        box = space.box(sites, l_block)
-        t = box.expand(tp.psp_local(space, box, (block,), l_block, inst.delta))
+        box = space.box(sites, l_assign)
+        t = box.expand(tp.psp_local(space, sites, (block,), inst.delta))
         rho_bar = tp.embed_with_ancilla(inst.averaged_marginal(block, x_kept), len(sites), inst.dim_h)
         return rho, t @ rho_bar @ t.conj().T
 

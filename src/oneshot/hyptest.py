@@ -2,10 +2,12 @@
 
 All entropies are base-2 (rates in bits).  The classical solver is a greedy
 likelihood-ratio test with a fractional boundary outcome; the quantum solver
-is the Neyman-Pearson construction with a bisection over the trade-off
-parameter and a fractional weight on the zero-crossing eigenvalue cluster.
-Every result carries the SDP dual bound mu (1 - eps) - Tr[(mu rho - sigma)_+]
-at the solver's multiplier, which certifies the optimum up to its gap.
+is the Neyman-Pearson construction with a fractional weight on the
+zero-crossing eigenvalue cluster, whose trade-off parameter is found by a
+bracketed Newton root-find that reads each step from that step's
+eigenpairs, about six eigendecompositions per solve.  Every result carries
+the SDP dual bound mu (1 - eps) - Tr[(mu rho - sigma)_+] at the solver's
+multiplier, which certifies the optimum up to its gap.
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ import numpy as np
 from . import qla
 
 ACCEPT_TOL = 1e-9
+# the zero-cluster half-width: CLUSTER_GAP, or GAP_ULPS rounding units of
+# ||rho - lam sigma|| if larger; a crossing step lands MARGIN_ULPS rounding
+# units (and at least 2^-14 gap) inside it
 CLUSTER_GAP = 1e-9
-BISECT_WIDTH = 1e-12
-BISECT_ITERS = 200
+GAP_ULPS = 2**16
+MARGIN_ULPS = 64
+REL_WIDTH = 1e-12  # the root-find stops at a bracket narrower than REL_WIDTH * lam
+ROOT_STEPS = 100  # a cap; the safeguarded steps take at most about twice a bisection's
 BRACKET_DOUBLINGS = 64
+_ULP = np.finfo(float).eps
+ROUND = 8 * _ULP  # an acceptance shortfall at rounding level
 
 
 @dataclass(frozen=True)
@@ -104,12 +113,84 @@ def dh_classical(p: np.ndarray, q: np.ndarray, eps: float) -> HypTestResult:
     return _result(f, accept, reject, mu * target - np.maximum(mu * p - q, 0.0).sum())
 
 
-def _np_split(rho: np.ndarray, sigma: np.ndarray, lam: float):
-    """Spectrum of rho - lam*sigma, its strictly-positive and its zero-cluster projectors."""
-    w, v = np.linalg.eigh(qla.hermitian_part(rho - lam * sigma))
-    vp = v[:, w > CLUSTER_GAP]
-    vz = v[:, np.abs(w) <= CLUSTER_GAP]
-    return w, v, vp @ vp.conj().T, vz @ vz.conj().T
+class _Spectrum:
+    """The eigenpairs of rho - lam*sigma and what one root-find step reads from them.
+
+    The cluster gap is CLUSTER_GAP or GAP_ULPS rounding units of the norm of
+    rho - lam*sigma, whichever is larger: eigh's rounding grows with that
+    norm, and near lam ~ 1e8 it passes 1e-9.  accept is
+    g(lam) = sum_{w_i > gap} <v_i|rho|v_i>, the acceptance of the
+    strictly-positive projector, and cluster the mass of the zero cluster
+    |w_i| <= gap.  Each w_i moves with slope -slope_i = -<v_i|sigma|v_i> in
+    lam; between crossings g moves with slope
+    deriv = -2 lam sum_{i in +, j not in +} |<v_i|sigma|v_j>|^2 / (w_i - w_j).
+    """
+
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray, lam: float):
+        w, v = np.linalg.eigh(qla.hermitian_part(rho - lam * sigma))
+        self.lam, self.w, self.v = lam, w, v
+        norm = max(-w[0], w[-1])
+        self.gap = max(CLUSTER_GAP, GAP_ULPS * _ULP * norm)
+        self.edge = self.gap - max(self.gap * 2.0**-14, MARGIN_ULPS * _ULP * norm)
+        self.pos = w > self.gap
+        self.zero = np.abs(w) <= self.gap
+        self.acc = (v.conj() * (rho @ v)).sum(axis=0).real
+        self.accept = float(self.acc[self.pos].sum())
+        self.cluster = float(self.acc[self.zero].sum())
+        s = v.conj().T @ sigma @ v
+        self.slope = s.diagonal().real
+        out = ~self.pos
+        spread = w[self.pos][:, None] - w[out][None, :]
+        cross = np.abs(s[self.pos][:, out]) ** 2
+        self.deriv = -2.0 * lam * float((cross / spread).sum()) if spread.size else 0.0
+
+    def settled(self, target: float, width: float) -> bool:
+        """On the rejecting side and next to the multiplier.
+
+        Either g is within width of its smooth root, or a fraction of the
+        zero cluster closes the target and the latest crossing sits within
+        one margin of the edge, where a bisection on the gap would stop.
+        """
+        tol = max(-self.deriv * width, ROUND)
+        if target - self.accept <= tol:
+            return True
+        moving = self.zero & (self.slope > 0)
+        return (
+            target - self.accept - self.cluster <= tol
+            and self.w[moving].max(initial=-np.inf) >= 2.0 * self.edge - self.gap
+        )
+
+
+def _newton_offset(sp: _Spectrum, target: float, width: float) -> float | None:
+    """Offset from sp.lam to the multiplier the first-order model of sp predicts.
+
+    The multiplier is the crossing of the bracket's predicate g(lam) >= 1 - eps
+    from above.  The model moves every eigenvalue along its slope and g along
+    deriv, and drops (or, walking left, regains) <v_i|rho|v_i> where w_i
+    crosses the gap.  Walk those crossings from sp toward the multiplier: if
+    the target falls in the jump of crossing i, land where w_i sits just
+    inside the gap; if it falls in a smooth piece, land on the Newton root of
+    that piece, width/2 to its right.  Both landings are on the rejecting
+    side, next to the crossing.  None when the model has no root.
+    """
+    right = sp.accept >= target
+    moving = (sp.pos if right else ~sp.pos) & (sp.slope > 0)
+    dist = sp.w[moving] - sp.edge if right else sp.edge - sp.w[moving]
+    times = np.maximum(dist / sp.slope[moving], 0.0)
+    jumps = sp.acc[moving]
+    # excess: how far g is on the near side of the target, shrinking along the walk
+    excess, at = abs(sp.accept - target), 0.0
+    for k in np.argsort(times):
+        before = excess + sp.deriv * (times[k] - at)
+        if before <= 0.0:
+            break
+        excess, at = before - jumps[k], times[k]
+        if excess <= 0.0:
+            return times[k] if right else -times[k]
+    if sp.deriv == 0.0:
+        return None
+    root = at - excess / sp.deriv
+    return (root if right else -root) + width / 2.0
 
 
 def _dual(target: float, w: np.ndarray, lam: float) -> float:
@@ -122,15 +203,26 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
 
     Pi(lam) is the projector onto the strictly-positive eigenspace of
     rho - lam*sigma plus a fractional multiple of the zero-crossing cluster;
-    lam is found by bisection so Tr[Pi rho] = 1 - eps within 1e-9.  Optimal
+    lam is the point where the acceptance g(lam) of the strictly-positive
+    part falls below 1 - eps, so Tr[Pi rho] = 1 - eps within 1e-9.  Optimal
     among all operators 0 <= Pi <= 1.  When the kernel of sigma alone carries
     1 - eps of rho, the optimum rejects nothing and is a multiple of the
     kernel projector.
 
+    lam is found by a bracketed, safeguarded Newton iteration that reads each
+    step from that step's eigenpairs (_newton_offset): on an eigenvalue
+    crossing the cluster gap when the target lies in a jump of g, on g
+    itself when it lies in a smooth piece.  A step that leaves the bracket,
+    or is not half the step before last, is replaced by a bisection
+    (geometric when the bracket spans more than a factor 4).  The iteration
+    stops on the rejecting side once it is settled (_Spectrum.settled), or
+    when the bracket is narrower than REL_WIDTH*lam, and the test is built
+    from the eigendecomposition taken there.
+
     The dual is evaluated at mu = 1/lam and at the first-order zero crossing
-    of each zero-cluster eigenvalue, which lands on the kink the bisection
+    of each zero-cluster eigenvalue, which lands on the kink the root-find
     stops short of.  sigma is solved at the power-of-two scale nearest unit
-    trace, which is exact, so the absolute bisection width stays relative.
+    trace, which is exact.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -158,46 +250,53 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     rho_inf = float(np.linalg.eigvalsh(qla.hermitian_part(rho))[-1])
     lam_max = rho_inf / sig_min + 1.0
 
-    def accept_strict(lam: float) -> float:
-        return float(np.trace(_np_split(rho, sigma, lam)[2] @ rho).real)
-
     # lam_max brackets the multiplier when sigma has full support; otherwise
     # the kernel keeps part of rho accepted at every lam, so widen until the
     # acceptance drops below the target
     lo, hi = 0.0, lam_max
     for _ in range(BRACKET_DOUBLINGS):
-        if accept_strict(hi) < target:
+        sp = _Spectrum(rho, sigma, hi)
+        if sp.accept < target:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise ValueError("no multiplier brings the acceptance below 1 - eps (degenerate inputs)")
-    for _ in range(BISECT_ITERS):
-        if hi - lo < BISECT_WIDTH:
+    at_hi = sp
+    prev = older = np.inf  # the last two steps taken
+    for _ in range(ROOT_STEPS):
+        if hi - lo <= REL_WIDTH * hi:
             break
-        mid = (lo + hi) / 2.0
-        if accept_strict(mid) >= target:
-            lo = mid
+        d = _newton_offset(sp, target, REL_WIDTH * sp.lam)
+        if d is not None and lo < sp.lam + d < hi and abs(d) <= abs(older) / 2.0:
+            lam = sp.lam + d
+        elif lo > 0.0 and hi > 4.0 * lo:
+            lam = float(np.sqrt(lo * hi))
         else:
-            hi = mid
-    lam = hi
+            lam = (lo + hi) / 2.0
+        older, prev = prev, lam - sp.lam
+        sp = _Spectrum(rho, sigma, lam)
+        if sp.accept >= target:
+            lo = lam
+            continue
+        hi, at_hi = lam, sp
+        if sp.settled(target, REL_WIDTH * lam):
+            break
 
-    w, v, pos, zero = _np_split(rho, sigma, lam)
-    a_pos = float(np.trace(pos @ rho).real)
-    a_zero = float(np.trace(zero @ rho).real)
+    lam, w, v, z = at_hi.lam, at_hi.w, at_hi.v, at_hi.zero
+    a_pos, a_zero = at_hi.accept, at_hi.cluster
     if a_zero > 1e-15:
         t = min(max((target - a_pos) / a_zero, 0.0), 1.0)
     else:
         t = 0.0
-    pi = qla.hermitian_part(pos + t * zero)
+    vp, vz = v[:, at_hi.pos], v[:, z]
+    pi = qla.hermitian_part(vp @ vp.conj().T + t * (vz @ vz.conj().T))
     accept = float(np.trace(pi @ rho).real)
     if accept < target - ACCEPT_TOL:
         raise ValueError(f"acceptance {accept} fell short of {target} (degenerate inputs)")
     reject = float(np.trace(pi @ sigma).real)
     # each zero-cluster eigenvalue w_i moves with slope -<v_i|sigma|v_i> in
     # lam; the dual peaks at the kink where one of them crosses zero
-    z = np.abs(w) <= CLUSTER_GAP
-    slopes = np.einsum("ij,ik,kj->j", v[:, z].conj(), sigma, v[:, z]).real
-    kinks = [lam + wi / s for wi, s in zip(w[z], slopes) if s > 0 and wi > -lam * s]
+    kinks = [lam + wi / s for wi, s in zip(w[z], at_hi.slope[z]) if s > 0 and wi > -lam * s]
     spectra = [np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)) for x in kinks]
     dual = max(_dual(target, wx, x) for wx, x in zip([w] + spectra, [lam] + kinks))
     return _result(pi, accept, scale * reject, scale * dual)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dh_oracle import bisection_test
 from oneshot import audits, cli, hyptest, rand
 
 
@@ -68,6 +69,20 @@ class TestDh:
         run(["dh", str(cpath), "--out", outdir])
         vc = float(capsys.readouterr().out.strip())
         assert vq == pytest.approx(vc, abs=1e-8)
+
+    def test_quantum_near_singular_config(self, outdir, capsys):
+        # the alternate's smallest eigenvalue is 3.3e-9 and the multiplier about 3e8
+        assert run(["dh", "configs/dh_near_singular.txt", "--out", outdir]) == 0
+        value = float(capsys.readouterr().out.strip())
+        with open("configs/dh_near_singular.txt") as fh:
+            cfg = cli.parse_kv(fh.read())
+        rho = cli.parse_complex_matrix(cfg, "rho")
+        sigma = cli.parse_complex_matrix(cfg, "sigma")
+        ref = bisection_test(rho, sigma, float(cfg["epsilon"]))
+        # the alternate mass is 3.2e-9, and either solver's Tr[Pi sigma]
+        # carries rounding of about ulp * ||sigma|| ~ 1e-17: 5e-9 of it, or
+        # 7e-9 bits, so the masses are compared, not the bits
+        assert abs(2.0**-value - ref.reject_mass) <= 1e-16
 
     def test_malformed_exits_2(self, tmp_path, outdir, capsys):
         path = tmp_path / "in.txt"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dh_oracle import near_singular_pair
 from oneshot import hyptest, qla
 from oneshot.rand import (
     haar_isometry,
@@ -268,6 +269,14 @@ class TestDualCertificate:
         res = hyptest.quantum_optimal_test(rho, c * sigma, eps)
         assert res.value_bits == pytest.approx(base.value_bits - np.log2(c), abs=1e-8)
         assert_certified(res, rho, eps, scale=2.0 ** round(np.log2(c)))
+
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_singular_alternate(self, s):
+        # sigma has full rank; at s = 1e-8 the multiplier is about 3e8, where
+        # eigh's rounding of rho - lam sigma (about 1e-8) passes an absolute
+        # cluster gap of 1e-9 and the crossing eigenvalue left the cluster
+        rho, sigma, eps = near_singular_pair(s)
+        assert_certified(hyptest.quantum_optimal_test(rho, sigma, eps), rho, eps)
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), eps=st.sampled_from([1e-6, 0.3, 0.999]))

@@ -251,6 +251,8 @@ def cmd_mac(args) -> int:
         cfg = parse_kv(text)
         mode = args.mode
         eps = float(cfg["epsilon"])
+        if not 0 < eps < 1:
+            raise ConfigError("epsilon must be in (0, 1)")
         trials = args.trials if args.trials is not None else int(cfg.get("trials", "100"))
         _check_trials(trials)
         seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))

@@ -317,14 +317,17 @@ class PerturbedChannel:
         self.delta = delta
         dz = spec.dz
         self.base = 2 * dz
-        self.layout = qla.SpaceLayout.direct_sum(
-            [("base", (dz, 2)), ("LX", (dz, 2, dim_l)), ("LY", (dz, 2, dim_l))]
-        )
-        self.dim = self.layout.total_dim
+        # the summands in order: base (dz x 2), LX and LY (dz x 2 x |L| each)
+        n = self.base * dim_l
+        self.slices = {
+            "base": slice(0, self.base), "LX": slice(self.base, self.base + n),
+            "LY": slice(self.base + n, self.base + 2 * n),
+        }
+        self.dim = self.base + 2 * n
         if self.dim > typicality.site_dim_cap():
             raise ValueError(f"extended space dimension {self.dim} exceeds the cap")
         e = np.zeros((self.dim, self.base), dtype=complex)
-        e[self.layout.slice_of("base"), :] = np.eye(self.base)
+        e[self.slices["base"], :] = np.eye(self.base)
         e.flags.writeable = False
         self._base_embed = e
         # read-only label copies, built on first use: at most 2 |L| per channel
@@ -338,7 +341,7 @@ class PerturbedChannel:
         amp = np.full(n, n**-0.5) if label is None else np.eye(n)[label]
         v = np.zeros((self.dim, self.base), dtype=complex)
         h = np.arange(self.base)
-        v[self.layout.slice_of(summand)].reshape(self.base, n, self.base)[h, :, h] = amp
+        v[self.slices[summand]].reshape(self.base, n, self.base)[h, :, h] = amp
         if label is not None:
             v.flags.writeable = False
             self._label_embeds[summand, label] = v
@@ -383,7 +386,7 @@ class PerturbedChannel:
         rho = typicality.embed_with_ancilla(marginal, 1, self.spec.dz)
         return AveragedState(
             np.hstack([col for col, _ in parts]), t @ rho @ t.T / n, rho,
-            d * d / (n * self.dim_l), tuple(self.layout.slice_of(s) for s in averaged), self.dim_l,
+            d * d / (n * self.dim_l), tuple(self.slices[s] for s in averaged), self.dim_l,
         )
 
     def averaged_over_y(self, x: int, l_x: int) -> "AveragedState":
@@ -687,6 +690,35 @@ def hayashi_nagaoka_slack(s: np.ndarray, t: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(qla.hermitian_part(rhs - lhs))[0])
 
 
+def hayashi_nagaoka_bounds(
+    type1: float, m1: int, m2: int, wrong_x: float, wrong_y: float, wrong_both: float
+) -> dict:
+    """Hayashi-Nagaoka expansion of the PGM error over m1 x m2 codeword pairs.
+
+    wrong_x, wrong_y and wrong_both are the expected acceptances of a pair
+    whose first, second or both codewords are wrong: hn = 2 type1 +
+    4 (m1 - 1) wrong_x + 4 (m2 - 1) wrong_y + 4 (m1 - 1)(m2 - 1) wrong_both.
+    """
+    fallback, r1, r2 = 2.0 * type1, 4.0 * (m1 - 1) * wrong_x, 4.0 * (m2 - 1) * wrong_y
+    both = 4.0 * (m1 - 1) * (m2 - 1) * wrong_both
+    return {"fallback": fallback, "r1": r1, "r2": r2, "sum": both, "hn": fallback + r1 + r2 + both}
+
+
+def pgm_trials(rates: tuple, bounds: dict, trials: int, seed: int, codebook) -> MacResult:
+    """The exact PGM error of the codebooks seed, ..., seed + trials - 1.
+
+    codebook(s) returns the POVM factors and the states of codebook s, one
+    per message pair; the error is the mean over pairs of 1 - Tr[Lambda_m rho_m].
+    """
+    errors = np.empty(trials)
+    rows = []
+    for t in range(trials):
+        success = pgm_success(*codebook(seed + t))
+        errors[t] = sum(1.0 - float(s_m) for s_m in success) / len(success)
+        rows.append((t, seed + t, errors[t]))
+    return MacResult(rates, errors, bounds, rows)
+
+
 def cq_corner_rates(dec: DecodingSet, eps: float) -> tuple[float, float]:
     """Theorem corner R_i = I_H - 1 - log2(1/eps), clamped at zero."""
     margin = 1.0 + np.log2(1.0 / eps)
@@ -731,31 +763,22 @@ def cq_mac_experiment(
     bounds = {
         "total": 49.0 * np.sqrt(eps),
         "type1": q["type1"],
-        "r1": 4.0 * (m1 - 1) * q["t2_keep_y"],
-        "r2": 4.0 * (m2 - 1) * q["t2_keep_x"],
-        "sum": 4.0 * (m1 - 1) * (m2 - 1) * q["t2_none"],
-        "fallback": 2.0 * q["type1"],
+        **hayashi_nagaoka_bounds(q["type1"], m1, m2, q["t2_keep_y"], q["t2_keep_x"], q["t2_none"]),
         "i_x_yz": dec.i_x_yz,
         "i_y_xz": dec.i_y_xz,
         "i_xy_z": dec.i_xy_z,
     }
-    bounds["hn"] = bounds["fallback"] + bounds["r1"] + bounds["r2"] + bounds["sum"]
 
-    errors = np.empty(trials)
-    rows = []
-    for t in range(trials):
-        cb = Codebook.sample(seed + t, m1, m2, spec.p_x, spec.p_y, dim_l=dim_l)
+    def codebook(cb_seed: int) -> tuple[list, list]:
+        cb = Codebook.sample(cb_seed, m1, m2, spec.p_x, spec.p_y, dim_l=dim_l)
         pairs = [
             (cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
             for i1 in range(m1)
             for i2 in range(m2)
         ]
-        success = pgm_success(
-            [dec.povm_factor(*p) for p in pairs], [chan.rho_prime_factored(*p) for p in pairs]
-        )
-        errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
-        rows.append((t, seed + t, errors[t]))
-    return MacResult((r1, r2), errors, bounds, rows)
+        return [dec.povm_factor(*p) for p in pairs], [chan.rho_prime_factored(*p) for p in pairs]
+
+    return pgm_trials((r1, r2), bounds, trials, seed, codebook)
 
 
 # ---------------------------------------------------------------------------
@@ -861,24 +884,21 @@ def time_sharing_experiment(
     bounds = {
         "total": 2.0**135 * eps ** (1.0 / 3.0),
         "type1": type1,
-        "fallback": 2.0 * type1,
-        "r1": 4.0 * (m1 - 1) * s[TS_SPLIT_X_WRONG]["lhs"],
-        "r2": 4.0 * (m2 - 1) * s[TS_SPLIT_Y_WRONG]["lhs"],
-        "sum": 4.0 * (m1 - 1) * (m2 - 1) * s[TS_SPLIT_BOTH]["lhs"],
+        **hayashi_nagaoka_bounds(
+            type1, m1, m2, s[TS_SPLIT_X_WRONG]["lhs"], s[TS_SPLIT_Y_WRONG]["lhs"],
+            s[TS_SPLIT_BOTH]["lhs"],
+        ),
         "i_x_yz_u": i_x_yz_u,
         "i_y_xz_u": i_y_xz_u,
         "i_xy_z_u": i_xy_z_u,
     }
-    bounds["hn"] = bounds["fallback"] + bounds["r1"] + bounds["r2"] + bounds["sum"]
 
-    errors = np.empty(trials)
-    rows = []
-    for t in range(trials):
-        rng_u = codebook_rng(seed + t, 0, 0)
+    def codebook(cb_seed: int) -> tuple[list, list]:
+        rng_u = codebook_rng(cb_seed, 0, 0)
         u = sample_symbol(spec.p_u, rng_u)
         l_u = int(rng_u.integers(dim_l))
         cb = Codebook.sample(
-            seed + t, m1, m2, spec.p_x_given_u[u], spec.p_y_given_u[u], dim_l=dim_l
+            cb_seed, m1, m2, spec.p_x_given_u[u], spec.p_y_given_u[u], dim_l=dim_l
         )
         constrs = []
         for i1 in range(m1):
@@ -886,7 +906,6 @@ def time_sharing_experiment(
                 word = (u, int(cb.xs[i1]), int(cb.ys[i2]))
                 l_assign = {-3: l_u, -2: int(cb.lxs[i1]), -1: int(cb.lys[i2]), 1: 0}
                 constrs.append(lemma.constructions[word].relabeled(l_assign))
-        success = pgm_success([c.b_factor for c in constrs], [c.rho_prime for c in constrs])
-        errors[t] = sum(1.0 - float(s_m) for s_m in success) / (m1 * m2)
-        rows.append((t, seed + t, errors[t]))
-    return MacResult((r1, r2), errors, bounds, rows)
+        return [c.b_factor for c in constrs], [c.rho_prime for c in constrs]
+
+    return pgm_trials((r1, r2), bounds, trials, seed, codebook)

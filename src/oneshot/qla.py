@@ -8,8 +8,7 @@ functions are pure; nothing here holds mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,40 +101,6 @@ def isometry(entries: np.ndarray) -> np.ndarray:
     if resid > ISOMETRY_TOL:
         raise ValueError(f"V†V deviates from identity by {resid:.3e}")
     return v
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Hilbert space assembled from orthogonal direct-sum summands of tensor factors.
-
-    Summands are concatenated in declaration order; within a summand the
-    coordinates run row-major over the factors (left factor is the slow index).
-    This single fixed convention makes every embedding bit-reproducible.
-    """
-
-    summands: tuple[tuple[Hashable, tuple[int, ...]], ...]
-    total_dim: int = field(init=False)
-    _slices: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        labels = [lab for lab, _ in self.summands]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate summand labels")
-        slices, off = {}, 0
-        for lab, dims in self.summands:
-            if not dims or any(d <= 0 for d in dims):
-                raise ValueError(f"summand {lab!r} has invalid factor dims {dims}")
-            slices[lab] = slice(off, off + int(np.prod(dims)))
-            off = slices[lab].stop
-        object.__setattr__(self, "_slices", slices)
-        object.__setattr__(self, "total_dim", off)
-
-    @classmethod
-    def direct_sum(cls, parts: Iterable[tuple[Hashable, Sequence[int]]]) -> "SpaceLayout":
-        return cls(tuple((lab, tuple(int(d) for d in dims)) for lab, dims in parts))
-
-    def slice_of(self, label: Hashable) -> slice:
-        return self._slices[label]
 
 
 def tensor_all(ops: Sequence[np.ndarray]) -> np.ndarray:

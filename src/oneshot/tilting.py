@@ -1,4 +1,4 @@
-"""Tilted spans of subspaces and the derived union-projector constructions.
+"""Tilted spans of subspaces and the bounds they obey.
 
 A family of subspaces of H is "tilted" by rotating each toward a private
 orthogonal copy of H inside H~ = H (+) H_1 (+) ... (+) H_l.  Tilting
@@ -235,42 +235,6 @@ def prop_a_tilted_bounds(overlaps: np.ndarray, a: TiltingMatrix) -> tuple[float,
     )
     upper = float(np.dot(np.sqrt(np.maximum(overlaps, 0.0)), coeff)) ** 2
     return lower, upper
-
-
-def union_projector(
-    projectors: list[np.ndarray],
-    alpha: float,
-    layout: TiltedLayout | None = None,
-    states_for_audit: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, TiltedLayout]:
-    """Projector on the tilted space acting as a robust union of the inputs.
-
-    If Tr[Pi_i rho_i] >= 1 - eps then the output Pi^ satisfies
-    Tr[Pi^ rho_i-embedded] >= 1 - eps - alpha, and for every state sigma
-    Tr[Pi^ sigma-embedded] <= (1-alpha)/alpha * sum_i Tr[Pi_i sigma], where
-    states embed via the base summand.  states_for_audit, when given, has
-    both guarantees re-verified on each state (a violation signals a
-    construction bug, not a property of the inputs).
-    """
-    if not projectors:
-        raise ValueError("need at least one projector")
-    if layout is None:
-        layout = TiltedLayout(int(projectors[0].shape[0]), len(projectors))
-    pi = tilted_span(projectors, [alpha] * len(projectors), layout)
-    if states_for_audit:
-        emb = tilt_isometry([], layout)
-        for sigma in states_for_audit:
-            lifted = emb @ np.asarray(sigma, dtype=complex) @ emb.conj().T
-            got = float(np.trace(pi @ lifted).real)
-            total = sum(float(np.trace(p @ sigma).real) for p in projectors)
-            if got > (1 - alpha) / alpha * total + 1e-9:
-                raise ValueError("union acceptance exceeds its tilted-span bound")
-            floor = max(
-                (1 - alpha) * float(np.trace(p @ sigma).real) for p in projectors
-            )
-            if got < floor - 1e-9:
-                raise ValueError("union acceptance fell below its per-input floor")
-    return pi, layout
 
 
 def gao_slack(projectors: list[np.ndarray], rho: np.ndarray) -> float:

@@ -33,8 +33,6 @@ Block = tuple[int, ...]
 Psp = tuple[Block, ...]
 
 DEFAULT_SITE_DIM_CAP = 4096
-# rows of the tilted union space, (t + 1) copies of (box of A'') x C^2
-UNION_ROW_CAP = 16800
 IDENTITY_TOL = 1e-8
 
 
@@ -1176,7 +1174,10 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     All (x, l) blocks with the same x are unitarily equivalent under
     relabelings of the ancilla alphabet, so each claim is evaluated on the
     all-zero label block; the averages over l equal the per-block values.
+    The claims need delta > 0: the stated floor of claim 4 scales as delta^(-2k).
     """
+    if not inst.delta > 0:
+        raise ValueError(f"delta must be positive, got {inst.delta}")
     words = inst.words()
     lattice = inst.lattice
     k, c = inst.k, inst.c
@@ -1285,10 +1286,11 @@ class UnionResult:
 def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     """Tilted-span union of the per-instance intersection POVM elements.
 
-    Each instance's Pi' block is dilated to a projector on A'' x C^2, then
-    the projectors are tilted along t private directions; completeness drops
-    by at most alpha per instance and acceptance of any embedded state is at
-    most (1-alpha)/alpha times the sum of the individual acceptances.
+    Each instance's Pi' = B B† is dilated to a projector on W x C^2, W an
+    orthonormal basis of the span of every B's columns, then the projectors
+    are tilted along t private directions; completeness drops by at most
+    alpha per instance and acceptance of any embedded state is at most
+    (1-alpha)/alpha times the sum of the individual acceptances.
     """
     first = instances[0]
     for inst in instances[1:]:
@@ -1304,26 +1306,27 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     # every instance uses the all-zero labels, so every construction and
-    # lifted state lives on one box; outside it Pi' = 0, so the dilated ranges
-    # there are |v>|1>, orthogonal to every lifted state, and tilting keeps them so
-    n = first.space.box(quantum_sites(first.k), zero_labels(first)).size
-    if 2 * n * (len(instances) + 1) > UNION_ROW_CAP:
-        raise ValueError("union construction exceeds the box row cap")
+    # lifted state lives on one box.  Off W every Pi' is 0, so the dilated
+    # ranges there are W-perp x |1>, orthogonal to every lifted state (ancilla
+    # |0>), and tilting keeps them so: the union on W x C^2 is exact
     constructions = [build_construction(inst, ()) for inst in instances]
-    ranges = [hyptest.dilation_basis(c.b @ c.b.conj().T) for c in constructions]
-    layout = tilting.TiltedLayout(2 * n, len(instances))
+    w = np.linalg.qr(np.hstack([c.b for c in constructions]))[0]
+    thin = [w.conj().T @ c.b for c in constructions]
+    ranges = [hyptest.dilation_basis(b @ b.conj().T) for b in thin]
+    rank = w.shape[1]
+    layout = tilting.TiltedLayout(2 * rank, len(instances))
     union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
 
     def lift(state: LowRankState) -> np.ndarray:
-        # box columns -> tensor |0> ancilla -> base summand of the tilted space
-        cols = state.core_sqrt_cols()
+        # box columns -> W coordinates tensor |0> ancilla -> base summand of the tilted space
+        cols = w.conj().T @ state.core_sqrt_cols()
         lifted = np.zeros((layout.total_dim, cols.shape[1]), dtype=complex)
-        lifted[0 : 2 * n : 2, :] = cols
+        lifted[0 : 2 * rank : 2, :] = cols
         return lifted
 
     def accept(basis: np.ndarray, lifted: np.ndarray) -> float:
-        # ||basis† lifted||^2 on the basis's rows: the first 2n rows of the
-        # tilted space are the base copy of (box of A'') x C^2
+        # ||basis† lifted||^2 on the basis's rows: the first 2 rank W rows of
+        # the tilted space are the base copy of W x C^2
         return float(np.linalg.norm(basis.conj().T @ lifted[: basis.shape[0]]) ** 2)
 
     checks = []

@@ -258,3 +258,34 @@ class TestRejectedInput:
         assert run(argv + ["--out", outdir]) == 2
         assert "error: trials must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("delta", ["0", "-0.3"])
+    @pytest.mark.parametrize(
+        "argv", [["typicality-build", "--k", "1"], ["audit", "typicality", "--trials", "1"]]
+    )
+    def test_nonpositive_delta_exits_2(self, argv, delta, outdir, capsys):
+        # delta = 0 divided by zero in the stated floor of claim 4; a negative
+        # delta gave claim3_l1_distance a negative bound, which failed (exit 1)
+        assert run(argv + ["--delta", delta, "--out", outdir]) == 2
+        assert "error: delta must be positive" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("eps", ["0", "-0.1"])
+    @pytest.mark.parametrize(
+        "mode,config",
+        [("classical", "configs/classical_mac_small.txt"), ("cq", "configs/cq_mac_small.txt")],
+    )
+    def test_epsilon_outside_unit_interval_exits_2(
+        self, mode, config, eps, tmp_path, outdir, capsys
+    ):
+        # eps = 0 divided by zero in the corner rates; in cq mode eps < 0
+        # made delta = eps^(1/4) complex
+        lines = [
+            f"epsilon = {eps}" if line.startswith("epsilon") else line
+            for line in open(config).read().splitlines()
+        ]
+        path = tmp_path / "eps.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["mac", mode, str(path), "--out", outdir]) == 2
+        assert "error: epsilon must be in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(outdir)

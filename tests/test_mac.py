@@ -175,7 +175,7 @@ class TestPerturbedChannel:
         spec = random_cq_spec(11)
         delta = 0.25
         chan = mac.PerturbedChannel(spec, 4, delta)
-        base = chan.layout.slice_of("base")
+        base = chan.slices["base"]
         block = chan.averaged_all().dense()[base, base]
         expected = mac.typicality.embed_with_ancilla(spec.avg(), 1, spec.dz) / (
             1 + 2 * delta**2

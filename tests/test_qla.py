@@ -98,25 +98,6 @@ class TestPartialTrace:
             qla.partial_trace(np.eye(4), (2, 2), keep=[])
 
 
-class TestSpaceLayout:
-    def test_total_dim(self):
-        lay = qla.SpaceLayout.direct_sum([("a", (2, 2)), ("b", (3,))])
-        assert lay.total_dim == 7
-        assert lay.slice_of("a") == slice(0, 4)
-        assert lay.slice_of("b") == slice(4, 7)
-
-    def test_coords_unique(self):
-        lay = qla.SpaceLayout.direct_sum([("a", (2, 2)), ("b", (2, 3))])
-        seen = []
-        for lab, _ in lay.summands:
-            seen.extend(range(lay.total_dim)[lay.slice_of(lab)])
-        assert seen == list(range(lay.total_dim))
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            qla.SpaceLayout.direct_sum([("a", (2,)), ("a", (3,))])
-
-
 class TestSchattenNorm:
     def test_identity(self):
         assert qla.trace_norm_herm(np.eye(5)) == pytest.approx(5.0)

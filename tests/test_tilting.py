@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from oneshot import qla, tilting
+from oneshot.audits import random_tilting_matrix
 from oneshot.rand import (
     random_density,
     random_projector,
@@ -13,22 +14,6 @@ from oneshot.rand import (
 
 def overlap(proj, h):
     return float(np.linalg.norm(proj @ h) ** 2)
-
-
-def random_tilting_matrix(rng, l, diag_min=0.05, diag_max=0.9):
-    """Random upper triangular, row-dominated, substochastic tilt weights."""
-    d = rng.uniform(diag_min, diag_max, size=l)
-    a = np.zeros((l, l))
-    for j in range(l):
-        a[j, j] = d[j]
-        if j > 0:
-            off = d[:j] * rng.random(j)
-            budget = 1.0 - d[j]
-            total = off.sum()
-            if total > budget:
-                off *= budget / total * rng.random()
-            a[:j, j] = off
-    return tilting.TiltingMatrix(a)
 
 
 class TestTiltIsometry:
@@ -219,13 +204,21 @@ class TestATiltedSpan:
             tilting.TiltingMatrix(np.array([[0.8, 0.5], [0.0, 0.6]]))  # column sum
 
 
+def union_projector(projectors, alpha):
+    """The robust union of the projectors: their tilted span at one weight alpha."""
+    layout = tilting.TiltedLayout(projectors[0].shape[0], len(projectors))
+    return tilting.tilted_span(projectors, [alpha] * len(projectors), layout), layout
+
+
 class TestUnionProjector:
+    """The union guarantees of a tilted span at equal weights."""
+
     def test_single_collapses_to_prop3(self):
         rng = rng_from_seed(52)
         d, alpha = 4, 0.3
         p = random_projector(rng, d, 2)
         rho = random_density(rng, d)
-        pi, lay = tilting.union_projector([p], alpha)
+        pi, lay = union_projector([p], alpha)
         emb = tilting.tilt_isometry([], lay)
         got = np.trace(pi @ emb @ rho @ emb.conj().T).real
         assert got == pytest.approx((1 - alpha) * np.trace(p @ rho).real, abs=1e-9)
@@ -235,7 +228,7 @@ class TestUnionProjector:
         p1 = np.diag([1.0, 0, 0, 0]).astype(complex)
         p2 = np.diag([0, 1.0, 0, 0]).astype(complex)
         sigma = np.eye(d) / d
-        pi, lay = tilting.union_projector([p1, p2], alpha)
+        pi, lay = union_projector([p1, p2], alpha)
         emb = tilting.tilt_isometry([], lay)
         got = np.trace(pi @ emb @ sigma @ emb.conj().T).real
         bound = (1 - alpha) / alpha * (np.trace(p1 @ sigma) + np.trace(p2 @ sigma)).real
@@ -259,7 +252,7 @@ class TestUnionProjector:
                 projs.append(p)
                 rhos.append(rho)
             sigma = random_density(rng, d)
-            pi, lay = tilting.union_projector(projs, alpha)
+            pi, lay = union_projector(projs, alpha)
             emb = tilting.tilt_isometry([], lay)
             for p, rho in zip(projs, rhos):
                 acc = np.trace(p @ rho).real
@@ -290,15 +283,6 @@ class TestGao:
         miss = np.trace(rho @ (np.eye(4) - p)).real
         expected = np.trace(p @ rho @ p).real - (1 - 4 * 2 * miss)
         assert tilting.gao_slack([p, p], rho) == pytest.approx(expected, abs=1e-12)
-
-
-class TestUnionAuditHook:
-    def test_states_for_audit_accepts_valid(self):
-        rng = rng_from_seed(56)
-        projs = [random_projector(rng, 4, 2) for _ in range(2)]
-        states = [random_density(rng, 4) for _ in range(3)]
-        pi, lay = tilting.union_projector(projs, 0.3, states_for_audit=states)
-        assert pi.shape == (lay.total_dim, lay.total_dim)
 
 
 class TestComplementFactor:

@@ -8,6 +8,7 @@ import pytest
 
 from oneshot import audits, hyptest, qla, report, tilting, typicality as tp
 from oneshot.rand import random_density, rng_from_seed
+from union_oracle import box_row_union
 
 
 def brute_force_psps(elements):
@@ -861,11 +862,44 @@ class TestUnion:
             assert res.all_pass()
             assert len(res.checks) == 6
 
-    def test_refused_past_box_row_cap(self):
-        # three sites: 2 x 20^3 box rows per copy, 32000 in all
+    def test_three_sites(self, monkeypatch):
+        # the box holds 20^3 rows, 32000 in the box-row union; W has rank 64
         inst = audits.random_instance(5, 0, 3, 2, 2, 0.3, 0.2)
-        with pytest.raises(ValueError, match="box row cap"):
-            tp.union_of_intersections([inst], 0.25)
+        layouts = record_layouts(monkeypatch)
+        res = tp.union_of_intersections([inst], 0.25)
+        assert res.all_pass()
+        assert len(res.checks) == 2 + len(inst.lattice.linear_ext)
+        assert layouts[0].base_dim <= 2 * (2 * inst.dim_h) ** inst.k
+
+    @pytest.mark.parametrize(
+        "seeds,k,dim_l", [((99,), 1, 2), ((100, 101), 1, 2), ((5,), 2, 2), ((5,), 2, 4)]
+    )
+    def test_matches_box_row_union(self, monkeypatch, seeds, k, dim_l):
+        # the TestUnion instances: the union on W x C^2 against the one on every box row
+        if k == 1:
+            insts = [small_instance(s, k=1, dim_l=dim_l, delta=0.3) for s in seeds]
+        else:
+            insts = [audits.random_instance(s, 0, k, 2, dim_l, 0.3, 0.2) for s in seeds]
+        layouts = record_layouts(monkeypatch)
+        got = tp.union_of_intersections(insts, 0.25).checks
+        want = box_row_union(insts, 0.25)
+        assert [(c.name, c.params) for c in got] == [(c.name, c.params) for c in want]
+        for g, w in zip(got, want):
+            assert abs(g.lhs - w.lhs) <= 1e-9 and abs(g.rhs - w.rhs) <= 1e-9
+        t, dim_h = len(insts), insts[0].dim_h
+        assert layouts[0].base_dim <= 2 * t * (2 * dim_h) ** k
+
+
+def record_layouts(monkeypatch) -> list:
+    """Record every TiltedLayout built while the test runs, in order."""
+    layouts, make = [], tilting.TiltedLayout
+
+    def recording(*args):
+        layouts.append(make(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(tp.tilting, "TiltedLayout", recording)
+    return layouts
 
 
 def stirling_count_oracle(c, k):

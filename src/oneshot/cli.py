@@ -244,6 +244,13 @@ def load_cq_spec(cfg: dict) -> mac.CqChannelSpec:
     )
 
 
+def _check_budget(what: str, size: int) -> None:
+    """Refuse a run whose largest array, known before any codebook is drawn, is over the cap squared."""
+    cap = typicality.site_dim_cap()
+    if size > cap * cap:
+        raise ConfigError(f"{what} has {size} entries, over the budget {cap}^2")
+
+
 def cmd_mac(args) -> int:
     try:
         with open(args.config) as fh:
@@ -262,6 +269,8 @@ def cmd_mac(args) -> int:
             auto_r1, auto_r2 = mac.classical_corner_rates(info, eps)
             r1 = auto_r1 if cfg.get("r1", "auto") == "auto" else float(cfg["r1"])
             r2 = auto_r2 if cfg.get("r2", "auto") == "auto" else float(cfg["r2"])
+            m1, m2 = mac.message_count(r1), mac.message_count(r2)
+            _check_budget("the decoder grid m1 m2 |Z|", m1 * m2 * spec.shape[2])
             result = mac.classical_mac_experiment(spec, r1, r2, eps, trials, seed)
             # inside the rate region the expectation bound undercuts the
             # headline 6 eps target; outside it only the target can fail
@@ -275,10 +284,14 @@ def cmd_mac(args) -> int:
             auto_r1, auto_r2 = mac.cq_corner_rates(dec, eps)
             r1 = auto_r1 if cfg.get("r1", "auto") == "auto" else float(cfg["r1"])
             r2 = auto_r2 if cfg.get("r2", "auto") == "auto" else float(cfg["r2"])
+            m1, m2 = mac.message_count(r1), mac.message_count(r2)
+            width = 2 * spec.dz
+            rows = min(dec.chan.dim, (1 + m1 + m2) * width)
+            _check_budget("the stacked codebook factor", rows * m1 * m2 * width)
             result = mac.cq_mac_experiment(
                 spec, r1, r2, eps, dim_l, delta, trials, seed, dec=dec
             )
-            single = mac.message_count(r1) == 1 and mac.message_count(r2) == 1
+            single = m1 == 1 and m2 == 1
             governing = "fallback" if single else "total"
         else:
             raise ConfigError(f"unknown mode {mode!r}")

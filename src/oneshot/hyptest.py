@@ -30,6 +30,7 @@ ROOT_STEPS = 100  # a cap; the safeguarded steps take at most about twice a bise
 BRACKET_DOUBLINGS = 64
 _ULP = np.finfo(float).eps
 ROUND = 8 * _ULP  # an acceptance shortfall at rounding level
+DILATION_SNAP = 1e-12  # a POVM eigenvalue this close to 0 or 1 is taken as 0 or 1
 
 
 @dataclass(frozen=True)
@@ -381,13 +382,15 @@ def dilation_basis(pi: np.ndarray) -> np.ndarray:
 
     For each eigenpair (mu, v) of pi the range gains
     sqrt(mu) v|0> + sqrt(1-mu) v|1>, so Tr[Pi' (A x |0><0|)] = Tr[pi A]
-    exactly for every operator A.
+    exactly for every operator A.  Eigenvalues within DILATION_SNAP of 0 or 1
+    are snapped there first: the square root would turn a rounding error e
+    into a component of size sqrt(e) of the range.
     """
     pi = np.asarray(pi, dtype=complex)
     w, v = np.linalg.eigh(qla.hermitian_part(pi))
     if w[0] < -qla.PSD_TOL or w[-1] > 1 + qla.PSD_TOL:
         raise ValueError("input is not a POVM element")
-    w = np.clip(w, 0.0, 1.0)
+    w = np.where(w < DILATION_SNAP, 0.0, np.where(w > 1.0 - DILATION_SNAP, 1.0, w))
     d = pi.shape[0]
     basis = np.zeros((2 * d, d), dtype=complex)
     # coordinates ordered (h, ancilla) row-major: index 2*i is v_i|0>, 2*i+1 is v_i|1>

@@ -12,6 +12,7 @@ reproducible independent of sampling order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,10 @@ from . import hyptest, qla, report, tilting, typicality
 
 def message_count(rate: float) -> int:
     """ceil(2^rate) messages, at least one (rates may sit below zero)."""
-    return max(1, int(math.ceil(2.0**rate - 1e-12)))
+    try:
+        return max(1, int(math.ceil(2.0**rate - 1e-12)))
+    except OverflowError:
+        raise ValueError(f"rate {rate} gives too many messages") from None
 
 
 def codebook_rng(seed: int, sender: int, message: int) -> np.random.Generator:
@@ -299,6 +303,13 @@ class CqChannelSpec:
         return np.einsum("x,y,xyab->ab", self.p_x, self.p_y, self.states)
 
 
+def check_dense(dim: int) -> None:
+    """Refuse a dense dim x dim operator over the cap; only the oracles build one."""
+    cap = typicality.site_dim_cap()
+    if dim > cap:
+        raise ValueError(f"dense operator of dimension {dim} exceeds the cap {cap}")
+
+
 class PerturbedChannel:
     """The extended output space Z' and the label-controlled tilting maps.
 
@@ -324,8 +335,13 @@ class PerturbedChannel:
             "LY": slice(self.base + n, self.base + 2 * n),
         }
         self.dim = self.base + 2 * n
-        if self.dim > typicality.site_dim_cap():
-            raise ValueError(f"extended space dimension {self.dim} exceeds the cap")
+        # the widest array the decoding path builds: an averaged state's columns
+        cap = typicality.site_dim_cap()
+        if self.dim * 3 * self.base > cap * cap:
+            raise ValueError(
+                f"extended space dimension {self.dim} times {3 * self.base} columns "
+                f"exceeds the cap {cap}^2"
+            )
         e = np.zeros((self.dim, self.base), dtype=complex)
         e[self.slices["base"], :] = np.eye(self.base)
         e.flags.writeable = False
@@ -350,19 +366,40 @@ class PerturbedChannel:
     def base_embed(self) -> np.ndarray:
         return self._base_embed
 
+    def label_box(self, l_x: int, l_y: int) -> typicality.Box:
+        """The 6 dz rows of Z' that labels (l_x, l_y) reach, ascending.
+
+        The base copy, then row base + h |L| + l_x of LX and the same row of
+        LY for each coordinate h of Z x C^2: a label-free local array puts
+        coordinate h of summand j at position j 2dz + h.
+        """
+        h = np.arange(self.base) * self.dim_l
+        rows = np.concatenate([
+            np.arange(self.base), self.slices["LX"].start + h + l_x,
+            self.slices["LY"].start + h + l_y,
+        ])
+        return typicality.Box((0,), (self.dim,), (rows,))
+
+    def local_tilt(self, x: bool = False, y: bool = False) -> np.ndarray:
+        """tilt on the rows of label_box, the same for every label pair.
+
+        x and y say whether the LX and LY labels tilt; with neither this is
+        the base embedding.
+        """
+        d = self.delta
+        amps = (1.0, d if x else 0.0, d if y else 0.0)
+        return np.vstack([a * np.eye(self.base) for a in amps]) / np.sqrt(1 + (x + y) * d * d)
+
     def tilt(self, l_x: int | None = None, l_y: int | None = None) -> np.ndarray:
         """(base + d LX(l_x) [+ d LY(l_y)]) / sqrt(1 + n d^2) over the n labels given."""
-        d = self.delta
-        out, n = self.base_embed(), 0
-        for summand, label in (("LX", l_x), ("LY", l_y)):
-            if label is not None:
-                out, n = out + d * self._label_embed(summand, label), n + 1
-        return out / np.sqrt(1 + n * d * d)
+        box = self.label_box(l_x or 0, l_y or 0)
+        return box.expand(self.local_tilt(l_x is not None, l_y is not None))
 
     def rho_hat(self, x: int, y: int) -> np.ndarray:
         return typicality.embed_with_ancilla(self.spec.states[x, y], 1, self.spec.dz)
 
     def rho_prime(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
+        check_dense(self.dim)
         t = self.tilt(l_x, l_y)
         return t @ self.rho_hat(x, y) @ t.conj().T
 
@@ -402,14 +439,12 @@ class PerturbedChannel:
         return self._averaged(self.spec.avg(), ("LX", "LY"))
 
     def perturbation_l1(self, x: int, y: int, l_x: int = 0, l_y: int = 0) -> float:
-        """||rho' - e rho_hat e†||_1 on the orthonormal columns [e, label LX, label LY].
+        """||rho' - e rho_hat e†||_1 on the rows of label_box(l_x, l_y).
 
-        Both operators live in that span, so the trace norm of the compression
-        (a 6 dz x 6 dz matrix) is the trace norm on Z'.
+        Both operators live on those rows, so the trace norm of the 6 dz x 6 dz
+        block is the trace norm on Z'; the block is the same at every label pair.
         """
-        e = self.base_embed()
-        cols = np.hstack([e, self._label_embed("LX", l_x), self._label_embed("LY", l_y)])
-        t, e = cols.conj().T @ self.tilt(l_x, l_y), cols.conj().T @ e
+        t, e = self.local_tilt(x=True, y=True), self.local_tilt()
         rho = self.rho_hat(x, y)
         return qla.trace_norm_herm(t @ rho @ t.conj().T - e @ rho @ e.conj().T)
 
@@ -451,6 +486,7 @@ class AveragedState:
 
     def dense(self) -> np.ndarray:
         """The dim Z' x dim Z' operator, for tests that compare against brute-force sums."""
+        check_dense(self.cols.shape[0])
         out = self.cols @ self.core @ self.cols.conj().T
         for sl in self.blocks:
             out[sl, sl] += self.spread * np.kron(self.rho, np.eye(self.dim_l) - 1.0 / self.dim_l)
@@ -489,7 +525,12 @@ def smoothing_residuals(chan: PerturbedChannel) -> list:
 
 @dataclass
 class DecodingSet:
-    """Per-letter-pair complement bases and the three optimal cq tests."""
+    """Per-letter-pair complement bases, the three optimal cq tests and the POVM factors.
+
+    local[x, y] is the factor B of Pi' = B B† on the rows of chan.label_box:
+    every label pair reaches its own 6 dz rows of Z' and B is the same array
+    there, so it is built once per letter pair.
+    """
 
     chan: PerturbedChannel
     eps: float
@@ -499,19 +540,23 @@ class DecodingSet:
     w_x: dict
     w_y: dict
     w_xy: dict
+    local: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        chan = self.chan
+        tx, ty, e = chan.local_tilt(x=True), chan.local_tilt(y=True), chan.local_tilt()
+        self.local = {}
+        for xy in self.w_x:
+            images = [tx @ self.w_x[xy], ty @ self.w_y[xy], e @ self.w_xy[xy]]
+            q = tilting.image_basis(images, e.shape[0])
+            self.local[xy] = tilting.complement_factor(e, q)
 
     def povm_factor(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
-        """Factor B with Pi' = B B† for the given letters and labels."""
-        chan = self.chan
-        images = [
-            chan.tilt(l_x=l_x) @ self.w_x[x, y],
-            chan.tilt(l_y=l_y) @ self.w_y[x, y],
-            chan.base_embed() @ self.w_xy[x, y],
-        ]
-        q = tilting.image_basis(images, chan.dim)
-        return tilting.complement_factor(chan.base_embed(), q)
+        """Factor B with Pi' = B B† for the given letters and labels, on all of Z'."""
+        return self.chan.label_box(l_x, l_y).expand(self.local[x, y])
 
     def povm(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
+        check_dense(self.chan.dim)
         b = self.povm_factor(x, l_x, y, l_y)
         return qla.hermitian_part(b @ b.conj().T)
 
@@ -521,7 +566,8 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
 
     The X-labelled complement spaces are tilted along L_X and pair with the
     keep-x averaged states (rate R2 / I_H(Y:XZ)); symmetrically for Y; the
-    joint test stays untilted in the base copy.
+    joint test stays untilted in the base copy.  The POVM factors are built
+    once per letter pair on the label rows (DecodingSet.local).
     """
     chan = PerturbedChannel(spec, dim_l, delta)
     letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
@@ -748,9 +794,10 @@ def cq_mac_experiment(
     counts as an error) from pgm_success on Pi_m = B_m B_m† and rho'_m =
     t rho_hat t†: with G = [B_1 ... B_M] = U s V†, Tr[Lambda_m rho'_m] =
     Tr[V_m V_m† U† rho'_m U], so no dim Z' operator is built (PGM:
-    Hausladen-Wootters 1994).  The bounds are the theorem constant
-    49 sqrt(eps) and the Hayashi-Nagaoka 2003 expansion at the exact
-    pipeline quantities.
+    Hausladen-Wootters 1994).  Both run on the union of the codebook's label
+    rows, outside which every B_m and tilt is zero.  The bounds are the
+    theorem constant 49 sqrt(eps) and the Hayashi-Nagaoka 2003 expansion at
+    the exact pipeline quantities.
     """
     if delta is None:
         delta = eps**0.25
@@ -769,14 +816,26 @@ def cq_mac_experiment(
         "i_xy_z": dec.i_xy_z,
     }
 
+    tilt = chan.local_tilt(x=True, y=True)
+    rho_hats = {xy: chan.rho_hat(*xy) for xy in dec.local}
+
     def codebook(cb_seed: int) -> tuple[list, list]:
+        # every pair's factor and tilt placed on the union of the pairs' label
+        # rows, at most (1 + m1 + m2) 2dz of Z'
         cb = Codebook.sample(cb_seed, m1, m2, spec.p_x, spec.p_y, dim_l=dim_l)
         pairs = [
             (cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
             for i1 in range(m1)
             for i2 in range(m2)
         ]
-        return [dec.povm_factor(*p) for p in pairs], [chan.rho_prime_factored(*p) for p in pairs]
+        boxes = [chan.label_box(lx, ly) for _, lx, _, ly in pairs]
+        rows = functools.reduce(typicality.Box.union, boxes)
+        factors = [rows.place(b, dec.local[x, y]) for b, (x, _, y, _) in zip(boxes, pairs)]
+        states = [
+            typicality.LowRankState(rows.place(b, tilt), rho_hats[x, y])
+            for b, (x, _, y, _) in zip(boxes, pairs)
+        ]
+        return factors, states
 
     return pgm_trials((r1, r2), bounds, trials, seed, codebook)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dh_oracle import bisection_test
-from oneshot import audits, cli, hyptest, rand
+from oneshot import audits, cli, hyptest, mac, rand
 
 
 def run(args):
@@ -288,4 +288,32 @@ class TestRejectedInput:
         path.write_text("\n".join(lines) + "\n")
         assert run(["mac", mode, str(path), "--out", outdir]) == 2
         assert "error: epsilon must be in (0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("rate", ["40", "2000"])
+    @pytest.mark.parametrize(
+        "mode,config,what",
+        [
+            ("classical", "configs/classical_mac_small.txt", "the decoder grid"),
+            ("cq", "configs/cq_mac_small.txt", "the stacked codebook factor"),
+        ],
+    )
+    def test_huge_rate_exits_2_before_sampling(
+        self, mode, config, what, rate, monkeypatch, tmp_path, outdir, capsys
+    ):
+        # r1 = 40 drew 2^40 codewords, one generator each, and never ended;
+        # 2^2000 overflows a float
+        def forbidden(*args, **kwargs):
+            raise AssertionError("codebook sampled before the budget check")
+
+        monkeypatch.setattr(mac.Codebook, "sample", forbidden)
+        lines = [
+            f"r1 = {rate}" if line.startswith("r1") else line
+            for line in open(config).read().splitlines()
+        ]
+        path = tmp_path / "rate.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["mac", mode, str(path), "--out", outdir]) == 2
+        want = f"error: {what}" if rate == "40" else "gives too many messages"
+        assert want in capsys.readouterr().err
         assert not os.path.exists(outdir)

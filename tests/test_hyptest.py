@@ -477,3 +477,12 @@ class TestDilatePovm:
     def test_rejects_non_povm(self):
         with pytest.raises(ValueError):
             hyptest.dilate_povm(np.diag([2.0, 0.0]))
+
+    def test_eigenvalues_within_rounding_snap(self):
+        # sqrt(1e-15) would put 3e-8 on the |1> (or |0>) coordinate
+        mags = np.abs(hyptest.dilation_basis(np.diag([1.0 - 1e-15, 1e-15, 0.5])))
+        # eigenvalues ascending: 1e-15 -> e1|1>, 0.5 -> e2 (|0> + |1>) / sqrt 2, 1 -> e0|0>
+        want = np.zeros((6, 3))
+        want[3, 0] = want[0, 2] = 1.0
+        want[4, 1] = want[5, 1] = np.sqrt(0.5)
+        npt.assert_array_equal(mags, want)

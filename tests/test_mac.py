@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import hyptest, mac, qla, report, typicality
+from oneshot import cli, hyptest, mac, qla, report, tilting, typicality
 from oneshot.rand import random_density, random_povm_element, rng_from_seed
 
 
@@ -573,6 +575,154 @@ class TestTimeSharing:
         inst = mac.time_sharing_instance(time_sharing_spec(), 2, 0.05 ** (1 / 3), 0.05)
         tests = typicality.optimal_splitting_tests(inst)
         assert min(t.eps for per_x in tests.values() for t in per_x.values()) == 0.0
+
+
+def full_row_povm_factor(dec, x, l_x, y, l_y):
+    """Oracle: the POVM factor from the tilted images on every row of Z'."""
+    chan = dec.chan
+    images = [
+        chan.tilt(l_x=l_x) @ dec.w_x[x, y],
+        chan.tilt(l_y=l_y) @ dec.w_y[x, y],
+        chan.base_embed() @ dec.w_xy[x, y],
+    ]
+    q = tilting.image_basis(images, chan.dim)
+    return tilting.complement_factor(chan.base_embed(), q)
+
+
+def load_config(name):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, name)) as fh:
+        cfg = cli.parse_kv(fh.read())
+    return cli.load_cq_spec(cfg), float(cfg["epsilon"]), int(cfg["l_dim"])
+
+
+class TestLabelLocalFactors:
+    def test_tilt_is_placed_local_tilt(self):
+        chan = mac.PerturbedChannel(random_cq_spec(51), 8, 0.35)
+        d = chan.delta
+        for lx, ly in [(0, 0), (3, 5), (7, 1)]:
+            want = chan.base_embed() + d * chan._label_embed("LX", lx) + d * chan._label_embed("LY", ly)
+            npt.assert_array_equal(chan.tilt(lx, ly), want / np.sqrt(1 + 2 * d * d))
+            rows = chan.label_box(lx, ly).rows[0]
+            assert len(rows) == 3 * chan.base and np.all(np.diff(rows) > 0)
+
+    @pytest.mark.parametrize("seed", [48, 52])
+    def test_placed_factor_matches_full_row_oracle(self, seed):
+        spec = random_cq_spec(seed)
+        L = 8
+        dec = mac.build_decoding_povms(spec, L, 0.3, 0.05)
+        for lx, ly in [(0, 0), (3, 5), (L - 1, 1)]:
+            for x in range(spec.nx):
+                for y in range(spec.ny):
+                    npt.assert_allclose(
+                        dec.povm_factor(x, lx, y, ly),
+                        full_row_povm_factor(dec, x, lx, y, ly),
+                        rtol=0, atol=1e-12,
+                    )
+
+    @pytest.mark.parametrize("r1, r2", [(1.0, 1.0), (2.0, 1.0)])
+    def test_codebook_on_union_of_label_rows(self, r1, r2, monkeypatch):
+        spec = random_cq_spec(42)
+        dim_l = 16
+        dec = mac.build_decoding_povms(spec, dim_l, 0.3, 0.05)
+        m1, m2 = mac.message_count(r1), mac.message_count(r2)
+        most = (1 + m1 + m2) * dec.chan.base
+        success = mac.pgm_success
+        seen = []
+
+        def checked(factors, states):
+            for b, st in zip(factors, states):
+                assert b.shape[0] <= most and st.factor.shape[0] == b.shape[0]
+            seen.append(len(factors))
+            return success(factors, states)
+
+        monkeypatch.setattr(mac, "pgm_success", checked)
+        res = mac.cq_mac_experiment(spec, r1, r2, 0.05, dim_l, 0.3, trials=3, seed=3, dec=dec)
+        assert seen == [m1 * m2] * 3
+        # the same errors from the factors and states on every row of Z'
+        for t, err in enumerate(res.errors):
+            cb = mac.Codebook.sample(3 + t, m1, m2, spec.p_x, spec.p_y, dim_l=dim_l)
+            pairs = [
+                (cb.xs[i1], cb.lxs[i1], cb.ys[i2], cb.lys[i2])
+                for i1 in range(m1)
+                for i2 in range(m2)
+            ]
+            full = success(
+                [full_row_povm_factor(dec, *p) for p in pairs],
+                [dec.chan.rho_prime_factored(*p) for p in pairs],
+            )
+            assert err == pytest.approx(float(np.mean(1.0 - full)), abs=1e-12)
+
+
+class TestSizeGates:
+    def test_cheap_channel_runs_past_the_dim_cap(self, monkeypatch):
+        # |L| = 1024 gives dim Z' = 8196 > 4096 rows, but no array on the
+        # decoding path is wider than an averaged state's 6 dz columns
+        spec, eps, _ = load_config("configs/cq_mac_small.txt")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense operator built in the decoding path")
+
+        monkeypatch.delenv("ONESHOT_DIM_CAP", raising=False)
+        monkeypatch.setattr(mac, "pgm", forbidden)
+        monkeypatch.setattr(mac.DecodingSet, "povm", forbidden)
+        monkeypatch.setattr(mac.PerturbedChannel, "rho_prime", forbidden)
+        monkeypatch.setattr(mac.AveragedState, "dense", forbidden)
+        res = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, 1024, trials=2, seed=0)
+        assert res.errors.shape == (2,)
+        assert mac.PerturbedChannel(spec, 1024, 0.3).dim == 8196 > typicality.site_dim_cap()
+
+    def test_dense_oracles_keep_the_dim_cap(self, monkeypatch):
+        # dim Z' = 132 rows: the channel (132 x 12) fits a cap of 100, its
+        # dense 132 x 132 operators do not
+        monkeypatch.setenv("ONESHOT_DIM_CAP", "100")
+        spec = random_cq_spec(53)
+        dec = mac.build_decoding_povms(spec, 16, 0.3, 0.05)
+        assert dec.chan.dim == 132
+        for dense in (
+            lambda: dec.chan.rho_prime(0, 1, 1, 2),
+            lambda: dec.povm(0, 1, 1, 2),
+            lambda: dec.chan.averaged_all().dense(),
+        ):
+            with pytest.raises(ValueError, match="dense operator of dimension 132"):
+                dense()
+
+    def test_wide_channel_refused_before_any_array(self, monkeypatch):
+        # 516 rows x 12 columns is over 64^2
+        def forbidden(*args, **kwargs):
+            raise AssertionError("array built before the size check")
+
+        spec = random_cq_spec(54)
+        monkeypatch.setenv("ONESHOT_DIM_CAP", "64")
+        monkeypatch.setattr(np, "zeros", forbidden)
+        with pytest.raises(ValueError, match="516 times 12 columns"):
+            mac.PerturbedChannel(spec, 64, 0.3)
+
+
+class TestDilationRounding:
+    def test_outputs_stable_under_test_rounding(self, monkeypatch):
+        # the dilation's sqrt(1 - w) turned a 1e-15 change of a test block
+        # into about 3e-9 of the errors; eigenvalues at 0 and 1 are snapped
+        spec, eps, dim_l = load_config("bench/cq_mac.txt")
+        base = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, dim_l, trials=3, seed=5)
+        solve = hyptest.cq_optimal_test
+        for seed in range(5):
+            rng = rng_from_seed(seed)
+
+            def perturbed(*args):
+                res, blocks = solve(*args)
+                out = []
+                for blk in blocks:
+                    g = rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape)
+                    h = g + g.conj().T
+                    out.append(blk + 1e-15 * h / np.linalg.norm(h, 2))
+                return res, out
+
+            monkeypatch.setattr(hyptest, "cq_optimal_test", perturbed)
+            got = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, dim_l, trials=3, seed=5)
+            npt.assert_allclose(got.errors, base.errors, rtol=0, atol=1e-12)
+            for key, value in base.bounds.items():
+                assert got.bounds[key] == pytest.approx(value, rel=0, abs=1e-12), key
 
 
 class TestTrivialDecodingSet:

@@ -7,6 +7,8 @@ instance seed, so any failure message alone reproduces the instance.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import hyptest, mac, report, tilting, typicality
@@ -208,18 +210,15 @@ def random_instance(
     seed: int, c: int, k: int, dim_h: int, dim_l: int, delta: float, eps: float
 ) -> typicality.TypicalityInstance:
     typicality.check_space(c, k, dim_h, dim_l)
+    widest = typicality.widest_array(c, k, dim_h, dim_l)
+    typicality.check_budget("the widest array of the construction", widest)
     rng = rng_from_seed(seed)
-    if c == 0:
-        rhos = {(): random_density(rng, dim_h**k)}
-        p_x = {(): 1.0}
-    else:
-        import itertools
-
-        words = list(itertools.product(range(2), repeat=c))
-        p = rng.random(len(words)) + 0.2
-        p /= p.sum()
-        rhos = {w: random_density(rng, dim_h**k) for w in words}
-        p_x = {w: float(v) for w, v in zip(words, p)}
+    # the one word () of c = 0 takes no draw for its weight
+    words = list(itertools.product(range(2), repeat=c))
+    p = rng.random(len(words)) + 0.2 if c else np.ones(1)
+    p /= p.sum()
+    rhos = {w: random_density(rng, dim_h**k) for w in words}
+    p_x = {w: float(v) for w, v in zip(words, p)}
     return typicality.TypicalityInstance(
         c=c, k=k, dim_h=dim_h, dim_l=dim_l, delta=delta, rhos=rhos, p_x=p_x,
         eps_total=eps,

@@ -14,6 +14,7 @@ environment variable ONESHOT_DIM_CAP overrides the per-site dimension cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -244,13 +245,6 @@ def load_cq_spec(cfg: dict) -> mac.CqChannelSpec:
     )
 
 
-def _check_budget(what: str, size: int) -> None:
-    """Refuse a run whose largest array, known before any codebook is drawn, is over the cap squared."""
-    cap = typicality.site_dim_cap()
-    if size > cap * cap:
-        raise ConfigError(f"{what} has {size} entries, over the budget {cap}^2")
-
-
 def cmd_mac(args) -> int:
     try:
         with open(args.config) as fh:
@@ -270,7 +264,7 @@ def cmd_mac(args) -> int:
             r1 = auto_r1 if cfg.get("r1", "auto") == "auto" else float(cfg["r1"])
             r2 = auto_r2 if cfg.get("r2", "auto") == "auto" else float(cfg["r2"])
             m1, m2 = mac.message_count(r1), mac.message_count(r2)
-            _check_budget("the decoder grid m1 m2 |Z|", m1 * m2 * spec.shape[2])
+            typicality.check_budget("the decoder grid m1 m2 |Z|", m1 * m2 * spec.shape[2])
             result = mac.classical_mac_experiment(spec, r1, r2, eps, trials, seed)
             # inside the rate region the expectation bound undercuts the
             # headline 6 eps target; outside it only the target can fail
@@ -287,7 +281,7 @@ def cmd_mac(args) -> int:
             m1, m2 = mac.message_count(r1), mac.message_count(r2)
             width = 2 * spec.dz
             rows = min(dec.chan.dim, (1 + m1 + m2) * width)
-            _check_budget("the stacked codebook factor", rows * m1 * m2 * width)
+            typicality.check_budget("the stacked codebook factor", rows * m1 * m2 * width)
             result = mac.cq_mac_experiment(
                 spec, r1, r2, eps, dim_l, delta, trials, seed, dec=dec
             )
@@ -369,6 +363,7 @@ def cmd_typicality_build(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oneshot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -376,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dh = sub.add_parser("dh", help="solve one hypothesis-testing entropy instance")
     p_dh.add_argument("input", help="key-value input file (see README)")
     p_dh.add_argument("--out", default=None, help="output directory")
-    p_dh.set_defaults(func=cmd_dh)
+    p_dh.set_defaults(func="cmd_dh")
 
     p_audit = sub.add_parser("audit", help="run a randomized inequality suite")
     p_audit.add_argument("which", choices=["tilting", "typicality", "gao", "hn", "dh"])
@@ -389,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--L", type=int, default=4)
     p_audit.add_argument("--eps", type=float, default=0.2)
     p_audit.add_argument("--delta", type=float, nargs="*", default=None)
-    p_audit.set_defaults(func=cmd_audit)
+    p_audit.set_defaults(func="cmd_audit")
 
     p_mac = sub.add_parser("mac", help="run a channel experiment from a config file")
     p_mac.add_argument("mode", choices=["classical", "cq"])
@@ -398,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mac.add_argument("--seed", type=int, default=None)
     p_mac.add_argument("--trials", type=int, default=None)
     p_mac.add_argument("--expect-fail", action="store_true")
-    p_mac.set_defaults(func=cmd_mac)
+    p_mac.set_defaults(func="cmd_mac")
 
     p_tb = sub.add_parser("typicality-build", help="build and audit one construction")
     p_tb.add_argument("--k", type=int, default=2)
@@ -409,13 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb.add_argument("--eps", type=float, default=0.2)
     p_tb.add_argument("--seed", type=int, default=0)
     p_tb.add_argument("--out", default=None)
-    p_tb.set_defaults(func=cmd_typicality_build)
+    p_tb.set_defaults(func="cmd_typicality_build")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the handler is looked up by name at each call, so a patched module
+    # attribute is the one that runs even though the parser is cached
+    return globals()[args.func](args)
 
 
 if __name__ == "__main__":

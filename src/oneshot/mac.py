@@ -315,7 +315,10 @@ class PerturbedChannel:
 
     Z' = (Z x C^2) (+) (Z x C^2 x L_X) (+) (Z x C^2 x L_Y); the perturbed
     output on input ((x, l_x), (y, l_y)) superposes the embedded original
-    with copies labelled l_x and l_y at amplitude delta.
+    with copies labelled l_x and l_y at amplitude delta.  It lives on the
+    6 dz rows of label_box(l_x, l_y), where the tilt is local_tilt whatever
+    the labels, so the channel allocates nothing; only the dense oracles
+    (tilt, rho_prime, AveragedState.dense) build arrays with dim Z' rows.
     """
 
     def __init__(self, spec: CqChannelSpec, dim_l: int, delta: float):
@@ -335,36 +338,6 @@ class PerturbedChannel:
             "LY": slice(self.base + n, self.base + 2 * n),
         }
         self.dim = self.base + 2 * n
-        # the widest array the decoding path builds: an averaged state's columns
-        cap = typicality.site_dim_cap()
-        if self.dim * 3 * self.base > cap * cap:
-            raise ValueError(
-                f"extended space dimension {self.dim} times {3 * self.base} columns "
-                f"exceeds the cap {cap}^2"
-            )
-        e = np.zeros((self.dim, self.base), dtype=complex)
-        e[self.slices["base"], :] = np.eye(self.base)
-        e.flags.writeable = False
-        self._base_embed = e
-        # read-only label copies, built on first use: at most 2 |L| per channel
-        self._label_embeds: dict = {}
-
-    def _label_embed(self, summand: str, label: int | None) -> np.ndarray:
-        """The base copy in a label summand, at one label or (None) at u = 1/sqrt(|L|)."""
-        if (summand, label) in self._label_embeds:
-            return self._label_embeds[summand, label]
-        n = self.dim_l
-        amp = np.full(n, n**-0.5) if label is None else np.eye(n)[label]
-        v = np.zeros((self.dim, self.base), dtype=complex)
-        h = np.arange(self.base)
-        v[self.slices[summand]].reshape(self.base, n, self.base)[h, :, h] = amp
-        if label is not None:
-            v.flags.writeable = False
-            self._label_embeds[summand, label] = v
-        return v
-
-    def base_embed(self) -> np.ndarray:
-        return self._base_embed
 
     def label_box(self, l_x: int, l_y: int) -> typicality.Box:
         """The 6 dz rows of Z' that labels (l_x, l_y) reach, ascending.
@@ -391,7 +364,7 @@ class PerturbedChannel:
         return np.vstack([a * np.eye(self.base) for a in amps]) / np.sqrt(1 + (x + y) * d * d)
 
     def tilt(self, l_x: int | None = None, l_y: int | None = None) -> np.ndarray:
-        """(base + d LX(l_x) [+ d LY(l_y)]) / sqrt(1 + n d^2) over the n labels given."""
+        """(base + d LX(l_x) [+ d LY(l_y)]) / sqrt(1 + n d^2) over the n labels given, on Z'."""
         box = self.label_box(l_x or 0, l_y or 0)
         return box.expand(self.local_tilt(l_x is not None, l_y is not None))
 
@@ -403,43 +376,33 @@ class PerturbedChannel:
         t = self.tilt(l_x, l_y)
         return t @ self.rho_hat(x, y) @ t.conj().T
 
-    def rho_prime_factored(self, x: int, l_x: int, y: int, l_y: int) -> typicality.LowRankState:
-        """rho' kept as tilt(l_x, l_y) rho_hat(x, y) tilt(l_x, l_y)†."""
-        return typicality.LowRankState(self.tilt(l_x, l_y), self.rho_hat(x, y))
-
-    def _averaged(self, marginal: np.ndarray, averaged: tuple, kept=None) -> "AveragedState":
+    def _averaged(self, marginal: np.ndarray, averaged: tuple) -> "AveragedState":
         """The output averaged over the letters behind marginal and the labels of averaged.
 
-        kept = (summand, label) keeps one sender's label.  By linearity the
-        label average of each averaged summand's copy is its uniform-label
-        copy (amplitude delta / sqrt(|L|)) plus delta^2 / |L| rho x P_perp.
+        averaged lists the summands (1 for LX, 2 for LY) whose labels are
+        averaged; the other keeps its label.  By linearity the label average
+        of an averaged summand's copy is its uniform-label copy (amplitude
+        delta / sqrt(|L|)) plus delta^2 / |L| rho x P_perp.
         """
         d, n = self.delta, 1 + 2 * self.delta**2
-        parts = [(self.base_embed(), 1.0)]
-        if kept is not None:
-            parts.append((self._label_embed(*kept), d))
-        parts += [(self._label_embed(s, None), d / np.sqrt(self.dim_l)) for s in averaged]
-        t = np.vstack([amp * np.eye(self.base) for _, amp in parts])
+        amps = (1.0,) + tuple(d / np.sqrt(self.dim_l) if j in averaged else d for j in (1, 2))
         rho = typicality.embed_with_ancilla(marginal, 1, self.spec.dz)
-        return AveragedState(
-            np.hstack([col for col, _ in parts]), t @ rho @ t.T / n, rho,
-            d * d / (n * self.dim_l), tuple(self.slices[s] for s in averaged), self.dim_l,
-        )
+        return AveragedState(amps, averaged, rho, n, d * d / (n * self.dim_l), self.dim_l)
 
-    def averaged_over_y(self, x: int, l_x: int) -> "AveragedState":
-        """(rho')_{(x, l_x), delta}: the output averaged over (y, l_y)."""
-        return self._averaged(self.spec.avg_x(x), ("LY",), ("LX", l_x))
+    def averaged_over_y(self, x: int) -> "AveragedState":
+        """(rho')_{(x, l_x), delta}: the output averaged over (y, l_y), l_x kept."""
+        return self._averaged(self.spec.avg_x(x), (2,))
 
-    def averaged_over_x(self, y: int, l_y: int) -> "AveragedState":
-        """(rho')_{(y, l_y), delta}: the output averaged over (x, l_x)."""
-        return self._averaged(self.spec.avg_y(y), ("LX",), ("LY", l_y))
+    def averaged_over_x(self, y: int) -> "AveragedState":
+        """(rho')_{(y, l_y), delta}: the output averaged over (x, l_x), l_y kept."""
+        return self._averaged(self.spec.avg_y(y), (1,))
 
     def averaged_all(self) -> "AveragedState":
         """(rho')_delta: the output averaged over both letters and both labels."""
-        return self._averaged(self.spec.avg(), ("LX", "LY"))
+        return self._averaged(self.spec.avg(), (1, 2))
 
-    def perturbation_l1(self, x: int, y: int, l_x: int = 0, l_y: int = 0) -> float:
-        """||rho' - e rho_hat e†||_1 on the rows of label_box(l_x, l_y).
+    def perturbation_l1(self, x: int, y: int) -> float:
+        """||rho' - e rho_hat e†||_1 on the rows of a label box.
 
         Both operators live on those rows, so the trace norm of the 6 dz x 6 dz
         block is the trace norm on Z'; the block is the same at every label pair.
@@ -451,45 +414,70 @@ class PerturbedChannel:
 
 @dataclass(frozen=True)
 class AveragedState:
-    """A label-averaged output: cols core cols† + spread sum_blocks rho x P_perp.
+    """A label-averaged output in copy coordinates: core + spread sum_j rho x P_perp.
 
-    cols are orthonormal: the base copy, a kept label's copy and the
-    uniform-label copy of each averaged summand.  P_perp = I_L - |u><u| acts on
-    the label of each averaged summand's block, so the two parts have
-    orthogonal ranges and nothing of size dim Z' x dim Z' is needed.
+    Summand j of Z' (0 base, 1 LX, 2 LY) holds one copy of rho, at amplitude
+    amps[j]: the base copy, a kept label's copy, or for j in averaged the
+    uniform-label copy u = 1/sqrt(|L|) over all labels.  core =
+    t rho t† / norm with t the amplitudes stacked over the three copies,
+    6 dz square.  P_perp = I_L - |u><u| acts on the labels of each averaged
+    summand, orthogonal to every copy; no array has dim Z' rows.
     """
 
-    cols: np.ndarray
-    core: np.ndarray
+    amps: tuple
+    averaged: tuple
     rho: np.ndarray
+    norm: float
     spread: float
-    blocks: tuple
     dim_l: int
 
-    def povm_expectation(self, b: np.ndarray) -> float:
-        """Tr[B† A B] = Tr[(cols† B)† core (cols† B)] plus the spread on B's label blocks.
+    @functools.cached_property
+    def core(self) -> np.ndarray:
+        t = np.vstack([a * np.eye(self.rho.shape[0]) for a in self.amps])
+        return t @ self.rho @ t.T / self.norm
 
-        Each block's rows of B, reshaped to (2 dz, |L|, cols), lose their label
-        mean (P_perp) and meet rho: O(dim x cols) work in all.
+    def povm_expectation(self, b: np.ndarray) -> float:
+        """Tr[B† A B] for B on the rows of label_box at the kept labels.
+
+        There copy j meets summand j's rows B_j of B, scaled by 1/sqrt(|L|)
+        for a uniform copy, and P_perp is 1 - 1/|L|: Tr[c† core c] for the
+        stacked c_j plus the spread on each averaged summand's B_j.
         """
-        c = self.cols.conj().T @ b
+        base = self.rho.shape[0]
+        c = b.copy()
+        for j in self.averaged:
+            c[j * base:(j + 1) * base] *= self.dim_l**-0.5
         total = np.vdot(c, self.core @ c).real
-        for sl in self.blocks:
-            y = b[sl].reshape(self.rho.shape[0], self.dim_l, -1)
-            y = (y - y.mean(axis=1, keepdims=True)).reshape(self.rho.shape[0], -1)
-            total += self.spread * np.vdot(y, self.rho @ y).real
+        for j in self.averaged:
+            b_j = b[j * base:(j + 1) * base]
+            total += self.spread * (1 - 1 / self.dim_l) * np.vdot(b_j, self.rho @ b_j).real
         return float(total)
 
     def residual_norm(self, ref_core: np.ndarray) -> float:
-        """||A - cols ref_core cols†||_inf, the larger of the two orthogonal parts' norms."""
+        """||A - ref||_inf for ref_core in copy coordinates: the larger of the two parts' norms."""
         return max(qla.op_norm_herm(self.core - ref_core), self.spread * qla.op_norm_herm(self.rho))
 
-    def dense(self) -> np.ndarray:
-        """The dim Z' x dim Z' operator, for tests that compare against brute-force sums."""
-        check_dense(self.cols.shape[0])
-        out = self.cols @ self.core @ self.cols.conj().T
-        for sl in self.blocks:
-            out[sl, sl] += self.spread * np.kron(self.rho, np.eye(self.dim_l) - 1.0 / self.dim_l)
+    def copies(self, l_x: int = 0, l_y: int = 0) -> np.ndarray:
+        """The dim Z' x 6 dz isometry from copy coordinates onto Z', kept labels at (l_x, l_y)."""
+        n, base = self.dim_l, self.rho.shape[0]
+        h = np.arange(base)
+        out = np.zeros((base * (1 + 2 * n), 3 * base))
+        out[h, h] = 1.0
+        for j, label in ((1, l_x), (2, l_y)):
+            labels = np.arange(n) if j in self.averaged else label
+            rows = base + (j - 1) * base * n + h[:, None] * n + labels
+            out[rows, j * base + h[:, None]] = n**-0.5 if j in self.averaged else 1.0
+        return out
+
+    def dense(self, l_x: int = 0, l_y: int = 0) -> np.ndarray:
+        """The dim Z' x dim Z' operator at kept labels (l_x, l_y), for brute-force comparisons."""
+        base, n = self.rho.shape[0], self.dim_l
+        check_dense(base * (1 + 2 * n))
+        cols = self.copies(l_x, l_y)
+        out = cols @ self.core @ cols.T
+        for j in self.averaged:
+            sl = slice(base + (j - 1) * base * n, base + j * base * n)
+            out[sl, sl] += self.spread * np.kron(self.rho, np.eye(n) - 1.0 / n)
         return out
 
 
@@ -499,26 +487,26 @@ def smoothing_residuals(chan: PerturbedChannel) -> list:
     Averaging the perturbed output over the other sender's letter and label
     leaves the corresponding single-tilt reference plus a residual whose
     operator norm is at most 3 delta / sqrt(|L|).  Each reference lies in the
-    span of the averaged state's columns, so the norm is taken on its core.
+    span of the averaged state's copies, where it is the local tilt, so the
+    norm is taken on the core.
     """
     spec, d, L = chan.spec, chan.delta, chan.dim_l
     bound = 3.0 * d / np.sqrt(L)
     checks = []
     lead = (1 + d * d) / (1 + 2 * d * d)
-    for letter, count, tilt, averaged in (
-        ("x", spec.nx, chan.tilt(l_x=0), chan.averaged_over_y),
-        ("y", spec.ny, chan.tilt(l_y=0), chan.averaged_over_x),
+    for letter, count, t, averaged in (
+        ("x", spec.nx, chan.local_tilt(x=True), chan.averaged_over_y),
+        ("y", spec.ny, chan.local_tilt(y=True), chan.averaged_over_x),
     ):
         for a in range(count):
-            avg = averaged(a, 0)
-            t = avg.cols.conj().T @ tilt
-            resid = avg.residual_norm(lead * t @ avg.rho @ t.conj().T)
+            avg = averaged(a)
+            resid = avg.residual_norm(lead * t @ avg.rho @ t.T)
             checks.append(
                 report.AuditCheck(f"smoothing_residual_{letter}", resid, bound, 1e-9, {letter: a})
             )
     avg = chan.averaged_all()
-    e = avg.cols.conj().T @ chan.base_embed()
-    resid = avg.residual_norm(e @ avg.rho @ e.conj().T / (1 + 2 * d * d))
+    e = chan.local_tilt()
+    resid = avg.residual_norm(e @ avg.rho @ e.T / (1 + 2 * d * d))
     checks.append(report.AuditCheck("smoothing_residual_all", resid, bound, 1e-9, {}))
     return checks
 
@@ -592,29 +580,29 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
 
 
 def pipeline_quantities(dec: DecodingSet) -> dict:
-    """Exact type-1 and type-2 aggregates of the decoding set at labels (0, 0).
+    """Exact type-1 and type-2 aggregates of the decoding set.
 
-    Every quantity is invariant under relabelling, so one label pair stands for
-    all.  With Pi = B B† every trace is taken on the factor: Tr[Pi rho'] through
-    the factored rho', and Tr[Pi A] = Tr[B† A B] on the structured averaged states A.
+    Every quantity is invariant under relabelling, so all are taken on the
+    rows of one label box, where Pi = B B† has the factor dec.local[x, y]:
+    Tr[Pi rho'] through the local tilt, and Tr[Pi A] = Tr[B† A B] on the
+    averaged states A, whose compression onto those rows is closed form.
     """
     chan = dec.chan
     spec = chan.spec
+    tilt = chan.local_tilt(x=True, y=True)
     type1 = t2_keep_x = t2_keep_y = t2_none = 0.0
     avg_all = chan.averaged_all()
-    avg_xs = {x: chan.averaged_over_y(x, 0) for x in range(spec.nx)}
-    avg_ys = {y: chan.averaged_over_x(y, 0) for y in range(spec.ny)}
+    avg_xs = {x: chan.averaged_over_y(x) for x in range(spec.nx)}
+    avg_ys = {y: chan.averaged_over_x(y) for y in range(spec.ny)}
     max_pert = 0.0
-    for x in range(spec.nx):
-        for y in range(spec.ny):
-            w = spec.p_x[x] * spec.p_y[y]
-            b = dec.povm_factor(x, 0, y, 0)
-            accept = typicality.povm_expectation(b, chan.rho_prime_factored(x, 0, y, 0))
-            type1 += w * (1.0 - accept)
-            t2_keep_x += w * avg_xs[x].povm_expectation(b)
-            t2_keep_y += w * avg_ys[y].povm_expectation(b)
-            t2_none += w * avg_all.povm_expectation(b)
-            max_pert = max(max_pert, chan.perturbation_l1(x, y))
+    for (x, y), b in dec.local.items():
+        w = spec.p_x[x] * spec.p_y[y]
+        accept = typicality.povm_expectation(b, typicality.LowRankState(tilt, chan.rho_hat(x, y)))
+        type1 += w * (1.0 - accept)
+        t2_keep_x += w * avg_xs[x].povm_expectation(b)
+        t2_keep_y += w * avg_ys[y].povm_expectation(b)
+        t2_none += w * avg_all.povm_expectation(b)
+        max_pert = max(max_pert, chan.perturbation_l1(x, y))
     return {
         "type1": type1,
         "t2_keep_x": t2_keep_x,

@@ -40,6 +40,13 @@ def site_dim_cap() -> int:
     return int(os.environ.get("ONESHOT_DIM_CAP", DEFAULT_SITE_DIM_CAP))
 
 
+def check_budget(what: str, size: int) -> None:
+    """Refuse a run whose largest array, known before any state or codebook is drawn, is over cap^2."""
+    cap = site_dim_cap()
+    if size > cap * cap:
+        raise ValueError(f"{what} has {size} entries, over the budget {cap}^2")
+
+
 def site_dim_formula(c: int, k: int, dim_h: int, dim_l: int) -> int:
     """dim A''_i: the base summand plus 2|H| L^|S| per block S through site i.
 
@@ -126,10 +133,40 @@ def refines(p: Psp, q: Psp) -> bool:
     return all(any(set(s) <= set(t) for t in q) for s in p)
 
 
-def psp_count_bound(elements) -> int:
-    nq = sum(1 for e in elements if e > 0)
-    nc = sum(1 for e in elements if e < 0)
-    return 2 ** (nq * nc) * (nq + 1) ** nq
+def psp_count(c: int, k: int) -> int:
+    """The number of pseudosubpartitions of [c] (+) [k], the empty one included.
+
+    Without enumerating: the last of n quantum sites is unused or shares a
+    block with r of the other n - 1, and each block takes any subset of the
+    classical coordinates.
+    """
+    counts = [1]
+    for n in range(1, k + 1):
+        shared = sum(math.comb(n - 1, r) * counts[n - 1 - r] for r in range(n))
+        counts.append(counts[-1] + 2**c * shared)
+    return counts[k]
+
+
+def widest_array(c: int, k: int, dim_h: int, dim_l: int) -> int:
+    """Entries of the widest array intersection_lemma builds, from the closed forms.
+
+    On the box of (2|H| (1 + 2^(c+k-1)))^k rows, build_construction stacks
+    the tilted images of (2|H|)^k columns at most per non-empty
+    pseudosubpartition.  marginal_block_state stacks |L|^|S-bar| label
+    copies of a block S's marginal factor, with |H|^k columns per box row
+    of the traced sites, on a union box whose s kept sites reach 2|H| (1 +
+    2^(|S|-1) (1 + |L|)^|S-bar|) rows each.
+    """
+    n = 2 * dim_h
+    site = n * (1 + 2 ** (c + k - 1))
+    widest = site**k * (psp_count(c, k) - 1) * n**k
+    for kept_c in range(c + 1):
+        for s in range(1, k + 1):
+            out = c + k - kept_c - s
+            if out:
+                union = (n * (1 + 2 ** (kept_c + s - 1) * (1 + dim_l) ** out)) ** s
+                widest = max(widest, union * dim_l**out * site ** (k - s) * dim_h**k)
+    return widest
 
 
 @dataclass(frozen=True)

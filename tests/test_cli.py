@@ -1,11 +1,12 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dh_oracle import bisection_test
-from oneshot import audits, cli, hyptest, mac, rand
+from oneshot import audits, cli, hyptest, mac, rand, typicality
 
 
 def run(args):
@@ -32,6 +33,34 @@ class TestParsing:
         cfg = {"m.dims": lines[0].split("=")[1], "m": lines[1].split("=")[1]}
         back = cli.parse_complex_matrix(cfg, "m")
         np.testing.assert_allclose(back, m)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_parse_independently(self, tmp_path):
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run(["audit", "hn", "--trials", "3", "--seed", "2", "--out", out_a]) == 0
+        assert run(["audit", "hn", "--trials", "4", "--out", out_b]) == 0
+        a = json.load(open(os.path.join(out_a, "audit_hn.json")))
+        b = json.load(open(os.path.join(out_b, "audit_hn.json")))
+        assert (a["seed"], len(a["checks"])) == (2, 3)
+        assert (b["seed"], len(b["checks"])) == (0, 4)
+
+    def test_patched_handler_runs_after_first_call(self, monkeypatch, outdir):
+        cfg = "configs/classical_mac_small.txt"
+        assert run(["mac", "classical", cfg, "--trials", "1", "--out", outdir]) == 0
+        calls = []
+        original = cli.cmd_mac
+
+        def wrapper(args):
+            calls.append(args.mode)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_mac", wrapper)
+        assert run(["mac", "classical", cfg, "--trials", "1", "--out", outdir]) == 0
+        assert calls == ["classical"]
 
 
 class TestDh:
@@ -141,6 +170,18 @@ class TestMac:
         summary = json.load(open(os.path.join(outdir, "summary.json")))
         assert summary["pass"] is True
 
+    def test_wide_label_alphabet_in_little_memory(self, outdir):
+        # |L| = 2^20 gives dim Z' = 8388612 rows; the decoder only touches
+        # the 6 dz rows of each label pair
+        tracemalloc.start()
+        try:
+            rc = run(["mac", "cq", "configs/cq_mac_wide.txt", "--trials", "2", "--out", outdir])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 50e6
+
     def test_seed_determinism(self, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out_a, out_b):
@@ -242,6 +283,30 @@ class TestRejectedInput:
         monkeypatch.setattr(audits, "random_density", forbidden)
         assert run(["typicality-build", "--c", "16", "--k", "1", "--out", outdir]) == 2
         assert "error: per-site dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, c", [(4, 0), (3, 1)])
+    @pytest.mark.parametrize(
+        "argv", [["typicality-build"], ["audit", "typicality", "--trials", "1"]]
+    )
+    def test_widest_array_over_budget_exits_2(self, argv, k, c, monkeypatch, outdir, capsys):
+        # each site has 220 rows, within the per-site cap, but --k 4 asked
+        # psp_local for 6.4 GiB and --k 3 --c 1 built a 1.8 GiB image stack
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state drawn before the budget check")
+
+        monkeypatch.setattr(rand, "random_density", forbidden)
+        monkeypatch.setattr(audits, "random_density", forbidden)
+        assert run(argv + ["--k", str(k), "--c", str(c), "--L", "2", "--out", outdir]) == 2
+        assert "error: the widest array of the construction has" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "c, k, dim_l", [(1, 1, 2), (1, 2, 2), (2, 2, 2), (0, 3, 2), (3, 1, 4), (0, 2, 4)]
+    )
+    def test_ci_shapes_within_budget(self, c, k, dim_l, monkeypatch):
+        # every typicality shape the CI workflow runs, at |H| = 2
+        monkeypatch.delenv("ONESHOT_DIM_CAP", raising=False)
+        typicality.check_budget("the widest array", typicality.widest_array(c, k, 2, dim_l))
 
     @pytest.mark.parametrize(
         "argv",

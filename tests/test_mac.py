@@ -102,20 +102,28 @@ class TestClassicalExperiment:
         assert res.bounds["total"] <= 6 * eps + 1e-12
 
 
+# the operators with dim Z' rows, which only tests and the benchmark may build
+DENSE_ORACLES = (
+    (mac, "pgm"),
+    (mac.DecodingSet, "povm"),
+    (mac.DecodingSet, "povm_factor"),
+    (mac.PerturbedChannel, "rho_prime"),
+    (mac.PerturbedChannel, "tilt"),
+    (mac.AveragedState, "dense"),
+    (mac.AveragedState, "copies"),
+)
+
+
 class TestPerturbedChannel:
     def test_delta_zero_embeds_exactly(self):
         spec = random_cq_spec(7)
         chan = mac.PerturbedChannel(spec, 4, 0.0)
-        emb = chan.base_embed()
+        emb = chan.tilt()
         expected = emb @ chan.rho_hat(0, 1) @ emb.conj().T
         npt.assert_allclose(chan.rho_prime(0, 3, 1, 2), expected, atol=1e-12)
 
-    def test_isometries_built_once(self):
+    def test_tilts_are_isometries(self):
         chan = mac.PerturbedChannel(random_cq_spec(14), 4, 0.3)
-        assert chan.base_embed() is chan.base_embed()
-        assert chan._label_embed("LX", 2) is chan._label_embed("LX", 2)
-        for v in (chan.base_embed(), chan._label_embed("LY", 1)):
-            assert not v.flags.writeable
         for labels in [(), (1, None), (None, 3), (1, 3)]:
             t = chan.tilt(*labels)
             npt.assert_allclose(t.conj().T @ t, np.eye(chan.base), atol=1e-12)
@@ -142,11 +150,11 @@ class TestPerturbedChannel:
     def test_perturbation_l1_matches_dense(self):
         spec = random_cq_spec(43)
         chan = mac.PerturbedChannel(spec, 8, 0.35)
-        emb = chan.base_embed()
+        emb = chan.tilt()
         for x, y, lx, ly in [(0, 0, 0, 0), (0, 1, 3, 5), (1, 0, 7, 0), (1, 1, 2, 2)]:
             diff = chan.rho_prime(x, lx, y, ly) - emb @ chan.rho_hat(x, y) @ emb.conj().T
             want = qla.trace_norm_herm(diff)
-            assert chan.perturbation_l1(x, y, lx, ly) == pytest.approx(want, abs=1e-12)
+            assert chan.perturbation_l1(x, y) == pytest.approx(want, abs=1e-12)
 
     def test_averaged_states_match_brute_force(self):
         spec = random_cq_spec(10)
@@ -156,12 +164,12 @@ class TestPerturbedChannel:
         for y in range(spec.ny):
             for ly in range(L):
                 brute += spec.p_y[y] / L * chan.rho_prime(1, 2, y, ly)
-        npt.assert_allclose(chan.averaged_over_y(1, 2).dense(), brute, atol=1e-12)
+        npt.assert_allclose(chan.averaged_over_y(1).dense(l_x=2), brute, atol=1e-12)
         brute = np.zeros((chan.dim, chan.dim), dtype=complex)
         for x in range(spec.nx):
             for lx in range(L):
                 brute += spec.p_x[x] / L * chan.rho_prime(x, lx, 0, 1)
-        npt.assert_allclose(chan.averaged_over_x(0, 1).dense(), brute, atol=1e-12)
+        npt.assert_allclose(chan.averaged_over_x(0).dense(l_y=1), brute, atol=1e-12)
         brute_all = np.zeros((chan.dim, chan.dim), dtype=complex)
         for x in range(spec.nx):
             for y in range(spec.ny):
@@ -185,10 +193,10 @@ class TestPerturbedChannel:
         npt.assert_allclose(block, expected, atol=1e-12)
 
 
-def averaged_kinds(chan, lx, ly):
+def averaged_kinds(chan):
     return {
-        "over_y": chan.averaged_over_y(1, lx),
-        "over_x": chan.averaged_over_x(0, ly),
+        "over_y": chan.averaged_over_y(1),
+        "over_x": chan.averaged_over_x(0),
         "all": chan.averaged_all(),
     }
 
@@ -200,22 +208,26 @@ class TestAveragedState:
         chan = mac.PerturbedChannel(spec, L, 0.35)
         rng = rng_from_seed(45)
         for lx, ly in [(1, 1), (L - 1, 0)]:
-            for kind, avg in averaged_kinds(chan, lx, ly).items():
-                dense = avg.dense()
+            box = chan.label_box(lx, ly)
+            for kind, avg in averaged_kinds(chan).items():
+                dense = avg.dense(lx, ly)
                 for cols in (1, 3):
-                    b = rng.normal(size=(chan.dim, cols)) + 1j * rng.normal(size=(chan.dim, cols))
-                    want = np.trace(b.conj().T @ dense @ b).real
+                    shape = (3 * chan.base, cols)
+                    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    full = box.expand(b)
+                    want = np.trace(full.conj().T @ dense @ full).real
                     assert avg.povm_expectation(b) == pytest.approx(want, abs=1e-12), kind
 
     def test_columns_orthonormal_and_spread_orthogonal(self):
         spec = random_cq_spec(46)
         chan = mac.PerturbedChannel(spec, 5, 0.3)
-        for avg in averaged_kinds(chan, 2, 3).values():
-            k = avg.cols.shape[1]
-            npt.assert_allclose(avg.cols.conj().T @ avg.cols, np.eye(k), atol=1e-12)
+        for avg in averaged_kinds(chan).values():
+            cols = avg.copies(2, 3)
+            k = cols.shape[1]
+            npt.assert_allclose(cols.conj().T @ cols, np.eye(k), atol=1e-12)
             # the spread part has no weight on the span of the columns
-            spread = avg.dense() - avg.cols @ avg.core @ avg.cols.conj().T
-            npt.assert_allclose(spread @ avg.cols, 0.0, atol=1e-12)
+            spread = avg.dense(2, 3) - cols @ avg.core @ cols.conj().T
+            npt.assert_allclose(spread @ cols, 0.0, atol=1e-12)
 
     def test_residual_norm_matches_dense(self):
         # with ref_core = core only the spread is left, which the smoothing
@@ -223,11 +235,12 @@ class TestAveragedState:
         spec = random_cq_spec(49)
         chan = mac.PerturbedChannel(spec, 5, 0.4)
         rng = rng_from_seed(50)
-        for avg in averaged_kinds(chan, 1, 4).values():
-            k = avg.cols.shape[1]
+        for avg in averaged_kinds(chan).values():
+            cols = avg.copies(1, 4)
+            k = cols.shape[1]
             noise = qla.hermitian_part(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
             for ref in (avg.core, avg.core + 1e-3 * noise, np.zeros((k, k))):
-                want = qla.op_norm_herm(avg.dense() - avg.cols @ ref @ avg.cols.conj().T)
+                want = qla.op_norm_herm(avg.dense(1, 4) - cols @ ref @ cols.conj().T)
                 assert avg.residual_norm(ref) == pytest.approx(want, abs=1e-12)
 
 
@@ -248,8 +261,8 @@ class TestSmoothingResiduals:
         ):
             for a in range(count):
                 ref = lead * t @ embed(marginal(a)) @ t.conj().T
-                want.append(qla.op_norm_herm(averaged(a, 0).dense() - ref))
-        e = chan.base_embed()
+                want.append(qla.op_norm_herm(averaged(a).dense() - ref))
+        e = chan.tilt()
         ref = e @ embed(spec.avg()) @ e.conj().T / (1 + 2 * delta**2)
         want.append(qla.op_norm_herm(chan.averaged_all().dense() - ref))
         got = [c.lhs for c in mac.smoothing_residuals(chan)]
@@ -289,27 +302,32 @@ class TestDecodingPipeline:
         assert t1.rhs < 1.0 and t1.passed
 
     def test_representative_labels(self):
-        # pipeline_quantities evaluates at labels (0, 0) only: every quantity
-        # is the same at any other label pair
+        # pipeline_quantities evaluates on the rows of one label pair only:
+        # every quantity is the same, from the dense oracles, at any pair
         spec = random_cq_spec(48)
         dec = mac.build_decoding_povms(spec, 8, 0.3, 0.05)
         chan = dec.chan
         ref = mac.pipeline_quantities(dec)
-        avg_all = chan.averaged_all()
-        for lx, ly in [(3, 5), (7, 1)]:
+
+        def accept(b, dense):
+            return np.trace(b.conj().T @ dense @ b).real
+
+        e = chan.tilt()
+        for lx, ly in [(0, 0), (3, 5), (7, 1)]:
             got = dict.fromkeys(ref, 0.0)
+            avg_all = chan.averaged_all().dense(lx, ly)
             for x in range(spec.nx):
                 for y in range(spec.ny):
                     w = spec.p_x[x] * spec.p_y[y]
                     b = dec.povm_factor(x, lx, y, ly)
-                    rho = chan.rho_prime_factored(x, lx, y, ly)
-                    got["type1"] += w * (1.0 - typicality.povm_expectation(b, rho))
-                    got["t2_keep_x"] += w * chan.averaged_over_y(x, lx).povm_expectation(b)
-                    got["t2_keep_y"] += w * chan.averaged_over_x(y, ly).povm_expectation(b)
-                    got["t2_none"] += w * avg_all.povm_expectation(b)
-                    got["max_perturbation"] = max(
-                        got["max_perturbation"], chan.perturbation_l1(x, y, lx, ly)
-                    )
+                    rho = chan.rho_prime(x, lx, y, ly)
+                    got["type1"] += w * (1.0 - accept(b, rho))
+                    got["t2_keep_x"] += w * accept(b, chan.averaged_over_y(x).dense(lx, ly))
+                    got["t2_keep_y"] += w * accept(b, chan.averaged_over_x(y).dense(lx, ly))
+                    got["t2_none"] += w * accept(b, avg_all)
+                    diff = rho - e @ chan.rho_hat(x, y) @ e.conj().T
+                    pert = qla.trace_norm_herm(diff)
+                    got["max_perturbation"] = max(got["max_perturbation"], pert)
             for key, value in ref.items():
                 assert got[key] == pytest.approx(value, abs=1e-12), (key, lx, ly)
 
@@ -376,6 +394,11 @@ class TestPgm:
         assert np.max(np.abs(total - np.eye(6))) <= 1e-10
 
 
+def factored_rho_prime(chan, x, l_x, y, l_y):
+    """Oracle: rho' as tilt(l_x, l_y) rho_hat(x, y) tilt(l_x, l_y)† on every row of Z'."""
+    return typicality.LowRankState(chan.tilt(l_x, l_y), chan.rho_hat(x, y))
+
+
 def dense_pgm_success(povms, states):
     lambdas, _ = mac.pgm(povms)
     return np.array([np.trace(lam @ rho).real for lam, rho in zip(lambdas, states)])
@@ -389,7 +412,7 @@ class TestPgmSuccess:
             for i2 in range(len(cb.ys))
         ]
         factors = [dec.povm_factor(*p) for p in pairs]
-        states = [dec.chan.rho_prime_factored(*p) for p in pairs]
+        states = [factored_rho_prime(dec.chan, *p) for p in pairs]
         povms = [dec.povm(*p) for p in pairs]
         dense_states = [dec.chan.rho_prime(*p) for p in pairs]
         return factors, states, povms, dense_states
@@ -450,10 +473,8 @@ class TestPgmSuccess:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense operator built in the decoding path")
 
-        monkeypatch.setattr(mac, "pgm", forbidden)
-        monkeypatch.setattr(mac.DecodingSet, "povm", forbidden)
-        monkeypatch.setattr(mac.PerturbedChannel, "rho_prime", forbidden)
-        monkeypatch.setattr(mac.AveragedState, "dense", forbidden)
+        for owner, name in DENSE_ORACLES:
+            monkeypatch.setattr(owner, name, forbidden)
         res = mac.cq_mac_experiment(spec, 1.0, 1.0, 0.05, 16, 0.3, trials=2, seed=3, dec=dec)
         assert res.errors.shape == (2,)
         mac.pipeline_quantities(dec)
@@ -583,10 +604,18 @@ def full_row_povm_factor(dec, x, l_x, y, l_y):
     images = [
         chan.tilt(l_x=l_x) @ dec.w_x[x, y],
         chan.tilt(l_y=l_y) @ dec.w_y[x, y],
-        chan.base_embed() @ dec.w_xy[x, y],
+        chan.tilt() @ dec.w_xy[x, y],
     ]
     q = tilting.image_basis(images, chan.dim)
-    return tilting.complement_factor(chan.base_embed(), q)
+    return tilting.complement_factor(chan.tilt(), q)
+
+
+def label_embed(chan, summand, label):
+    """Oracle: the base copy in a summand of Z' at one label (0 for the base summand)."""
+    v = np.zeros((chan.dim, chan.base), dtype=complex)
+    h = np.arange(chan.base)
+    v[chan.slices[summand]].reshape(chan.base, -1, chan.base)[h, label, h] = 1.0
+    return v
 
 
 def load_config(name):
@@ -601,7 +630,8 @@ class TestLabelLocalFactors:
         chan = mac.PerturbedChannel(random_cq_spec(51), 8, 0.35)
         d = chan.delta
         for lx, ly in [(0, 0), (3, 5), (7, 1)]:
-            want = chan.base_embed() + d * chan._label_embed("LX", lx) + d * chan._label_embed("LY", ly)
+            want = sum(label_embed(chan, s, lab) for s, lab in (("LX", lx), ("LY", ly)))
+            want = label_embed(chan, "base", 0) + d * want
             npt.assert_array_equal(chan.tilt(lx, ly), want / np.sqrt(1 + 2 * d * d))
             rows = chan.label_box(lx, ly).rows[0]
             assert len(rows) == 3 * chan.base and np.all(np.diff(rows) > 0)
@@ -649,7 +679,7 @@ class TestLabelLocalFactors:
             ]
             full = success(
                 [full_row_povm_factor(dec, *p) for p in pairs],
-                [dec.chan.rho_prime_factored(*p) for p in pairs],
+                [factored_rho_prime(dec.chan, *p) for p in pairs],
             )
             assert err == pytest.approx(float(np.mean(1.0 - full)), abs=1e-12)
 
@@ -657,24 +687,22 @@ class TestLabelLocalFactors:
 class TestSizeGates:
     def test_cheap_channel_runs_past_the_dim_cap(self, monkeypatch):
         # |L| = 1024 gives dim Z' = 8196 > 4096 rows, but no array on the
-        # decoding path is wider than an averaged state's 6 dz columns
+        # decoding path has dim Z' rows
         spec, eps, _ = load_config("configs/cq_mac_small.txt")
 
         def forbidden(*args, **kwargs):
             raise AssertionError("dense operator built in the decoding path")
 
         monkeypatch.delenv("ONESHOT_DIM_CAP", raising=False)
-        monkeypatch.setattr(mac, "pgm", forbidden)
-        monkeypatch.setattr(mac.DecodingSet, "povm", forbidden)
-        monkeypatch.setattr(mac.PerturbedChannel, "rho_prime", forbidden)
-        monkeypatch.setattr(mac.AveragedState, "dense", forbidden)
+        for owner, name in DENSE_ORACLES:
+            monkeypatch.setattr(owner, name, forbidden)
         res = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, 1024, trials=2, seed=0)
         assert res.errors.shape == (2,)
         assert mac.PerturbedChannel(spec, 1024, 0.3).dim == 8196 > typicality.site_dim_cap()
 
     def test_dense_oracles_keep_the_dim_cap(self, monkeypatch):
-        # dim Z' = 132 rows: the channel (132 x 12) fits a cap of 100, its
-        # dense 132 x 132 operators do not
+        # dim Z' = 132 rows: the channel runs under a cap of 100, its dense
+        # 132 x 132 operators do not
         monkeypatch.setenv("ONESHOT_DIM_CAP", "100")
         spec = random_cq_spec(53)
         dec = mac.build_decoding_povms(spec, 16, 0.3, 0.05)
@@ -687,16 +715,24 @@ class TestSizeGates:
             with pytest.raises(ValueError, match="dense operator of dimension 132"):
                 dense()
 
-    def test_wide_channel_refused_before_any_array(self, monkeypatch):
-        # 516 rows x 12 columns is over 64^2
-        def forbidden(*args, **kwargs):
-            raise AssertionError("array built before the size check")
-
+    def test_wide_channel_runs_under_a_small_cap(self, monkeypatch):
+        # 516 rows of Z' under a cap of 64: the decoder, its bounds and the
+        # pipeline checks give what they give uncapped
         spec = random_cq_spec(54)
+
+        def run():
+            dec = mac.build_decoding_povms(spec, 64, 0.3, 0.05)
+            res = mac.cq_mac_experiment(spec, 1.0, 1.0, 0.05, 64, 0.3, trials=2, seed=0, dec=dec)
+            return dec, res, [(c.name, c.lhs) for c in mac.pipeline_checks(dec)]
+
+        monkeypatch.delenv("ONESHOT_DIM_CAP", raising=False)
+        _, want, want_checks = run()
         monkeypatch.setenv("ONESHOT_DIM_CAP", "64")
-        monkeypatch.setattr(np, "zeros", forbidden)
-        with pytest.raises(ValueError, match="516 times 12 columns"):
-            mac.PerturbedChannel(spec, 64, 0.3)
+        dec, got, got_checks = run()
+        assert dec.chan.dim == 516
+        npt.assert_array_equal(got.errors, want.errors)
+        assert got.bounds == want.bounds
+        assert got_checks == want_checks
 
 
 class TestDilationRounding:
@@ -734,5 +770,5 @@ class TestTrivialDecodingSet:
             chan=dec.chan, eps=dec.eps, i_x_yz=0.0, i_y_xz=0.0, i_xy_z=0.0,
             w_x=empty, w_y=dict(empty), w_xy=dict(empty),
         )
-        e = dec.chan.base_embed()
+        e = dec.chan.tilt()
         npt.assert_allclose(trivial.povm(0, 1, 1, 2), e @ e.conj().T, atol=1e-12)

@@ -77,13 +77,14 @@ class TestLattice:
     def test_c1_k1(self):
         psps = tp.enum_psps((-1, 1))
         assert len(psps) == 3
-        assert len(psps) <= tp.psp_count_bound((-1, 1)) == 4
+        assert tp.psp_count(1, 1) == 3
 
     @pytest.mark.parametrize("elements", [(1, 2, 3), (-1, 1, 2), (-1, -2, 1), (-1, 1, 2, 3)])
     def test_brute_force_and_bound(self, elements):
         psps = set(tp.enum_psps(elements))
         assert psps == brute_force_psps(elements)
-        assert len(psps) <= tp.psp_count_bound(elements)
+        c, k = sum(e < 0 for e in elements), sum(e > 0 for e in elements)
+        assert len(psps) == tp.psp_count(c, k)
 
     def test_refinement_partial_order(self):
         lat = tp.enum_pslattice(0, 3)
@@ -927,10 +928,31 @@ class TestLatticeCounts:
     def test_count_matches_stirling_oracle(self, c, k):
         elements = tp.classical_coords(c) + tp.quantum_sites(k)
         assert len(tp.enum_psps(elements)) == stirling_count_oracle(c, k)
-        assert len(tp.enum_psps(elements)) <= tp.psp_count_bound(elements)
+        assert tp.psp_count(c, k) == stirling_count_oracle(c, k)
 
 
 class TestDimensionCap:
+    @pytest.mark.parametrize("c, k, dim_l", [(0, 2, 4), (2, 1, 4), (1, 1, 4)])
+    def test_widest_array_covers_what_is_built(self, c, k, dim_l, monkeypatch):
+        # the image stack's closed form counts (2|H|)^k columns per split, an
+        # upper bound; the count of the stacked label copies is exact
+        sizes = {"images": 0, "copies": 0}
+        image_basis, qr = tilting.image_basis, np.linalg.qr
+
+        def images(blocks, dim):
+            sizes["images"] = max(sizes["images"], dim * sum(b.shape[1] for b in blocks))
+            return image_basis(blocks, dim)
+
+        def copies(a, mode="reduced"):
+            sizes["copies"] = max(sizes["copies"], a.size)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(tilting, "image_basis", images)
+        monkeypatch.setattr(np.linalg, "qr", copies)
+        tp.intersection_lemma(audits.random_instance(0, c, k, 2, dim_l, 0.3, 0.2))
+        widest = tp.widest_array(c, k, 2, dim_l)
+        assert max(sizes.values()) <= widest < 2 * max(sizes.values())
+
     def test_env_override_guards(self, monkeypatch):
         monkeypatch.setenv("ONESHOT_DIM_CAP", "10")
         with pytest.raises(ValueError, match="exceeds cap"):

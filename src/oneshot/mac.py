@@ -818,11 +818,11 @@ def cq_mac_experiment(
         ]
         boxes = [chan.label_box(lx, ly) for _, lx, _, ly in pairs]
         rows = functools.reduce(typicality.Box.union, boxes)
-        factors = [rows.place(b, dec.local[x, y]) for b, (x, _, y, _) in zip(boxes, pairs)]
-        states = [
-            typicality.LowRankState(rows.place(b, tilt), rho_hats[x, y])
-            for b, (x, _, y, _) in zip(boxes, pairs)
-        ]
+        factors, states = [], []
+        for b, (x, _, y, _) in zip(boxes, pairs):
+            pos = rows.index(b.rows)
+            factors.append(typicality.place(pos, rows.size, dec.local[x, y]))
+            states.append(typicality.LowRankState(typicality.place(pos, rows.size, tilt), rho_hats[x, y]))
         return factors, states
 
     return pgm_trials((r1, r2), bounds, trials, seed, codebook)

@@ -87,7 +87,8 @@ def canonical_psp(blocks) -> Psp:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def enum_psps(elements) -> tuple[Psp, ...]:
+@lru_cache(maxsize=None)
+def enum_psps(elements: tuple[int, ...]) -> tuple[Psp, ...]:
     """All pseudosubpartitions of the element set, empty one included.
 
     Blocks are subsets of the elements that contain at least one quantum
@@ -150,16 +151,19 @@ def psp_count(c: int, k: int) -> int:
 def widest_array(c: int, k: int, dim_h: int, dim_l: int) -> int:
     """Entries of the widest array intersection_lemma builds, from the closed forms.
 
-    On the box of (2|H| (1 + 2^(c+k-1)))^k rows, build_construction stacks
-    the tilted images of (2|H|)^k columns at most per non-empty
-    pseudosubpartition.  marginal_block_state stacks |L|^|S-bar| label
-    copies of a block S's marginal factor, with |H|^k columns per box row
-    of the traced sites, on a union box whose s kept sites reach 2|H| (1 +
-    2^(|S|-1) (1 + |L|)^|S-bar|) rows each.
+    With P = psp_count(c, k), build_construction stacks the tilted images of
+    (2|H|)^k columns at most per non-empty pseudosubpartition on the P
+    (2|H|)^k rows of the tilted layout.  The box-local arrays of (2|H|)^k
+    columns fill the box of (2|H| (1 + 2^(c+k-1)))^k rows.
+    marginal_block_state stacks |L|^|S-bar| label copies of a block S's
+    marginal factor, with |H|^k columns per box row of the traced sites, on
+    a union box whose s kept sites reach 2|H| (1 + 2^(|S|-1) (1 +
+    |L|)^|S-bar|) rows each.
     """
     n = 2 * dim_h
     site = n * (1 + 2 ** (c + k - 1))
-    widest = site**k * (psp_count(c, k) - 1) * n**k
+    p = psp_count(c, k)
+    widest = max(p * (p - 1) * n ** (2 * k), site**k * n**k)
     for kept_c in range(c + 1):
         for s in range(1, k + 1):
             out = c + k - kept_c - s
@@ -202,9 +206,6 @@ class PsLattice:
             pending.remove(ready[0])
         return cls(elements, psps, mat, tuple(order))
 
-    def index(self, psp: Psp) -> int:
-        return self.linear_ext.index(psp)
-
 
 def enum_pslattice(c: int, k: int, T=None) -> PsLattice:
     """Lattice of pseudosubpartitions of T (default the whole set [c] (+) [k])."""
@@ -217,8 +218,9 @@ def enum_pslattice(c: int, k: int, T=None) -> PsLattice:
 
 
 @lru_cache(maxsize=None)
-def _psps_of(elements: tuple[int, ...]) -> tuple[Psp, ...]:
-    return enum_psps(elements)
+def layout_psps(elements: tuple[int, ...]) -> tuple[Psp, ...]:
+    """The summands of the tilted layout: the empty pseudosubpartition, then the linear extension."""
+    return ((),) + PsLattice.build(elements).linear_ext
 
 
 def normalization(S, delta: float) -> float:
@@ -230,7 +232,7 @@ def normalization(S, delta: float) -> float:
     if not any(e > 0 for e in S):
         return 1.0
     return 1.0 + sum(
-        float(delta) ** (2 * len(p)) for p in _psps_of(S) if p
+        float(delta) ** (2 * len(p)) for p in enum_psps(S) if p
     )
 
 
@@ -249,6 +251,13 @@ def build_tilting_matrix(lattice: PsLattice, delta: float) -> tilting.TiltingMat
             if refines(p, q):
                 a[i, j] = float(delta) ** (2 * len(p)) / denom
     return tilting.TiltingMatrix(a)
+
+
+def place(rows: np.ndarray, size: int, local: np.ndarray) -> np.ndarray:
+    """An array of size rows, zero but for local's rows at the given rows."""
+    out = np.zeros((size,) + local.shape[1:], dtype=local.dtype)
+    out[rows] = local
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,12 +293,6 @@ class Box:
         """The box's rows of A''_sites as flat indices, in box-local order."""
         return np.ravel_multi_index(np.ix_(*self.rows), self.dims).ravel()
 
-    def place(self, sub: "Box", local: np.ndarray) -> np.ndarray:
-        """A box-local array of sub, a box inside this one on the same sites, on this box."""
-        out = np.zeros((self.size,) + local.shape[1:], dtype=local.dtype)
-        out[self.index(sub.rows)] = local
-        return out
-
     def index(self, site_rows) -> np.ndarray:
         """Box-local flat positions of the product of per-site rows of A''."""
         local = []
@@ -313,9 +316,7 @@ class Box:
 
     def expand(self, local: np.ndarray) -> np.ndarray:
         """Dense rows of A''_sites of a box-local array (zero outside the box)."""
-        out = np.zeros((int(np.prod(self.dims)),) + local.shape[1:], dtype=local.dtype)
-        out[self.flat] = local
-        return out
+        return place(self.flat, math.prod(self.dims), local)
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ class AugmentedSpace:
     k: int
     dim_h: int
     dim_l: int
-    site_labels: dict[int, tuple] = field(init=False, repr=False)
+    site_labels: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # checked before the labels are enumerated, which costs k 2^(c+k) tuples
@@ -401,31 +402,50 @@ class AugmentedSpace:
         return Box(sites, tuple(self.site_dim(s) for s in sites), rows)
 
 
+@lru_cache(maxsize=None)
+def tilt_rows(space: AugmentedSpace, sites: tuple[int, ...], psps: tuple[Psp, ...]) -> np.ndarray:
+    """The box-local row of each row of the tilted layout over psps, on the sites' box (read-only).
+
+    Row (j, h) of TiltedLayout((2|H|)^|sites|, len(psps) - 1) is coordinate
+    h of (H x C^2)^(x sites) in the summand of W = psps[j]: each site goes to
+    the summand of W's block through it, to the base summand when W leaves it
+    uncovered.  By the box's position rule (AugmentedSpace.box) the map is
+    label-free, and it is injective: distinct W send some site to distinct
+    summands.
+    """
+    n = space.base_dim
+    shape = tuple(len(space.site_labels[s]) * n for s in sites)
+    rows = []
+    for w in psps:
+        site_of = {e: b for b in w for e in b if e > 0}
+        pos = [space.site_labels[s].index(site_of.get(s)) * n + np.arange(n) for s in sites]
+        rows.append(np.ravel_multi_index(np.ix_(*pos), shape).ravel())
+    out = np.concatenate(rows)
+    out.flags.writeable = False
+    return out
+
+
 def psp_local(space: AugmentedSpace, sites, psp: Psp, delta: float) -> np.ndarray:
     """Isometry T_(S_1..S_l),delta from (H x C^2)^(x sites) into the sites' box, box-local.
 
-    Expands into a sum over all pseudosubpartitions refining the given one:
-    the term for (W_1..W_n) embeds each site of W_j into the W_j summand,
-    uncovered sites into the base summand, weighted by
-    delta^n / sqrt(prod_i N(S_i, delta)).  The empty one gives the plain
-    embedding into the base summands.  Each term is a partial permutation;
-    by the box's position rule (AugmentedSpace.box) one array serves every
-    label assignment.
+    On the tilted layout over the pseudosubpartitions of the sites (and
+    every classical coordinate) it is an amplitude column: each W refining
+    the given pseudosubpartition carries delta^|W| / sqrt(prod_i N(S_i,
+    delta)) on its summand, every other W carries 0.  The empty W is the
+    plain embedding into the base summands.  This is the tilt of the given
+    pseudosubpartition's column of build_tilting_matrix, placed on the box
+    through tilt_rows, so one array serves every label assignment.
     """
     sites = tuple(sorted(sites))
     if not {e for b in psp for e in b if e > 0} <= set(sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
     norm = float(np.prod([normalization(b, delta) for b in psp])) if psp else 1.0
+    psps = layout_psps(classical_coords(space.c) + sites)
+    amps = np.array([float(delta) ** len(w) if refines(w, psp) else 0.0 for w in psps])
     n = space.base_dim
-    shape = tuple(len(space.site_labels[s]) * n for s in sites)
-    acc = np.zeros((math.prod(shape), n ** len(sites)), dtype=complex)
-    cols = np.arange(acc.shape[1])
-    for combo in itertools.product(*[_psps_of(tuple(sorted(b))) for b in psp]):
-        blocks = [b for sub in combo for b in sub]
-        site_of = {e: b for b in blocks for e in b if e > 0}
-        pos = [space.site_labels[s].index(site_of.get(s)) * n + np.arange(n) for s in sites]
-        acc[np.ravel_multi_index(np.ix_(*pos), shape).ravel(), cols] += float(delta) ** len(blocks)
-    return acc / np.sqrt(norm)
+    cols = np.kron(amps[:, None], np.eye(n ** len(sites), dtype=complex)) / np.sqrt(norm)
+    size = math.prod(len(space.site_labels[s]) * n for s in sites)
+    return place(tilt_rows(space, sites, psps), size, cols)
 
 
 def global_embed(
@@ -723,10 +743,11 @@ def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
 class BlockConstruction:
     """The smoothed state and intersection POVM element for one (x, l) block.
 
-    v (the smoothing isometry), e_hat, q_tilted and b (the factor of Pi')
-    are box-local on box, the rows the block's embeddings reach;
-    v_global and b_factor are their dense forms on A''.  The box-local
-    arrays are the same for every l; only the box depends on it.
+    v (the smoothing isometry) and b (the factor of Pi') are box-local on
+    box, the rows the block's embeddings reach; v_global and b_factor are
+    their dense forms on A''.  q_tilted and b_tilted are q and b on the
+    tilted layout, whose rows the map rows sends into the box.  All of these
+    are the same for every l; only the box depends on it.
     """
 
     inst: TypicalityInstance
@@ -734,10 +755,11 @@ class BlockConstruction:
     l_assign: dict
     tests: dict
     box: Box
+    rows: np.ndarray
     v: np.ndarray
     rho_hat: np.ndarray
-    e_hat: np.ndarray
     q_tilted: np.ndarray
+    b_tilted: np.ndarray
     b: np.ndarray
 
     @property
@@ -754,23 +776,24 @@ class BlockConstruction:
 
     @property
     def embedded_original(self) -> LowRankState:
-        return LowRankState(self.e_hat, self.rho_hat, self.box)
+        return _embedded(self.inst, (), self.inst.rhos[self.x], self.box)
 
     def _expectation(self, factor: np.ndarray, state: LowRankState) -> float:
+        """Tr[(F F†) rho] for a factor F on the tilted layout, from the state's rows there."""
         if state.box != self.box:
             raise ValueError("state on another box than the construction")
-        return povm_expectation(factor, state)
+        return float(np.linalg.norm(factor.conj().T @ state.core_sqrt_cols()[self.rows]) ** 2)
 
     def relabeled(self, l_assign: dict) -> "BlockConstruction":
-        """The (x, l_assign) block: the same box-local arrays on that block's box."""
+        """The (x, l_assign) block: the same arrays on that block's box."""
         box = self.inst.space.box(self.box.sites, l_assign)
         return replace(self, l_assign=dict(l_assign), box=box)
 
     def pi_prime_expectation(self, state: LowRankState) -> float:
-        return self._expectation(self.b, state)
+        return self._expectation(self.b_tilted, state)
 
     def pi_prime_trace_norm(self) -> float:
-        return float(np.trace(self.b.conj().T @ self.b).real)
+        return float(np.trace(self.b_tilted.conj().T @ self.b_tilted).real)
 
     def y_projector_expectation(self, state: LowRankState) -> float:
         return self._expectation(self.q_tilted, state)
@@ -797,24 +820,26 @@ def build_construction(
         tests = optimal_splitting_tests(inst)[x]
     rho_prime = build_rho_prime(inst, x)
     box = rho_prime.box
-    e_hat = psp_local(space, box.sites, (), inst.delta)
-    images = [
-        psp_local(space, box.sites, psp, inst.delta) @ tests[psp].y_basis
-        for psp in inst.lattice.linear_ext
-        if tests[psp].y_basis.shape[1]
-    ]
-    q = tilting.image_basis(images, box.size)
+    # the tilted images of the rejection spaces, the A-tilted span that
+    # claim4_prop6_chain bounds, on the layout over the pseudosubpartitions
+    psps = ((),) + inst.lattice.linear_ext
+    layout = tilting.TiltedLayout(space.base_dim**inst.k, len(psps) - 1)
+    a = build_tilting_matrix(inst.lattice, inst.delta).alpha
+    q = tilting.tilted_basis([tests[p].y_basis for p in psps[1:]], a, layout)
+    b = tilting.complement_factor(tilting.tilt_isometry([], layout), q)
+    rows = tilt_rows(space, box.sites, psps)
     return BlockConstruction(
         inst=inst,
         x=x,
         l_assign=zero_labels(inst),
         tests=tests,
         box=box,
+        rows=rows,
         v=rho_prime.local,
         rho_hat=rho_prime.core,
-        e_hat=e_hat,
         q_tilted=q,
-        b=tilting.complement_factor(e_hat, q),
+        b_tilted=b,
+        b=place(rows, box.size, b),
     )
 
 
@@ -886,7 +911,7 @@ def marginal_block_state(
     t = psp_local(space, quantum_sites(inst.k), (full,), inst.delta) @ anc
     full_box = space.box(quantum_sites(inst.k), assigns[0])
     _, m = LowRankState(t, rho, full_box).marginal(sites)
-    stacked = np.hstack([box.place(sub, m) for sub in boxes]) / np.sqrt(len(assigns))
+    stacked = np.hstack([place(box.index(sub.rows), box.size, m) for sub in boxes]) / np.sqrt(len(assigns))
     # C C† = R† R for the QR factorization C† = Q R
     return box, np.linalg.qr(stacked.conj().T, mode="r").conj().T
 
@@ -1009,7 +1034,7 @@ def split_decompose(
         coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
         own_box = space.box(sites, l_assign)
         own = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), own_box)
-        lead = LowRankState(box.place(own.box, own.local), own.core, box)
+        lead = LowRankState(place(box.index(own.box.rows), box.size, own.local), own.core, box)
         leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
         rho_i = LowRankState.of_factor(c_i, box)
         factors.append(SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak))
@@ -1288,10 +1313,12 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
 def _split_expectation(
     inst: TypicalityInstance, constr: BlockConstruction, psp: Psp, dec: SplitDecomposition
 ) -> float:
-    """Tr[Pi' rho'_split] for one block, via per-factor application.
+    """Tr[Pi' rho'_split] for one block, as ||(x)_g C_g† B||^2 for rho'_split = (x)_g C_g C_g†.
 
     B vanishes outside the block's box, so each factor enters through its
-    rows on the box.
+    rows on the box: the thin factor C_g† of each site group contracts the
+    group's axes of B in turn.  No operator on the box rows squared is
+    formed, and no intermediate is wider than B.
     """
     if is_full_block(inst, psp):
         return constr.pi_prime_expectation(split_embedded(inst, constr.x, psp, constr.box))
@@ -1302,12 +1329,16 @@ def _split_expectation(
     if t_sites:
         fill = inst.quantum_marginal(constr.x, t_sites)
         parts.append((t_sites, _embedded(inst, (), fill, box.restrict(t_sites))))
-    ops = []
+    # B's site axes in group order, so that each group's axes lead in turn
+    order = [box.sites.index(s) for sites, _ in parts for s in sites]
+    t = constr.b.reshape(box.shape + (-1,)).transpose(order + [len(order)])
     for sites, st in parts:
-        cols = st.core_sqrt_cols()[st.box.index(box.restrict(sites).rows)]
-        ops.append((sites, cols @ cols.conj().T))
-    applied = apply_site_factors(box.sites, box.shape, ops, constr.b)
-    return float(np.trace(constr.b.conj().T @ applied).real)
+        group = box.restrict(sites)
+        c = st.core_sqrt_cols()[st.box.index(group.rows)].conj().T
+        # C C† = R† R for C† = Q R: at most one row of C† per row of the group
+        r = np.linalg.qr(c, mode="r") if c.shape[0] > c.shape[1] else c
+        t = np.tensordot(t, r.reshape((-1,) + group.shape), (range(len(sites)), range(1, len(sites) + 1)))
+    return float(np.linalg.norm(t) ** 2)
 
 
 @dataclass
@@ -1330,14 +1361,9 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     (1-alpha)/alpha times the sum of the individual acceptances.
     """
     first = instances[0]
-    for inst in instances[1:]:
-        if (inst.c, inst.k, inst.dim_h, inst.dim_l) != (
-            first.c,
-            first.k,
-            first.dim_h,
-            first.dim_l,
-        ):
-            raise ValueError("instances must share (c, k, |H|, |L|)")
+    # spaces compare by (c, k, |H|, |L|)
+    if any(inst.space != first.space for inst in instances):
+        raise ValueError("instances must share (c, k, |H|, |L|)")
     if first.c != 0:
         raise ValueError("the union audit covers instances without classical words")
     if not 0 < alpha < 1:
@@ -1356,10 +1382,7 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
 
     def lift(state: LowRankState) -> np.ndarray:
         # box columns -> W coordinates tensor |0> ancilla -> base summand of the tilted space
-        cols = w.conj().T @ state.core_sqrt_cols()
-        lifted = np.zeros((layout.total_dim, cols.shape[1]), dtype=complex)
-        lifted[0 : 2 * rank : 2, :] = cols
-        return lifted
+        return place(np.arange(0, 2 * rank, 2), layout.total_dim, w.conj().T @ state.core_sqrt_cols())
 
     def accept(basis: np.ndarray, lifted: np.ndarray) -> float:
         # ||basis† lifted||^2 on the basis's rows: the first 2 rank W rows of

@@ -226,6 +226,11 @@ class TestTypicalityBuild:
         assert payload["pass"] is True
         assert payload["soundness"]
 
+    def test_three_sites(self, outdir, capsys):
+        # the images are orthonormalised on 960 layout rows of the 8000-row box
+        assert run(["typicality-build", "--k", "3", "--c", "0", "--L", "2", "--out", outdir]) == 0
+        assert "typicality-build: 208/208 checks passed" in capsys.readouterr().out
+
 
 @pytest.fixture(scope="module")
 def c1_k2_runs(tmp_path_factory):
@@ -284,13 +289,13 @@ class TestRejectedInput:
         assert run(["typicality-build", "--c", "16", "--k", "1", "--out", outdir]) == 2
         assert "error: per-site dimension" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k, c", [(4, 0), (3, 1)])
+    @pytest.mark.parametrize("k, c", [(4, 0), (3, 2)])
     @pytest.mark.parametrize(
         "argv", [["typicality-build"], ["audit", "typicality", "--trials", "1"]]
     )
     def test_widest_array_over_budget_exits_2(self, argv, k, c, monkeypatch, outdir, capsys):
-        # each site has 220 rows, within the per-site cap, but --k 4 asked
-        # psp_local for 6.4 GiB and --k 3 --c 1 built a 1.8 GiB image stack
+        # each site is within the per-site cap, but the stacked label copies of
+        # a block marginal have 6.7e8 entries at --k 4 and 2.1e8 at --k 3 --c 2
         def forbidden(*args, **kwargs):
             raise AssertionError("state drawn before the budget check")
 
@@ -299,6 +304,19 @@ class TestRejectedInput:
         assert run(argv + ["--k", str(k), "--c", str(c), "--L", "2", "--out", outdir]) == 2
         assert "error: the widest array of the construction has" in capsys.readouterr().err
         assert not os.path.exists(outdir)
+
+    def test_three_sites_one_coordinate_within_budget(self, monkeypatch, outdir):
+        # the tilted images of --k 3 --c 1 --L 2 stack on 3008 layout rows, not
+        # on the 46656 box rows, so the budget admits the shape and states are drawn
+        class Reached(Exception):
+            pass
+
+        def lemma(inst):
+            raise Reached
+
+        monkeypatch.setattr(typicality, "intersection_lemma", lemma)
+        with pytest.raises(Reached):
+            run(["typicality-build", "--k", "3", "--c", "1", "--L", "2", "--out", outdir])
 
     @pytest.mark.parametrize(
         "c, k, dim_l", [(1, 1, 2), (1, 2, 2), (2, 2, 2), (0, 3, 2), (3, 1, 4), (0, 2, 4)]

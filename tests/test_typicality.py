@@ -8,6 +8,7 @@ import pytest
 
 from oneshot import audits, hyptest, qla, report, tilting, typicality as tp
 from oneshot.rand import random_density, rng_from_seed
+from construction_oracle import box_row_construction
 from union_oracle import box_row_union
 
 
@@ -314,6 +315,70 @@ class TestEmbeddingOracle:
                     assert not np.any(want[outside])
                     assert local.shape[0] == box.size < np.prod(box.dims)
                     assert np.array_equal(box.expand(local), want)
+
+
+class TestTiltedLayout:
+    """The smoothing construction is the A-tilted span, built on the tilted layout.
+
+    Its rows (W, h) run over the pseudosubpartitions W, the empty one first,
+    and one label-free map sends them into the box.
+    """
+
+    @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 2), (1, 1, 2), (1, 2, 2)])
+    def test_row_map(self, c, k, L):
+        # injective, psp_count(c, k) (2|H|)^k rows, and at every label assignment
+        # the rows of A'' it reaches are those the dense smoothing isometry reaches
+        space = tp.AugmentedSpace(c, k, 2, L)
+        full, sites = tp.full_block(c, k), tp.quantum_sites(k)
+        rows = tp.tilt_rows(space, sites, tp.layout_psps(full))
+        assert len(rows) == tp.psp_count(c, k) * space.base_dim**k == len(np.unique(rows))
+        for labels in all_labels(space):
+            dense = oracle_psp_embed(space, (full,), labels, 0.5, sites)
+            reached = np.flatnonzero(np.abs(dense).sum(axis=1))
+            assert np.array_equal(np.sort(space.box(sites, labels).flat[rows]), reached)
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 2), (1, 2, 2), (2, 1, 2), (0, 3, 2)])
+    def test_psp_local_is_the_placed_tilt(self, c, k, L):
+        # T_p is the tilt of column p of the A-tilting matrix placed through the
+        # row map, so the construction is the A-tilted span that
+        # claim4_prop6_chain bounds through prop_a_tilted_bounds
+        space = tp.AugmentedSpace(c, k, 2, L)
+        lattice = tp.enum_pslattice(c, k)
+        sites = tp.quantum_sites(k)
+        rows = tp.tilt_rows(space, sites, ((),) + lattice.linear_ext)
+        size = space.box(sites, {e: 0 for e in tp.full_block(c, k)}).size
+        layout = tilting.TiltedLayout(space.base_dim**k, len(lattice.linear_ext))
+        for delta in (0.3, 0.6):
+            a = tp.build_tilting_matrix(lattice, delta)
+            for j, p in enumerate(lattice.linear_ext):
+                placed = tp.place(rows, size, tilting.tilt_isometry(a.alpha[:, j], layout))
+                npt.assert_allclose(placed, tp.psp_local(space, sites, p, delta), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("c, k, L, rows", [(0, 2, 4, 80), (0, 3, 2, 960)])
+    def test_images_on_layout_rows(self, monkeypatch, c, k, L, rows):
+        # 80 of the 144 box rows at the defaults, 960 of 8000 at k = 3
+        dims, image_basis = [], tilting.image_basis
+
+        def recording(images, dim):
+            dims.append(dim)
+            return image_basis(images, dim)
+
+        monkeypatch.setattr(tilting, "image_basis", recording)
+        tp.build_construction(audits.random_instance(7, c, k, 2, L, 0.3, 0.2), ())
+        assert dims == [tp.psp_count(c, k) * 4**k] == [rows]
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
+    def test_matches_box_row_construction(self, c, k, L):
+        inst = audits.random_instance(7, c, k, 2, L, 0.3, 0.2)
+        tests = tp.optimal_splitting_tests(inst)
+        for x in inst.words():
+            constr = tp.build_construction(inst, x, tests=tests[x])
+            q, b = box_row_construction(inst, x, tests[x])
+            npt.assert_allclose(constr.b, b, rtol=0, atol=1e-12)
+            placed = tp.place(constr.rows, constr.box.size, constr.q_tilted)
+            # of equal rank, so the projectors agree when one fixes the other's basis
+            assert placed.shape[1] == q.shape[1]
+            npt.assert_allclose(placed @ (placed.conj().T @ q), q, rtol=0, atol=1e-12)
 
 
 class TestDilateToSites:
@@ -855,6 +920,12 @@ class TestUnion:
         drops = [c for c in res.checks if c.name == "union_completeness_drop"]
         assert len(drops) == 2
 
+    def test_instances_of_other_shapes_rejected(self):
+        a = small_instance(100, k=1, dim_l=2, delta=0.3)
+        for other in (small_instance(101, k=1, dim_l=3, delta=0.3), small_instance(101, k=2, dim_l=2)):
+            with pytest.raises(ValueError, match="must share"):
+                tp.union_of_intersections([a, other], 0.25)
+
     def test_two_site_instance(self):
         # at |L| = 4 the box holds 144 of the 7056 rows of A''
         for dim_l in (2, 4):
@@ -952,6 +1023,26 @@ class TestDimensionCap:
         tp.intersection_lemma(audits.random_instance(0, c, k, 2, dim_l, 0.3, 0.2))
         widest = tp.widest_array(c, k, 2, dim_l)
         assert max(sizes.values()) <= widest < 2 * max(sizes.values())
+
+    @pytest.mark.parametrize("c, k", [(1, 2), (2, 2)])
+    def test_applied_operators_within_widest_array(self, c, k, monkeypatch):
+        # the soundness loop applies each site group's marginal to B; as the
+        # square C C† it had 400^2 entries at (1, 2) and 1296^2 at (2, 2)
+        sizes, tensordot, apply = [], np.tensordot, tp.apply_site_factors
+
+        def contracted(a, b, axes=2):
+            out = tensordot(a, b, axes)
+            sizes.extend([a.size, b.size, out.size])
+            return out
+
+        def applied(sites, dims, factors, cols):
+            sizes.extend(np.size(m) for _, m in factors)
+            return apply(sites, dims, factors, cols)
+
+        monkeypatch.setattr(np, "tensordot", contracted)
+        monkeypatch.setattr(tp, "apply_site_factors", applied)
+        tp.intersection_lemma(audits.random_instance(0, c, k, 2, 2, 0.3, 0.2))
+        assert sizes and max(sizes) <= tp.widest_array(c, k, 2, 2)
 
     def test_env_override_guards(self, monkeypatch):
         monkeypatch.setenv("ONESHOT_DIM_CAP", "10")

@@ -689,8 +689,8 @@ def pgm(povms: list) -> tuple[list, np.ndarray]:
 def pgm_success(factors: list, states: list) -> np.ndarray:
     """Tr[Lambda_m rho_m] of the PGM over Pi_m = B_m B_m†, without S, Lambda_m or rho_m.
 
-    Thin SVD G = [B_1 ... B_M] = U s V†, kept where s^2 > 1e-12 max(s_0^2, 1)
-    (the support rule of qla.inv_sqrt_on_support): S^(-1/2) B_m = U V_m†, so
+    Thin SVD G = [B_1 ... B_M] = U s V†, kept where qla.support_mask keeps
+    s^2, the support of S = G G†: S^(-1/2) B_m = U V_m†, so
     Tr[Lambda_m rho_m] = Tr[V_m V_m† (U† rho_m U)], a |B_m| x rank product on
     the factored states (typicality.LowRankState).  Hausladen-Wootters 1994;
     the error is audited against Hayashi-Nagaoka 2003 (IEEE TIT 49(7)).
@@ -698,7 +698,7 @@ def pgm_success(factors: list, states: list) -> np.ndarray:
     if not factors:
         raise ValueError("need at least one POVM element")
     u, s, vh = np.linalg.svd(np.hstack(factors), full_matrices=False)
-    keep = s * s > 1e-12 * max(float(s[0] * s[0]), 1.0)
+    keep = qla.support_mask(s * s)
     u, vh = u[:, keep], vh[keep]
     edges = np.cumsum([0] + [b.shape[1] for b in factors])
     return np.array([

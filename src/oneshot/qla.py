@@ -144,12 +144,14 @@ def op_norm_herm(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
 
 
-def inv_sqrt_on_support(a: np.ndarray) -> np.ndarray:
-    """A^(-1/2) for PSD A, taken on its support and zero on its kernel.
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues w of a PSD operator A count as its support: those above 1e-12 * max(||A||_inf, 1)."""
+    return w > 1e-12 * max(float(np.max(w)), 1.0)
 
-    Eigenvalues at or below 1e-12 * max(||A||_inf, 1) count as kernel.
-    """
+
+def inv_sqrt_on_support(a: np.ndarray) -> np.ndarray:
+    """A^(-1/2) for PSD A, taken on its support (support_mask) and zero on its kernel."""
     w, v = np.linalg.eigh(hermitian_part(a))
-    support = w > 1e-12 * max(float(w[-1]), 1.0)
+    support = support_mask(w)
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
     return (v * inv_sqrt) @ v.conj().T

@@ -98,13 +98,13 @@ def rejection_basis(dilated: np.ndarray) -> np.ndarray:
     return v[:, w < 0.5]
 
 
-def orthonormalize(cols: np.ndarray, tol: float = SPAN_RANK_TOL) -> np.ndarray:
+def orthonormalize(cols: np.ndarray) -> np.ndarray:
     """Rank-revealing orthonormalization of a set of (possibly dependent) columns."""
     cols = np.asarray(cols, dtype=complex)
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > tol * max(1.0, s[0] if s.size else 1.0)]
+    return u[:, s > SPAN_RANK_TOL * max(1.0, s[0] if s.size else 1.0)]
 
 
 def image_basis(images: list[np.ndarray], dim: int) -> np.ndarray:

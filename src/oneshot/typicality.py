@@ -488,13 +488,15 @@ class LowRankState:
     rows are zero) and factor is the dense expansion; without one, local is
     the factor itself.  Traces, spectra and partial traces run on local, so
     the big augmented spaces are never materialized.  Two boxed states meet
-    only on the same box.  The columns local core^(1/2) are computed once.
+    only on the same box.  The columns local core^(1/2) and the spectrum
+    are computed once.
     """
 
     local: np.ndarray
     core: np.ndarray
     box: Box | None = None
     _cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of_factor(cls, cols: np.ndarray, box: Box | None = None) -> "LowRankState":
@@ -511,7 +513,9 @@ class LowRankState:
         return qla.hermitian_part(self.factor @ self.core @ self.factor.conj().T)
 
     def trace(self) -> float:
-        return float(np.trace(self.core @ (self.local.conj().T @ self.local)).real)
+        """||local core^(1/2)||_F^2, with no Gram matrix of local."""
+        cols = self.core_sqrt_cols()
+        return float(np.vdot(cols, cols).real)
 
     def core_sqrt_cols(self) -> np.ndarray:
         if self._cols is None:
@@ -520,9 +524,12 @@ class LowRankState:
         return self._cols
 
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum of the Gram matrix F†F of the factor F = local core^(1/2)."""
-        cols = self.core_sqrt_cols()
-        return np.linalg.eigvalsh(cols.conj().T @ cols)
+        """The spectrum of the Gram matrix F†F of the factor F = local core^(1/2), read-only."""
+        if self._spectrum is None:
+            cols = self.core_sqrt_cols()
+            self._spectrum = np.linalg.eigvalsh(cols.conj().T @ cols)
+            self._spectrum.flags.writeable = False
+        return self._spectrum
 
     def lowest_eigenvalue(self) -> float:
         """Smallest eigenvalue of the dense operator F F†.
@@ -556,16 +563,32 @@ def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
 def joint_spectrum(terms) -> np.ndarray:
     """Eigenvalues of sum_i w_i rho_i for (w_i, rho_i) pairs of factored states on one box.
 
-    The sum is compressed onto the joint column span of the factors; the
-    dense operator has these eigenvalues plus zeros.
+    The columns F_i of each state are split, by block Gram-Schmidt, into
+    their coordinates on the orthonormal blocks Q_j of the states before it
+    and a thin QR factorization Q_i R_i of the remainder.  On the basis
+    [Q_1 Q_2 ...] the sum is a small matrix whose eigenvalues, plus zeros,
+    are those of the dense operator.  The columns are never stacked, so no
+    array is wider than one state's columns.
     """
     if any(st.box != terms[0][1].box for _, st in terms):
         raise ValueError("states on different boxes")
-    basis = tilting.orthonormalize(np.hstack([st.core_sqrt_cols() for _, st in terms]), tol=1e-12)
-    small = 0.0
-    for w, st in terms:
-        s = basis.conj().T @ st.local
-        small = small + w * (s @ st.core @ s.conj().T)
+    qs, coords = [], []
+    for _, st in terms:
+        f = st.core_sqrt_cols()
+        p = [np.zeros((q.shape[1], f.shape[1]), dtype=complex) for q in qs]
+        # twice: one pass leaves f off the span of the Q_j only to ||f|| eps
+        for _ in range(2):
+            for q, p_j in zip(qs, p):
+                d = q.conj().T @ f
+                f = f - q @ d
+                p_j += d
+        q, r = np.linalg.qr(f)
+        qs.append(q)
+        coords.append(np.vstack(p + [r]))
+    width = sum(q.shape[1] for q in qs)
+    small = np.zeros((width, width), dtype=complex)
+    for (w, _), x in zip(terms, coords):
+        small[: len(x), : len(x)] += w * (x @ x.conj().T)
     return np.linalg.eigvalsh(qla.hermitian_part(small))
 
 
@@ -581,7 +604,8 @@ class TypicalityInstance:
     rhos maps each classical word x (a tuple, () when c = 0) to a state on
     H^(x k); eps_total is split uniformly over the non-empty
     pseudosubpartitions.  The augmented space is built (and its size
-    checked) on construction, the lattice on first use.
+    checked) on construction, the lattice on first use.  Split states and
+    split factors are computed once per instance and shared (read-only).
     """
 
     c: int
@@ -592,6 +616,13 @@ class TypicalityInstance:
     rhos: dict
     p_x: dict
     eps_total: float = 0.1
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key, make):
+        """make(), computed on the first call with this key and shared after."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def __post_init__(self):
         if self.c == 0:
@@ -663,7 +694,10 @@ class TypicalityInstance:
         return qla.hermitian_part(out)
 
     def split_state(self, x, psp: Psp) -> np.ndarray:
-        """Product of averaged block marginals (and the fill state) on H^(x k)."""
+        """Product of averaged block marginals (and the fill state) on H^(x k), read-only."""
+        return self.memo(("split_state", x, psp), lambda: self._split_state(x, psp))
+
+    def _split_state(self, x, psp: Psp) -> np.ndarray:
         covered = [e for b in psp for e in b if e > 0]
         t_sites = [s for s in quantum_sites(self.k) if s not in covered]
         factors = []
@@ -675,9 +709,11 @@ class TypicalityInstance:
         if t_sites:
             factors.append((tuple(t_sites), self.quantum_marginal(x, t_sites)))
         n = self.dim_h**self.k
-        return apply_site_factors(
+        out = apply_site_factors(
             quantum_sites(self.k), (self.dim_h,) * self.k, factors, np.eye(n, dtype=complex)
         )
+        out.flags.writeable = False
+        return out
 
 
 def apply_site_factors(sites, dims, factors, cols: np.ndarray) -> np.ndarray:
@@ -778,6 +814,11 @@ class BlockConstruction:
     def embedded_original(self) -> LowRankState:
         return _embedded(self.inst, (), self.inst.rhos[self.x], self.box)
 
+    @cached_property
+    def l1_distance(self) -> float:
+        """||rho' - rho x |0><0|||_1 on this block, read by claim3_l1_distance and lemma_claim2_distance."""
+        return l1_distance_factored(self.rho_prime, self.embedded_original)
+
     def _expectation(self, factor: np.ndarray, state: LowRankState) -> float:
         """Tr[(F F†) rho] for a factor F on the tilted layout, from the state's rows there."""
         if state.box != self.box:
@@ -873,6 +914,12 @@ def factored_partial_trace(
     return LowRankState.of_factor(m, sub).dense()
 
 
+def _ancilla_embedding(inst: TypicalityInstance, sites, psp: Psp) -> np.ndarray:
+    """T_psp (x)_sites |0>, box-local: T (rho x |0><0|) T† with the ancilla moved into the factor, core rho."""
+    anc = qla.tensor_all([_ancilla_zero(inst.dim_h)] * len(sites))
+    return psp_local(inst.space, sites, psp, inst.delta) @ anc
+
+
 def marginal_block_state(
     inst: TypicalityInstance, block: Block, x_kept, l_block: dict
 ) -> tuple[Box, np.ndarray]:
@@ -887,8 +934,9 @@ def marginal_block_state(
     the same box-local array under every label assignment; each assignment
     places a copy on its own rows of the union, so a label outside the
     block that sits in the registers of two kept sites moves the rows of
-    both together.  C stacks the copies and is then compressed by a QR
-    factorization to at most one column per box row.
+    both together.  The copy is compressed to its rank before the copies
+    are stacked, and the stack to the rank of the marginal (rank_factor):
+    C has one column per eigenvalue of the marginal on its support.
     """
     space = inst.space
     full = full_block(inst.c, inst.k)
@@ -905,15 +953,29 @@ def marginal_block_state(
     ]
     boxes = [space.box(sites, a) for a in assigns]
     box = reduce(Box.union, boxes)
-    # T (rho x |0><0|) T† with the ancilla isometry moved into the factor, so
-    # the core is rho and each assignment adds dim rho columns per traced row
-    anc = qla.tensor_all([_ancilla_zero(inst.dim_h)] * inst.k)
-    t = psp_local(space, quantum_sites(inst.k), (full,), inst.delta) @ anc
+    # core rho: one copy has dim rho columns per traced row before its rank cut
+    t = _ancilla_embedding(inst, quantum_sites(inst.k), (full,))
     full_box = space.box(quantum_sites(inst.k), assigns[0])
     _, m = LowRankState(t, rho, full_box).marginal(sites)
+    m = rank_factor(m)
     stacked = np.hstack([place(box.index(sub.rows), box.size, m) for sub in boxes]) / np.sqrt(len(assigns))
-    # C C† = R† R for the QR factorization C† = Q R
-    return box, np.linalg.qr(stacked.conj().T, mode="r").conj().T
+    # C C† = R† R for the QR factorization C† = Q R, at most one column per box row
+    return box, rank_factor(np.linalg.qr(stacked.conj().T, mode="r").conj().T)
+
+
+def rank_factor(f: np.ndarray) -> np.ndarray:
+    """A factor g with g g† = f f† cut to its support (qla.support_mask): one column per eigenvalue kept.
+
+    Works on the smaller Gram matrix: f f† = U w U† gives g = U w^(1/2),
+    f† f = V w V† gives g = f V.  Neither forms the right singular vectors
+    of a wide f.
+    """
+    if f.shape[0] <= f.shape[1]:
+        w, u = np.linalg.eigh(f @ f.conj().T)
+        keep = qla.support_mask(w)
+        return u[:, keep] * np.sqrt(w[keep])
+    w, v = np.linalg.eigh(f.conj().T @ f)
+    return f @ v[:, qla.support_mask(w)]
 
 
 def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.ndarray:
@@ -954,6 +1016,49 @@ class SplitFactor:
     leak_spectrum: np.ndarray
 
 
+def lead_weight(inst: TypicalityInstance, block: Block) -> float:
+    """a_S = N(S) N(S-bar with the classical coordinates) / N(whole set), the weight of S's lead term."""
+    full = set(full_block(inst.c, inst.k))
+    sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(inst.c))))
+    n_full = normalization(tuple(sorted(full)), inst.delta)
+    return normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
+
+
+def split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
+    """The block's marginal and its terms for word x under l_assign, computed once per instance.
+
+    Every split of the word that contains the block shares the factor.
+    """
+    key = ("split_factor", x, block, tuple(sorted(l_assign.items())))
+    return inst.memo(key, lambda: _split_factor(inst, x, block, l_assign))
+
+
+def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
+    space = inst.space
+    sites = tuple(e for e in block if e > 0)
+    coords = classical_coords(inst.c)
+    x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
+    l_block = {e: l_assign[e] for e in block}
+    box, c_i = marginal_block_state(inst, block, x_kept, l_block)
+    inside = reduce(np.logical_and.outer, [
+        _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
+    ]).ravel()
+    clean = LowRankState.of_factor(c_i * inside[:, None], box)
+    crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
+    # rho - clean - crossing = C_p C_q† + C_q C_p† for the clean and crossing
+    # rows C_p, C_q of C; the row sets are disjoint, so its norm is
+    # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
+    r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
+    coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
+    own_box = space.box(sites, l_assign)
+    t = place(box.index(own_box.rows), box.size, _ancilla_embedding(inst, sites, (block,)))
+    lead = LowRankState(t, inst.averaged_marginal(block, x_kept), box)
+    a_i = lead_weight(inst, block)
+    leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
+    rho_i = LowRankState.of_factor(c_i, box)
+    return SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak)
+
+
 @dataclass
 class SplitDecomposition:
     psp: Psp
@@ -976,9 +1081,9 @@ def split_decompose(
     The flat remainder M is isolated by restricting each factor to the
     sectors whose summand labels leak quantum sites out of the factor's
     block (its support is exactly there, orthogonal to the rest); the leak
-    term N then comes out by subtracting the tilted leading term.
+    term N then comes out by subtracting the tilted leading term.  Each
+    block's factor comes from split_factor, shared with the word's other splits.
     """
-    space = inst.space
     if l_assign is None:
         l_assign = zero_labels(inst)
     full = set(full_block(inst.c, inst.k))
@@ -988,13 +1093,10 @@ def split_decompose(
 
     alpha = 1.0
     alpha_beta = 1.0
-    lead_weights = []
     for block in psp:
         sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(inst.c))))
         s_with_c = tuple(sorted(set(block) | set(classical_coords(inst.c))))
-        a_i = normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
-        lead_weights.append(a_i)
-        alpha *= a_i
+        alpha *= lead_weight(inst, block)
         alpha_beta *= (
             normalization(s_with_c, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
         )
@@ -1015,30 +1117,8 @@ def split_decompose(
         checks.append(report.AuditCheck("claim2_n_norm", 0.0, 3.0 / np.sqrt(inst.dim_l), 0.0, params))
         return SplitDecomposition(psp, alpha, beta, [], 0.0, 0.0, checks)
 
-    factors = []
+    factors = [split_factor(inst, x, block, l_assign) for block in psp]
     coords = classical_coords(inst.c)
-    for block, a_i in zip(psp, lead_weights):
-        sites = tuple(e for e in block if e > 0)
-        x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
-        l_block = {e: l_assign[e] for e in block}
-        box, c_i = marginal_block_state(inst, block, x_kept, l_block)
-        inside = reduce(np.logical_and.outer, [
-            _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
-        ]).ravel()
-        clean = LowRankState.of_factor(c_i * inside[:, None], box)
-        crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
-        # rho - clean - crossing = C_p C_q† + C_q C_p† for the clean and crossing
-        # rows C_p, C_q of C; the row sets are disjoint, so its norm is
-        # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
-        r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
-        coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
-        own_box = space.box(sites, l_assign)
-        own = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), own_box)
-        lead = LowRankState(place(box.index(own.box.rows), box.size, own.local), own.core, box)
-        leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
-        rho_i = LowRankState.of_factor(c_i, box)
-        factors.append(SplitFactor(block, sites, rho_i, clean, crossing, coh, a_i, lead, leak))
-
     fill_norm = 1.0
     if t_sites:
         fill_norm = float(np.linalg.eigvalsh(inst.quantum_marginal(x, t_sites))[-1])
@@ -1159,7 +1239,7 @@ def audit_construction(constr: BlockConstruction) -> list:
     checks.append(
         report.AuditCheck(
             "claim3_l1_distance",
-            l1_distance_factored(rho_prime, emb),
+            constr.l1_distance,
             2.0 ** ((k + c) / 2.0 + 1.0) * inst.delta,
             1e-9,
             params,
@@ -1251,13 +1331,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     for x in words:
         checks.extend(audit_construction(constructions[x]))
 
-    dist = sum(
-        inst.p_x[x]
-        * l1_distance_factored(
-            constructions[x].rho_prime, constructions[x].embedded_original
-        )
-        for x in words
-    )
+    dist = sum(inst.p_x[x] * constructions[x].l1_distance for x in words)
     checks.append(
         report.AuditCheck(
             "lemma_claim2_distance", dist, 2.0 ** ((c + k) / 2.0 + 1.0) * inst.delta, 1e-9, params

@@ -479,7 +479,8 @@ class TestRhoPrime:
                 want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
         box, c_factor = tp.marginal_block_state(inst, block, x_kept, l_block)
         assert box.sites == tuple(sites)
-        assert c_factor.shape[1] <= box.size
+        # one column per eigenvalue of the marginal on its support
+        assert c_factor.shape[1] == np.count_nonzero(qla.support_mask(np.linalg.eigvalsh(want)))
         npt.assert_allclose(tp.LowRankState.of_factor(c_factor, box).dense(), want, atol=1e-12)
 
     @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (2, 2, 2)])
@@ -880,6 +881,49 @@ class TestIntersectionLemma:
         res = tp.intersection_lemma(small_instance(101, c=1, k=2, dim_l=2, delta=0.3))
         assert res.all_pass()
         assert 0 < largest[0] <= 64
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
+    def test_one_marginal_per_word_and_block(self, monkeypatch, c, k, L):
+        # a block's factor serves every split of the word that contains it
+        calls = {}
+        exact = tp.marginal_block_state
+
+        def counting(inst, block, x_kept, l_block):
+            calls[block, x_kept] = calls.get((block, x_kept), 0) + 1
+            return exact(inst, block, x_kept, l_block)
+
+        monkeypatch.setattr(tp, "marginal_block_state", counting)
+        inst = small_instance(160 + c, c=c, k=k, dim_l=L, delta=0.3)
+        tp.intersection_lemma(inst)
+        splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
+        coords = tp.classical_coords(c)
+        want = {}
+        for x, block in {(x, b) for x in inst.words() for p in splits for b in p}:
+            key = block, tuple(x[coords.index(e)] for e in block if e < 0)
+            want[key] = want.get(key, 0) + 1
+        assert calls == want
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
+    def test_shared_factors_match_fresh_instances(self, c, k, L):
+        # every split record the lemma emits equals split_decompose on an
+        # instance that has computed nothing yet
+        inst = small_instance(170 + c, c=c, k=k, dim_l=L, delta=0.3)
+        res = tp.intersection_lemma(inst)
+
+        def fresh():
+            return tp.TypicalityInstance(
+                inst.c, inst.k, inst.dim_h, inst.dim_l, inst.delta, dict(inst.rhos),
+                dict(inst.p_x), inst.eps_total,
+            )
+
+        emitted = [ch for ch in res.checks if set(ch.params) == {"psp", "x"}]
+        want = [
+            ch
+            for psp in inst.lattice.linear_ext
+            for x in inst.words()
+            for ch in tp.split_decompose(fresh(), x, psp).checks
+        ]
+        assert emitted == want
 
 
 class TestStatedConstants:

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import hyptest, mac, report, tilting, typicality
 from .rand import (
+    haar_isometry,
     random_density,
     random_distribution,
     random_povm_element,
@@ -41,20 +42,23 @@ def random_tilting_matrix(rng, l: int, diag_min=0.05, diag_max=0.9) -> tilting.T
 def _sandwich_trials(name, seed_mult, trials, seed, dim_max, l_max, draw) -> list:
     """Lower/upper sandwich checks of a tilted span on random subspaces and probe vectors.
 
-    draw(rng, l) draws the tilt weights and returns (span(ws, layout),
-    bounds(overlaps), extra params) for one trial.
+    draw(rng, l) draws the tilt weights and returns (tilting matrix alpha,
+    bounds(overlaps), extra params) for one trial.  Each subspace is drawn as
+    a Haar isometry V, the draws random_projector makes for V V†, so the
+    acceptance ||Q[:d]† h||^2 and the overlaps ||V† h||^2 are read off the
+    bases, with no projector formed.
     """
     checks = []
     for t in range(trials):
         rng = rng_from_seed(seed * seed_mult + t)
         d = int(rng.integers(2, dim_max + 1))
         l = int(rng.integers(1, l_max + 1))
-        span, bounds, extra = draw(rng, l)
-        ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
+        a, bounds, extra = draw(rng, l)
+        vs = [haar_isometry(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
         h = random_pure(rng, d)
-        lay = tilting.TiltedLayout(d, l)
-        got = float(np.linalg.norm(span(ws, lay) @ (tilting.tilt_isometry([], lay) @ h)) ** 2)
-        lo, hi = bounds(np.array([float(np.linalg.norm(w @ h) ** 2) for w in ws]))
+        q = tilting.tilted_basis(vs, a, tilting.TiltedLayout(d, l))
+        got = float(np.linalg.norm(q[:d].conj().T @ h) ** 2)
+        lo, hi = bounds(np.array([float(np.linalg.norm(v.conj().T @ h) ** 2) for v in vs]))
         params = {"seed": seed, "trial": t, "d": d, "l": l, **extra}
         checks.append(report.AuditCheck(f"{name}_lower", lo, got, 1e-9, params))
         checks.append(report.AuditCheck(f"{name}_upper", got, hi, 1e-9, params))
@@ -68,7 +72,7 @@ def audit_tilting(trials: int = 1000, seed: int = 0, dim_max: int = 8, l_max: in
     def draw(rng, l):
         alpha = float(alphas_pool[int(rng.integers(len(alphas_pool)))])
         return (
-            lambda ws, lay: tilting.tilted_span(ws, [alpha] * l, lay),
+            np.diag(np.full(l, alpha)),
             lambda eps: tilting.prop_tilted_bounds(eps, np.full(l, alpha)),
             {"alpha": alpha},
         )
@@ -81,11 +85,7 @@ def audit_a_tilting(trials: int = 500, seed: int = 0, dim_max: int = 8, l_max: i
 
     def draw(rng, l):
         a = random_tilting_matrix(rng, l)
-        return (
-            lambda ws, lay: tilting.a_tilted_span(ws, a, lay),
-            lambda eps: tilting.prop_a_tilted_bounds(eps, a),
-            {},
-        )
+        return a.alpha, lambda eps: tilting.prop_a_tilted_bounds(eps, a), {}
 
     return _sandwich_trials("a_tilted_span", 1_000_033, trials, seed, dim_max, l_max, draw)
 

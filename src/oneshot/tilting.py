@@ -137,11 +137,20 @@ def tilted_basis(
 
     Basis j (1-based) is pushed through tilt_isometry(a[:j, j-1]), the j-th
     column of the tilting matrix; the basis fixed, if given, stays untilted in
-    the base copy.
+    the base copy.  The images are written straight into one array: summand i
+    of basis j's columns is sqrt(a[i-1, j-1]) times the basis.
     """
-    images = [] if fixed is None else [tilt_isometry([], layout) @ fixed]
-    images += [tilt_isometry(a[:j, j - 1], layout) @ b for j, b in enumerate(bases, start=1)]
-    return image_basis(images, layout.total_dim)
+    parts = [] if fixed is None else [(fixed, np.zeros(0))]
+    parts += [(b, a[:j, j - 1]) for j, b in enumerate(bases, start=1)]
+    n = sum(b.shape[1] for b, _ in parts)
+    images = np.zeros((layout.directions + 1, layout.base_dim, n), dtype=complex)
+    start = 0
+    for b, w in parts:
+        scale = np.zeros(layout.directions + 1)
+        scale[0], scale[1 : w.size + 1] = max(1.0 - float(w.sum()), 0.0), w
+        images[:, :, start : start + b.shape[1]] = np.sqrt(scale)[:, None, None] * b
+        start += b.shape[1]
+    return image_basis([images.reshape(layout.total_dim, n)], layout.total_dim)
 
 
 def _span_projector(subspaces, a, layout, fixed=None) -> np.ndarray:

@@ -605,7 +605,9 @@ class TypicalityInstance:
     H^(x k); eps_total is split uniformly over the non-empty
     pseudosubpartitions.  The augmented space is built (and its size
     checked) on construction, the lattice on first use.  Split states and
-    split factors are computed once per instance and shared (read-only).
+    split factors are computed once per instance and shared (read-only);
+    intersection_lemma forgets a block's factors after the last split that
+    contains it.
     """
 
     c: int
@@ -623,6 +625,11 @@ class TypicalityInstance:
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
+
+    def forget(self, stale) -> None:
+        """Drop the memo entries whose keys satisfy stale(key)."""
+        for key in [key for key in self._memo if stale(key)]:
+            del self._memo[key]
 
     def __post_init__(self):
         if self.c == 0:
@@ -1353,7 +1360,9 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     )
 
     soundness = {}
-    for psp in lattice.linear_ext:
+    # a word's factors of a block serve every split that contains the block, and no later step
+    last_split = {block: i for i, psp in enumerate(lattice.linear_ext) for block in psp}
+    for i, psp in enumerate(lattice.linear_ext):
         lhs = 0.0
         chain_rhs = 0.0
         for x in words:
@@ -1361,6 +1370,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
             dec = split_decompose(inst, x, psp, constr.l_assign)
             checks.extend(dec.checks)
             val = _split_expectation(inst, constr, psp, dec)
+            inst.forget(lambda key: key[:2] == ("split_factor", x) and last_split[key[2]] == i)
             lhs += inst.p_x[x] * val
             pi_trace = constr.pi_prime_trace_norm()
             chain_rhs += inst.p_x[x] * (

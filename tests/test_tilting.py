@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import qla, tilting
+from oneshot import audits, qla, tilting
 from oneshot.audits import random_tilting_matrix
 from oneshot.rand import (
+    haar_isometry,
     random_density,
     random_projector,
     random_pure,
@@ -336,3 +339,117 @@ class TestComplementFactor:
         assert tilting.complement_factor(e, q) is e
         assert tilting.image_basis([], lay.total_dim).shape == (lay.total_dim, 0)
         self.check(q, tilting.a_tilted_span([zero] * l, a, lay), lay)
+
+
+class TestTiltedBasisPlacement:
+    """The image array tilted_basis orthonormalizes against the tilt_isometry stack."""
+
+    def images(self, monkeypatch, bases, a, lay, fixed=None):
+        seen, image_basis = [], tilting.image_basis
+
+        def recording(images, dim):
+            seen.extend(images)
+            return image_basis(images, dim)
+
+        monkeypatch.setattr(tilting, "image_basis", recording)
+        tilting.tilted_basis(bases, a, lay, fixed)
+        return np.hstack(seen)
+
+    def stack(self, bases, a, lay, fixed=None):
+        images = [] if fixed is None else [tilting.tilt_isometry([], lay) @ fixed]
+        images += [tilting.tilt_isometry(a[:j, j - 1], lay) @ b for j, b in enumerate(bases, start=1)]
+        return np.hstack(images)
+
+    def test_random_tilting_matrices(self, monkeypatch):
+        rng = rng_from_seed(59)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            l = int(rng.integers(1, 5))
+            a = random_tilting_matrix(rng, l).alpha
+            # rank 0 draws empty bases
+            bases = [haar_isometry(rng, d, int(rng.integers(0, d + 1))) for _ in range(l)]
+            lay = tilting.TiltedLayout(d, l)
+            npt.assert_allclose(
+                self.images(monkeypatch, bases, a, lay), self.stack(bases, a, lay), rtol=0, atol=1e-15
+            )
+
+    def test_fixed_basis(self, monkeypatch):
+        rng = rng_from_seed(60)
+        for l in range(4):
+            d = 5
+            a = 0.2 * np.eye(l)
+            fixed = haar_isometry(rng, d, 2)
+            bases = [haar_isometry(rng, d, int(rng.integers(0, 3))) for _ in range(l)]
+            lay = tilting.TiltedLayout(d, l)
+            npt.assert_allclose(
+                self.images(monkeypatch, bases, a, lay, fixed),
+                self.stack(bases, a, lay, fixed),
+                rtol=0,
+                atol=1e-15,
+            )
+
+    def test_only_empty_bases(self, monkeypatch):
+        lay = tilting.TiltedLayout(3, 2)
+        empty = np.zeros((3, 0), dtype=complex)
+        a = np.diag([0.3, 0.4])
+        assert self.images(monkeypatch, [empty, empty], a, lay).shape == (lay.total_dim, 0)
+        assert tilting.tilted_basis([empty, empty], a, lay).shape == (lay.total_dim, 0)
+
+
+class TestSandwichAuditOracle:
+    """The sandwich audits, run on drawn isometries, against the projector path."""
+
+    def projector_path(self, seed_mult, seed, t, draw):
+        rng = rng_from_seed(seed * seed_mult + t)
+        d = int(rng.integers(2, 9))
+        l = int(rng.integers(1, 5))
+        span, bounds = draw(rng, l)
+        ws = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
+        h = random_pure(rng, d)
+        lay = tilting.TiltedLayout(d, l)
+        got = overlap(span(ws, lay), tilting.tilt_isometry([], lay) @ h)
+        lo, hi = bounds(np.array([overlap(w, h) for w in ws]))
+        return [lo, got, got, hi]
+
+    def check(self, records, seed_mult, seed, draw):
+        got = [v for c in records for v in (c.lhs, c.rhs)]
+        want = [
+            v for t in range(len(records) // 2) for v in self.projector_path(seed_mult, seed, t, draw)
+        ]
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_tilted_span(self, seed):
+        pool = (0.1, 0.3, 0.5, 0.9)
+
+        def draw(rng, l):
+            alpha = float(pool[int(rng.integers(len(pool)))])
+            return (
+                lambda ws, lay: tilting.tilted_span(ws, [alpha] * l, lay),
+                lambda eps: tilting.prop_tilted_bounds(eps, np.full(l, alpha)),
+            )
+
+        self.check(audits.audit_tilting(60, seed), 1_000_003, seed, draw)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_tilted_span(self, seed):
+        def draw(rng, l):
+            a = random_tilting_matrix(rng, l)
+            return (
+                lambda ws, lay: tilting.a_tilted_span(ws, a, lay),
+                lambda eps: tilting.prop_a_tilted_bounds(eps, a),
+            )
+
+        self.check(audits.audit_a_tilting(60, seed), 1_000_033, seed, draw)
+
+    def test_isometry_draws_match_projector_draws(self):
+        # haar_isometry takes exactly the draws random_projector takes, so the
+        # audit instances are the ones the projector path drew
+        for s in range(20):
+            rng = rng_from_seed(s)
+            d = int(rng.integers(2, 9))
+            r = int(rng.integers(1, d + 1))
+            clone = copy.deepcopy(rng)
+            v = haar_isometry(rng, d, r)
+            assert np.array_equal(qla.hermitian_part(v @ v.conj().T), random_projector(clone, d, r))
+            assert rng.random() == clone.random()

@@ -531,12 +531,15 @@ class DecodingSet:
     local: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the label box's base, LX and LY rows are the summands of a tilted
+        # layout; local_tilt's amplitudes are sqrt(1 - t) and sqrt(t) at the
+        # weight t = delta^2 / (1 + delta^2)
         chan = self.chan
-        tx, ty, e = chan.local_tilt(x=True), chan.local_tilt(y=True), chan.local_tilt()
+        a = np.eye(2) * chan.delta**2 / (1 + chan.delta**2)
+        layout, e = tilting.TiltedLayout(chan.base, 2), chan.local_tilt()
         self.local = {}
         for xy in self.w_x:
-            images = [tx @ self.w_x[xy], ty @ self.w_y[xy], e @ self.w_xy[xy]]
-            q = tilting.image_basis(images, e.shape[0])
+            q = tilting.tilted_basis([self.w_x[xy], self.w_y[xy]], a, layout, fixed=self.w_xy[xy])
             self.local[xy] = tilting.complement_factor(e, q)
 
     def povm_factor(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
@@ -555,8 +558,11 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     The X-labelled complement spaces are tilted along L_X and pair with the
     keep-x averaged states (rate R2 / I_H(Y:XZ)); symmetrically for Y; the
     joint test stays untilted in the base copy.  The POVM factors are built
-    once per letter pair on the label rows (DecodingSet.local).
+    once per letter pair on the label rows (DecodingSet.local).  delta must be
+    positive: untilted, the three images would share the base copy.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     chan = PerturbedChannel(spec, dim_l, delta)
     letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
     weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]

@@ -16,14 +16,19 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = complex_gaussian(rng, (d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    return haar_isometry(rng, d, d)
 
 
 def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return haar_unitary(rng, rows)[:, :cols]
+    """The first cols columns of haar_unitary(rng, rows), from the same draws.
+
+    Column j of the QR's Q depends only on the Gaussian's first j + 1
+    columns, so only the kept ones are factored.
+    """
+    z = complex_gaussian(rng, (rows, rows))[:, :cols]
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:

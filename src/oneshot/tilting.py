@@ -14,8 +14,6 @@ import numpy as np
 
 from . import qla
 
-SPAN_RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TiltedLayout:
@@ -99,24 +97,15 @@ def rejection_basis(dilated: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
-    """Rank-revealing orthonormalization of a set of (possibly dependent) columns."""
+    """Rank-revealing orthonormalization of a set of (possibly dependent) columns.
+
+    The SVD reference for tilted_basis, whose stacks have full column rank.
+    """
     cols = np.asarray(cols, dtype=complex)
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > SPAN_RANK_TOL * max(1.0, s[0] if s.size else 1.0)]
-
-
-def image_basis(images: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal basis of the span of the image blocks (dim rows each); empty blocks are skipped.
-
-    Tilted images of overlapping subspaces can be nearly dependent, hence the
-    rank-revealing orthonormalization.
-    """
-    images = [m for m in images if m.shape[1]]
-    if not images:
-        return np.zeros((dim, 0), dtype=complex)
-    return orthonormalize(np.hstack(images))
+    return u[:, s > 1e-10 * max(1.0, s[0])]
 
 
 def complement_factor(e: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -138,10 +127,18 @@ def tilted_basis(
     Basis j (1-based) is pushed through tilt_isometry(a[:j, j-1]), the j-th
     column of the tilting matrix; the basis fixed, if given, stays untilted in
     the base copy.  The images are written straight into one array: summand i
-    of basis j's columns is sqrt(a[i-1, j-1]) times the basis.
+    of basis j's columns is sqrt(a[i-1, j-1]) times the basis.  Basis j
+    reaches only summands 0..j, and summand j at weight a[j-1, j-1], so the
+    array is block upper triangular with full column rank and one reduced QR
+    orthonormalizes it; a non-empty basis whose diagonal weight is not
+    positive is refused.
     """
     parts = [] if fixed is None else [(fixed, np.zeros(0))]
-    parts += [(b, a[:j, j - 1]) for j, b in enumerate(bases, start=1)]
+    for j, b in enumerate(bases, start=1):
+        if b.shape[1]:
+            if not a[j - 1, j - 1] > 0:
+                raise ValueError(f"basis {j} has diagonal tilt weight {a[j - 1, j - 1]} <= 0")
+            parts.append((b, a[:j, j - 1]))
     n = sum(b.shape[1] for b, _ in parts)
     images = np.zeros((layout.directions + 1, layout.base_dim, n), dtype=complex)
     start = 0
@@ -150,7 +147,7 @@ def tilted_basis(
         scale[0], scale[1 : w.size + 1] = max(1.0 - float(w.sum()), 0.0), w
         images[:, :, start : start + b.shape[1]] = np.sqrt(scale)[:, None, None] * b
         start += b.shape[1]
-    return image_basis([images.reshape(layout.total_dim, n)], layout.total_dim)
+    return np.linalg.qr(images.reshape(layout.total_dim, n))[0]
 
 
 def _span_projector(subspaces, a, layout, fixed=None) -> np.ndarray:

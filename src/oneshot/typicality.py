@@ -1113,9 +1113,10 @@ def split_decompose(
     t_sites = [s for s in quantum_sites(inst.k) if s not in covered_q]
 
     if is_full_block(inst, psp):
-        # the single full block: the split state is the smoothed state itself
-        rho_prime = build_rho_prime(inst, x, l_assign)
-        resid = l1_distance_factored(rho_prime, split_embedded(inst, x, psp, rho_prime.box))
+        # the single full block: the split state is rho_x itself, and T_full
+        # is an isometry, so ||rho' - T_full (split x |0><0|) T_full†||_1 is
+        # the trace distance on H^(x k)
+        resid = qla.trace_norm_herm(inst.split_state(x, psp) - inst.rhos[x])
         checks.append(report.AuditCheck("split_identity_residual", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("claim5_identity", resid, 0.0, IDENTITY_TOL, params))
         checks.append(report.AuditCheck("split_alpha_is_one", abs(alpha - 1.0), 0.0, 1e-12, params))

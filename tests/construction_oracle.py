@@ -5,6 +5,8 @@ build_construction orthonormalises the tilted images on the psp_count(c, k)
 box of A'' first and orthonormalises there, on (2|H| (1 + 2^(c+k-1)))^k rows.
 """
 
+import numpy as np
+
 from oneshot import tilting
 from oneshot import typicality as tp
 
@@ -17,7 +19,6 @@ def box_row_construction(inst, x, tests: dict):
     images = [
         tp.psp_local(space, box.sites, psp, inst.delta) @ tests[psp].y_basis
         for psp in inst.lattice.linear_ext
-        if tests[psp].y_basis.shape[1]
     ]
-    q = tilting.image_basis(images, box.size)
+    q = tilting.orthonormalize(np.hstack(images))
     return q, tilting.complement_factor(e_hat, q)

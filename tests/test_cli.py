@@ -373,6 +373,23 @@ class TestRejectedInput:
         assert "error: epsilon must be in (0, 1)" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
+    def test_cq_zero_delta_exits_2_before_any_solve(self, monkeypatch, tmp_path, outdir, capsys):
+        # untilted, the X and Y images fall into the base copy beside the
+        # joint test's, so the tilted span has no full-rank stack
+        def forbidden(*args, **kwargs):
+            raise AssertionError("D_H solved before delta was checked")
+
+        monkeypatch.setattr(hyptest, "cq_optimal_test", forbidden)
+        lines = [
+            "delta = 0" if line.startswith("delta") else line
+            for line in open("configs/cq_mac_small.txt").read().splitlines()
+        ]
+        path = tmp_path / "delta.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["mac", "cq", str(path), "--out", outdir]) == 2
+        assert "error: delta must be positive" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     @pytest.mark.parametrize("rate", ["40", "2000"])
     @pytest.mark.parametrize(
         "mode,config,what",

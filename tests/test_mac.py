@@ -606,7 +606,7 @@ def full_row_povm_factor(dec, x, l_x, y, l_y):
         chan.tilt(l_y=l_y) @ dec.w_y[x, y],
         chan.tilt() @ dec.w_xy[x, y],
     ]
-    q = tilting.image_basis(images, chan.dim)
+    q = tilting.orthonormalize(np.hstack(images))
     return tilting.complement_factor(chan.tilt(), q)
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oneshot import audits, qla, tilting
+from oneshot import audits, cli, mac, qla, tilting, typicality as tp
 from oneshot.audits import random_tilting_matrix
 from oneshot.rand import (
     haar_isometry,
+    haar_unitary,
     random_density,
     random_projector,
     random_pure,
@@ -17,6 +18,13 @@ from oneshot.rand import (
 
 def overlap(proj, h):
     return float(np.linalg.norm(proj @ h) ** 2)
+
+
+def tilt_stack(bases, a, lay, fixed=None):
+    """The images [tilt_isometry(a[:j, j-1]) @ b_j], after the untilted fixed basis."""
+    images = [] if fixed is None else [tilting.tilt_isometry([], lay) @ fixed]
+    images += [tilting.tilt_isometry(a[:j, j - 1], lay) @ b for j, b in enumerate(bases, start=1)]
+    return np.hstack(images)
 
 
 class TestTiltIsometry:
@@ -69,7 +77,7 @@ class TestTiltedSpan:
         v2 = np.array([np.sqrt(1 - eps), np.sqrt(eps)], dtype=complex)
         w2 = np.outer(v2, v2.conj())
         h = np.array([0.0, 1.0], dtype=complex)
-        q = tilting.image_basis([tilting.span_basis(w1), v2[:, None]], 2)
+        q = tilting.orthonormalize(np.hstack([tilting.span_basis(w1), v2[:, None]]))
         plain = q @ q.conj().T
         assert overlap(plain, h) == pytest.approx(1.0, abs=1e-9)
         lay = tilting.TiltedLayout(2, 2)
@@ -289,7 +297,7 @@ class TestGao:
 
 
 class TestComplementFactor:
-    """The factor path (image_basis + complement_factor) against the projector path."""
+    """The factor path (SVD reference + complement_factor) against the projector path."""
 
     def check(self, q, span, lay):
         e = tilting.tilt_isometry([], lay)
@@ -309,7 +317,7 @@ class TestComplementFactor:
                 tilting.tilt_isometry(a.alpha[:j, j - 1], lay) @ tilting.span_basis(w)
                 for j, w in enumerate(ws, start=1)
             ]
-            q = tilting.image_basis(images, lay.total_dim)
+            q = tilting.orthonormalize(np.hstack(images))
             self.check(q, tilting.a_tilted_span(ws, a, lay), lay)
 
     def test_tilted_span_with_fixed(self):
@@ -325,7 +333,7 @@ class TestComplementFactor:
                 tilting.tilt_isometry(alpha * np.eye(j)[j - 1], lay) @ tilting.span_basis(w)
                 for j, w in enumerate(ws, start=1)
             ]
-            q = tilting.image_basis(images, lay.total_dim)
+            q = tilting.orthonormalize(np.hstack(images))
             self.check(q, tilting.tilted_span_with_fixed(w0, ws, alpha, lay), lay)
 
     def test_no_images(self):
@@ -337,7 +345,7 @@ class TestComplementFactor:
         assert q.shape == (lay.total_dim, 0)
         e = tilting.tilt_isometry([], lay)
         assert tilting.complement_factor(e, q) is e
-        assert tilting.image_basis([], lay.total_dim).shape == (lay.total_dim, 0)
+        assert tilting.orthonormalize(np.zeros((lay.total_dim, 0))).shape == (lay.total_dim, 0)
         self.check(q, tilting.a_tilted_span([zero] * l, a, lay), lay)
 
 
@@ -345,20 +353,16 @@ class TestTiltedBasisPlacement:
     """The image array tilted_basis orthonormalizes against the tilt_isometry stack."""
 
     def images(self, monkeypatch, bases, a, lay, fixed=None):
-        seen, image_basis = [], tilting.image_basis
+        # the array np.linalg.qr receives; with no columns there is no QR
+        seen, qr = [np.zeros((lay.total_dim, 0))], np.linalg.qr
 
-        def recording(images, dim):
-            seen.extend(images)
-            return image_basis(images, dim)
+        def recording(m, mode="reduced"):
+            seen.append(m)
+            return qr(m, mode=mode)
 
-        monkeypatch.setattr(tilting, "image_basis", recording)
+        monkeypatch.setattr(np.linalg, "qr", recording)
         tilting.tilted_basis(bases, a, lay, fixed)
         return np.hstack(seen)
-
-    def stack(self, bases, a, lay, fixed=None):
-        images = [] if fixed is None else [tilting.tilt_isometry([], lay) @ fixed]
-        images += [tilting.tilt_isometry(a[:j, j - 1], lay) @ b for j, b in enumerate(bases, start=1)]
-        return np.hstack(images)
 
     def test_random_tilting_matrices(self, monkeypatch):
         rng = rng_from_seed(59)
@@ -370,7 +374,7 @@ class TestTiltedBasisPlacement:
             bases = [haar_isometry(rng, d, int(rng.integers(0, d + 1))) for _ in range(l)]
             lay = tilting.TiltedLayout(d, l)
             npt.assert_allclose(
-                self.images(monkeypatch, bases, a, lay), self.stack(bases, a, lay), rtol=0, atol=1e-15
+                self.images(monkeypatch, bases, a, lay), tilt_stack(bases, a, lay), rtol=0, atol=1e-15
             )
 
     def test_fixed_basis(self, monkeypatch):
@@ -383,7 +387,7 @@ class TestTiltedBasisPlacement:
             lay = tilting.TiltedLayout(d, l)
             npt.assert_allclose(
                 self.images(monkeypatch, bases, a, lay, fixed),
-                self.stack(bases, a, lay, fixed),
+                tilt_stack(bases, a, lay, fixed),
                 rtol=0,
                 atol=1e-15,
             )
@@ -394,6 +398,107 @@ class TestTiltedBasisPlacement:
         a = np.diag([0.3, 0.4])
         assert self.images(monkeypatch, [empty, empty], a, lay).shape == (lay.total_dim, 0)
         assert tilting.tilted_basis([empty, empty], a, lay).shape == (lay.total_dim, 0)
+
+
+class TestTiltedBasisQR:
+    """The reduced QR of the full-rank image stack against the rank-revealing SVD."""
+
+    def draw(self, rng, d, l, low):
+        # diagonal weights down to low, and ranks 0..d per basis
+        hi = float(10 ** rng.uniform(np.log10(low), np.log10(0.9)))
+        a = random_tilting_matrix(rng, l, diag_min=low, diag_max=hi).alpha
+        bases = [haar_isometry(rng, d, int(rng.integers(0, d + 1))) for _ in range(l)]
+        return a, bases
+
+    def check(self, bases, a, lay, fixed=None):
+        q = tilting.tilted_basis(bases, a, lay, fixed)
+        ref = tilting.orthonormalize(tilt_stack(bases, a, lay, fixed))
+        width = sum(b.shape[1] for b in bases) + (0 if fixed is None else fixed.shape[1])
+        assert q.shape == (lay.total_dim, width) == ref.shape
+        npt.assert_allclose(q.conj().T @ q, np.eye(width), rtol=0, atol=1e-12)
+        npt.assert_allclose(q @ q.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("low", [1e-6, 1e-3, 0.05])
+    def test_matches_svd_span(self, low):
+        rng = rng_from_seed(61)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            l = int(rng.integers(1, 5))
+            a, bases = self.draw(rng, d, l, low)
+            self.check(bases, a, tilting.TiltedLayout(d, l))
+
+    @pytest.mark.parametrize("low", [1e-6, 1e-3, 0.05])
+    def test_matches_svd_span_with_fixed(self, low):
+        rng = rng_from_seed(62)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            l = int(rng.integers(0, 4))
+            a, bases = self.draw(rng, d, l, low)
+            fixed = haar_isometry(rng, d, int(rng.integers(1, d + 1)))
+            self.check(bases, a, tilting.TiltedLayout(d, l), fixed)
+
+    def test_equal_subspaces_at_the_smallest_weight(self):
+        # the fixed basis and every tilted basis span one subspace: only the
+        # tilt, at amplitude 1e-3, tells the copies apart
+        rng = rng_from_seed(63)
+        v = haar_isometry(rng, 5, 3)
+        a = 1e-6 * np.eye(3)
+        self.check([v, v, v], a, tilting.TiltedLayout(5, 3), fixed=v)
+
+    @pytest.mark.parametrize("weight", [0.0, -1e-3])
+    def test_nonpositive_diagonal_weight_refused(self, weight):
+        rng = rng_from_seed(64)
+        lay = tilting.TiltedLayout(4, 2)
+        a = np.array([[0.3, 0.1], [0.0, weight]])
+        bases = [haar_isometry(rng, 4, 2), haar_isometry(rng, 4, 1)]
+        with pytest.raises(ValueError, match="basis 2 has diagonal tilt weight"):
+            tilting.tilted_basis(bases, a, lay)
+        # an empty basis reaches no summand, so its weight is never read
+        empty = np.zeros((4, 0), dtype=complex)
+        assert tilting.tilted_basis([bases[0], empty], a, lay).shape == (lay.total_dim, 2)
+
+
+class TestNoProductionSVD:
+    """Every production tilted span runs without the SVD reference."""
+
+    @pytest.fixture(autouse=True)
+    def no_svd(self, monkeypatch):
+        def refuse(cols):
+            raise AssertionError("orthonormalize called")
+
+        monkeypatch.setattr(tilting, "orthonormalize", refuse)
+
+    def test_intersection_lemma(self):
+        for c, k in ((0, 2), (1, 1)):
+            assert tp.intersection_lemma(audits.random_instance(0, c, k, 2, 2, 0.3, 0.2)).all_pass()
+
+    def test_union(self):
+        inst = audits.random_instance(5, 0, 1, 2, 2, 0.3, 0.2)
+        assert tp.union_of_intersections([inst, inst], 0.25).all_pass()
+
+    def test_sandwich_audits(self):
+        assert all(c.passed for c in audits.audit_tilting(30) + audits.audit_a_tilting(30))
+
+    def test_cq_decoder(self):
+        with open("configs/cq_mac_small.txt") as fh:
+            cfg = cli.parse_kv(fh.read())
+        eps = float(cfg["epsilon"])
+        dec = mac.build_decoding_povms(cli.load_cq_spec(cfg), 8, eps**0.25, eps)
+        assert len(dec.local) == 4
+
+
+class TestHaarIsometry:
+    def test_leading_columns_of_the_unitary(self):
+        # the same Gaussian is drawn; only its kept columns are factored
+        for s in range(20):
+            rng = rng_from_seed(s)
+            d = int(rng.integers(1, 9))
+            r = int(rng.integers(0, d + 1))
+            clone = copy.deepcopy(rng)
+            npt.assert_allclose(
+                haar_isometry(rng, d, r), haar_unitary(clone, d)[:, :r], rtol=0, atol=1e-13
+            )
+            assert rng.bit_generator.state == clone.bit_generator.state
 
 
 class TestSandwichAuditOracle:

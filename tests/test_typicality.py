@@ -357,14 +357,17 @@ class TestTiltedLayout:
     @pytest.mark.parametrize("c, k, L, rows", [(0, 2, 4, 80), (0, 3, 2, 960)])
     def test_images_on_layout_rows(self, monkeypatch, c, k, L, rows):
         # 80 of the 144 box rows at the defaults, 960 of 8000 at k = 3
-        dims, image_basis = [], tilting.image_basis
+        # the rows of the one array np.linalg.qr receives
+        inst = audits.random_instance(7, c, k, 2, L, 0.3, 0.2)
+        tests = tp.optimal_splitting_tests(inst)[()]
+        dims, qr = [], np.linalg.qr
 
-        def recording(images, dim):
-            dims.append(dim)
-            return image_basis(images, dim)
+        def recording(m, mode="reduced"):
+            dims.append(m.shape[0])
+            return qr(m, mode=mode)
 
-        monkeypatch.setattr(tilting, "image_basis", recording)
-        tp.build_construction(audits.random_instance(7, c, k, 2, L, 0.3, 0.2), ())
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        tp.build_construction(inst, (), tests=tests)
         assert dims == [tp.psp_count(c, k) * 4**k] == [rows]
 
     @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
@@ -616,7 +619,7 @@ class TestConstruction:
                     for psp, t in base.tests.items()
                 ]
                 e = oracle_psp_embed(space, (), l_assign, inst.delta, sites)
-                b = tilting.complement_factor(e, tilting.image_basis(images, e.shape[0]))
+                b = tilting.complement_factor(e, tilting.orthonormalize(np.hstack(images)))
                 npt.assert_allclose(base.relabeled(l_assign).b_factor, b, atol=1e-12)
 
     def test_states_on_other_boxes_rejected(self):
@@ -657,6 +660,19 @@ class TestSplitDecompose:
         dec = tp.split_decompose(inst, (), ((1, 2),))
         assert dec.alpha == pytest.approx(1.0, abs=1e-12)
         assert report.all_pass(dec.checks)
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 2), (1, 2, 2), (0, 3, 2)])
+    def test_full_block_residual_is_the_box_distance(self, c, k, L):
+        # T_full is an isometry, so the trace distance on H^(x k) is the one
+        # between rho' and the embedded split state on the box
+        inst = audits.random_instance(7, c, k, 2, L, 0.3, 0.2)
+        psp = (tp.full_block(c, k),)
+        for x in inst.words():
+            dec = tp.split_decompose(inst, x, psp)
+            got = next(ch.lhs for ch in dec.checks if ch.name == "split_identity_residual")
+            rho_prime = tp.build_rho_prime(inst, x)
+            want = tp.l1_distance_factored(rho_prime, tp.split_embedded(inst, x, psp, rho_prime.box))
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_c1_beta_formula(self):
         inst = small_instance(93, c=1, k=1, dim_l=2, delta=0.4)
@@ -1050,23 +1066,18 @@ class TestDimensionCap:
     @pytest.mark.parametrize("c, k, dim_l", [(0, 2, 4), (2, 1, 4), (1, 1, 4)])
     def test_widest_array_covers_what_is_built(self, c, k, dim_l, monkeypatch):
         # the image stack's closed form counts (2|H|)^k columns per split, an
-        # upper bound; the count of the stacked label copies is exact
-        sizes = {"images": 0, "copies": 0}
-        image_basis, qr = tilting.image_basis, np.linalg.qr
+        # upper bound; the count of the stacked label copies is exact.  Both
+        # are arrays np.linalg.qr receives, the image stack in tilted_basis
+        sizes, qr = [0], np.linalg.qr
 
-        def images(blocks, dim):
-            sizes["images"] = max(sizes["images"], dim * sum(b.shape[1] for b in blocks))
-            return image_basis(blocks, dim)
-
-        def copies(a, mode="reduced"):
-            sizes["copies"] = max(sizes["copies"], a.size)
+        def recording(a, mode="reduced"):
+            sizes.append(a.size)
             return qr(a, mode=mode)
 
-        monkeypatch.setattr(tilting, "image_basis", images)
-        monkeypatch.setattr(np.linalg, "qr", copies)
+        monkeypatch.setattr(np.linalg, "qr", recording)
         tp.intersection_lemma(audits.random_instance(0, c, k, 2, dim_l, 0.3, 0.2))
         widest = tp.widest_array(c, k, 2, dim_l)
-        assert max(sizes.values()) <= widest < 2 * max(sizes.values())
+        assert max(sizes) <= widest < 2 * max(sizes)
 
     @pytest.mark.parametrize("c, k", [(1, 2), (2, 2)])
     def test_applied_operators_within_widest_array(self, c, k, monkeypatch):

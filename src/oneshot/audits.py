@@ -13,13 +13,15 @@ import numpy as np
 
 from . import hyptest, mac, report, tilting, typicality
 from .rand import (
-    haar_isometry,
+    haar_columns,
+    haar_gaussian,
+    haar_projector,
     random_density,
     random_distribution,
-    random_povm_element,
-    random_projector,
+    random_hermitian,
     random_pure,
     rng_from_seed,
+    squash_spectrum,
 )
 
 
@@ -39,6 +41,24 @@ def random_tilting_matrix(rng, l: int, diag_min=0.05, diag_max=0.9) -> tilting.T
     return tilting.TiltingMatrix(a)
 
 
+def _stacked(fn, *args: list) -> list:
+    """[fn(*item) for item in zip(*args)], with one call of fn per distinct tuple of shapes.
+
+    The items of each shape go through fn as the np.stack of their
+    arguments, so fn must act matrix by matrix on (n, ...) stacks; the
+    results come back in input order.  Matrices of different shapes are never
+    padded to one.
+    """
+    groups: dict = {}
+    for i, item in enumerate(zip(*args)):
+        groups.setdefault(tuple(x.shape for x in item), []).append(i)
+    out = [None] * len(args[0])
+    for idx in groups.values():
+        for i, r in zip(idx, fn(*(np.stack([col[i] for i in idx]) for col in args))):
+            out[i] = r
+    return out
+
+
 def _sandwich_trials(name, seed_mult, trials, seed, dim_max, l_max, draw) -> list:
     """Lower/upper sandwich checks of a tilted span on random subspaces and probe vectors.
 
@@ -46,19 +66,41 @@ def _sandwich_trials(name, seed_mult, trials, seed, dim_max, l_max, draw) -> lis
     bounds(overlaps), extra params) for one trial.  Each subspace is drawn as
     a Haar isometry V, the draws random_projector makes for V V†, so the
     acceptance ||Q[:d]† h||^2 and the overlaps ||V† h||^2 are read off the
-    bases, with no projector formed.
+    bases, with no projector formed.  Every trial is drawn first, in seed
+    order; then the Haar QRs and the QRs of the tilted images run as one
+    stacked call per shape.
     """
-    checks = []
+    drawn, gaussians = [], []
     for t in range(trials):
         rng = rng_from_seed(seed * seed_mult + t)
         d = int(rng.integers(2, dim_max + 1))
         l = int(rng.integers(1, l_max + 1))
         a, bounds, extra = draw(rng, l)
-        vs = [haar_isometry(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
-        h = random_pure(rng, d)
-        q = tilting.tilted_basis(vs, a, tilting.TiltedLayout(d, l))
-        got = float(np.linalg.norm(q[:d].conj().T @ h) ** 2)
-        lo, hi = bounds(np.array([float(np.linalg.norm(v.conj().T @ h) ** 2) for v in vs]))
+        gaussians += [haar_gaussian(rng, d, int(rng.integers(1, d + 1))) for _ in range(l)]
+        drawn.append((t, d, l, a, bounds, extra, random_pure(rng, d)))
+    # every trial's draws are held at once, so each phase drops its inputs
+    # when done and only the probe's rows of each Q are kept
+    columns = iter(_stacked(haar_columns, gaussians))
+    bases = [[next(columns) for _ in range(l)] for _, _, l, *_ in drawn]
+    del gaussians, columns
+    overlaps = [
+        np.array([float(np.linalg.norm(v.conj().T @ h) ** 2) for v in vs])
+        for vs, (*_, h) in zip(bases, drawn)
+    ]
+    images = [
+        tilting.tilted_images(vs, a, tilting.TiltedLayout(d, l))
+        for vs, (_, d, l, a, *_) in zip(bases, drawn)
+    ]
+    del bases
+    # each trial's tilted_basis, as the QR of its tilted images
+    probe_rows = _stacked(
+        lambda x, h: np.linalg.qr(x)[0][:, : h.shape[-1]].copy(), images, [h for *_, h in drawn]
+    )
+    del images
+    checks = []
+    for (t, d, l, _, bounds, extra, h), overlap, q in zip(drawn, overlaps, probe_rows):
+        got = float(np.linalg.norm(q.conj().T @ h) ** 2)
+        lo, hi = bounds(overlap)
         params = {"seed": seed, "trial": t, "d": d, "l": l, **extra}
         checks.append(report.AuditCheck(f"{name}_lower", lo, got, 1e-9, params))
         checks.append(report.AuditCheck(f"{name}_upper", got, hi, 1e-9, params))
@@ -91,42 +133,57 @@ def audit_a_tilting(trials: int = 500, seed: int = 0, dim_max: int = 8, l_max: i
 
 
 def audit_gao(trials: int = 200, seed: int = 0, dim_max: int = 6, k_max: int = 4) -> list:
-    """Noncommutative union bound slack on random projector chains."""
-    checks = []
+    """Noncommutative union bound slack on random projector chains.
+
+    Every trial is drawn first, in seed order; then the Haar QRs and the
+    sandwiches run as one stacked call per shape.
+    """
+    drawn, gaussians = [], []
     for t in range(trials):
         rng = rng_from_seed(seed * 1_000_081 + t)
         d = int(rng.integers(2, dim_max + 1))
         k = int(rng.integers(1, k_max + 1))
-        projs = [random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(k)]
-        rho = random_density(rng, d)
-        slack = tilting.gao_slack(projs, rho)
-        checks.append(
-            report.AuditCheck(
-                "gao_union_bound",
-                0.0,
-                slack,
-                1e-9,
-                {"seed": seed, "trial": t, "d": d, "k": k},
-            )
+        # random_projector's draws
+        gaussians += [haar_gaussian(rng, d, int(rng.integers(1, d + 1))) for _ in range(k)]
+        drawn.append((t, d, k, random_density(rng, d)))
+    projs = iter(_stacked(haar_projector, gaussians))
+    slacks = _stacked(
+        lambda p, rho: tilting.gao_slack(list(p.swapaxes(0, 1)), rho),
+        [np.stack([next(projs) for _ in range(k)]) for _, _, k, _ in drawn],
+        [rho for *_, rho in drawn],
+    )
+    return [
+        report.AuditCheck(
+            "gao_union_bound", 0.0, float(slack), 1e-9, {"seed": seed, "trial": t, "d": d, "k": k}
         )
-    return checks
+        for (t, d, k, _), slack in zip(drawn, slacks)
+    ]
 
 
 def audit_hn(trials: int = 200, seed: int = 0, dim_max: int = 6) -> list:
-    """Hayashi-Nagaoka operator inequality slack on random pairs."""
-    checks = []
+    """Hayashi-Nagaoka operator inequality slack on random pairs.
+
+    Every trial is drawn first, in seed order; then the POVM squash and the
+    slack run as one stacked call per dimension.
+    """
+    drawn = []
     for t in range(trials):
         rng = rng_from_seed(seed * 1_000_099 + t)
         d = int(rng.integers(2, dim_max + 1))
-        s = random_povm_element(rng, d)
-        tt = random_density(rng, d) * float(rng.uniform(0.0, 3.0))
-        slack = mac.hayashi_nagaoka_slack(s, tt)
-        checks.append(
-            report.AuditCheck(
-                "hayashi_nagaoka", 0.0, slack, 1e-9, {"seed": seed, "trial": t, "d": d}
-            )
+        # random_povm_element's draws, squashed below
+        herm = random_hermitian(rng, d)
+        drawn.append((t, d, herm, random_density(rng, d) * float(rng.uniform(0.0, 3.0))))
+    slacks = _stacked(
+        lambda h, tt: mac.hayashi_nagaoka_slack(squash_spectrum(h), tt),
+        [h for _, _, h, _ in drawn],
+        [tt for *_, tt in drawn],
+    )
+    return [
+        report.AuditCheck(
+            "hayashi_nagaoka", 0.0, float(slack), 1e-9, {"seed": seed, "trial": t, "d": d}
         )
-    return checks
+        for (t, d, _, _), slack in zip(drawn, slacks)
+    ]
 
 
 def audit_dh(

@@ -715,19 +715,20 @@ def pgm_success(factors: list, states: list) -> np.ndarray:
     ])
 
 
-def hayashi_nagaoka_slack(s: np.ndarray, t: np.ndarray) -> float:
+def hayashi_nagaoka_slack(s: np.ndarray, t: np.ndarray) -> float | np.ndarray:
     """Minimum eigenvalue slack of 2(1-S) + 4T - (1 - G S G), G = (S+T)^(-1/2).
 
     Non-negative (within tolerance) for 0 <= S <= 1 and T >= 0; the inverse
-    square root is taken on the support of S + T.
+    square root is taken on the support of S + T.  S and T may be (..., d, d)
+    stacks, one pair per matrix, which give an array of slacks.
     """
     s = qla.hermitian_part(np.asarray(s, dtype=complex))
     t = qla.hermitian_part(np.asarray(t, dtype=complex))
     g = qla.inv_sqrt_on_support(s + t)
-    dim = s.shape[0]
+    dim = s.shape[-1]
     lhs = np.eye(dim) - g @ s @ g
     rhs = 2.0 * (np.eye(dim) - s) + 4.0 * t
-    return float(np.linalg.eigvalsh(qla.hermitian_part(rhs - lhs))[0])
+    return np.linalg.eigvalsh(qla.hermitian_part(rhs - lhs))[..., 0]
 
 
 def hayashi_nagaoka_bounds(

@@ -21,9 +21,9 @@ ISOMETRY_TOL = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A†)/2."""
+    """(A + A†)/2, one per matrix of a (..., d, d) stack."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermitian(entries: np.ndarray) -> np.ndarray:
@@ -145,13 +145,20 @@ def op_norm_herm(a: np.ndarray) -> float:
 
 
 def support_mask(w: np.ndarray) -> np.ndarray:
-    """Which eigenvalues w of a PSD operator A count as its support: those above 1e-12 * max(||A||_inf, 1)."""
-    return w > 1e-12 * max(float(np.max(w)), 1.0)
+    """Which eigenvalues w of a PSD operator A count as its support: those above 1e-12 * max(||A||_inf, 1).
+
+    w may hold the spectra of a stack of operators along its last axis; each
+    is cut at its own maximum.
+    """
+    return w > 1e-12 * np.maximum(np.max(w, axis=-1, keepdims=True), 1.0)
 
 
 def inv_sqrt_on_support(a: np.ndarray) -> np.ndarray:
-    """A^(-1/2) for PSD A, taken on its support (support_mask) and zero on its kernel."""
+    """A^(-1/2) for PSD A, taken on its support (support_mask) and zero on its kernel.
+
+    One per matrix of a (..., d, d) stack.
+    """
     w, v = np.linalg.eigh(hermitian_part(a))
     support = support_mask(w)
     inv_sqrt = np.where(support, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    return (v * inv_sqrt) @ v.conj().T
+    return (v * inv_sqrt[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -20,15 +20,24 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """The first cols columns of haar_unitary(rng, rows), from the same draws.
+    """The first cols columns of haar_unitary(rng, rows), from the same draws."""
+    return haar_columns(haar_gaussian(rng, rows, cols))
+
+
+def haar_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """The Gaussian columns haar_isometry factors: the first cols of a (rows, rows) draw.
 
     Column j of the QR's Q depends only on the Gaussian's first j + 1
     columns, so only the kept ones are factored.
     """
-    z = complex_gaussian(rng, (rows, rows))[:, :cols]
+    return complex_gaussian(rng, (rows, rows))[:, :cols]
+
+
+def haar_columns(z: np.ndarray) -> np.ndarray:
+    """The phase-fixed QR factor Q of Gaussian columns z, one per matrix of a (..., rows, cols) stack."""
     q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -48,16 +57,30 @@ def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 
 
 def random_projector(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
-    v = haar_isometry(rng, d, rank)
-    return qla.hermitian_part(v @ v.conj().T)
+    return haar_projector(haar_gaussian(rng, d, rank))
+
+
+def haar_projector(z: np.ndarray) -> np.ndarray:
+    """V V† for V = haar_columns(z), one per matrix of a (..., rows, cols) stack."""
+    v = haar_columns(z)
+    return qla.hermitian_part(v @ v.conj().swapaxes(-1, -2))
 
 
 def random_povm_element(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random Hermitian squashed into [0, 1] spectrum."""
-    w, v = np.linalg.eigh(random_hermitian(rng, d))
-    lo, hi = w[0], w[-1]
-    w = (w - lo) / (hi - lo) if hi > lo else np.full_like(w, 0.5)
-    return qla.hermitian_part((v * w) @ v.conj().T)
+    return squash_spectrum(random_hermitian(rng, d))
+
+
+def squash_spectrum(h: np.ndarray) -> np.ndarray:
+    """Hermitian h with its spectrum mapped affinely onto [0, 1], one per matrix of a (..., d, d) stack.
+
+    A matrix with a single eigenvalue maps to I / 2.
+    """
+    w, v = np.linalg.eigh(h)
+    lo, hi = w[..., :1], w[..., -1:]
+    spread = hi > lo
+    w = np.where(spread, (w - lo) / np.where(spread, hi - lo, 1.0), 0.5)
+    return qla.hermitian_part((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def random_distribution(rng: np.random.Generator, n: int) -> np.ndarray:

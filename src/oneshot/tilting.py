@@ -124,14 +124,24 @@ def tilted_basis(
 ) -> np.ndarray:
     """Orthonormal basis of the A-tilted span of subspaces given by orthonormal bases.
 
+    tilted_images stacks the images block upper triangular with full column
+    rank, so one reduced QR orthonormalizes them.
+    """
+    return np.linalg.qr(tilted_images(bases, a, layout, fixed))[0]
+
+
+def tilted_images(
+    bases: list[np.ndarray], a: np.ndarray, layout: TiltedLayout, fixed: np.ndarray | None = None
+) -> np.ndarray:
+    """The images whose span tilted_basis orthonormalizes, as the columns of one array.
+
     Basis j (1-based) is pushed through tilt_isometry(a[:j, j-1]), the j-th
     column of the tilting matrix; the basis fixed, if given, stays untilted in
     the base copy.  The images are written straight into one array: summand i
     of basis j's columns is sqrt(a[i-1, j-1]) times the basis.  Basis j
     reaches only summands 0..j, and summand j at weight a[j-1, j-1], so the
-    array is block upper triangular with full column rank and one reduced QR
-    orthonormalizes it; a non-empty basis whose diagonal weight is not
-    positive is refused.
+    array is block upper triangular with full column rank; a non-empty basis
+    whose diagonal weight is not positive is refused.
     """
     parts = [] if fixed is None else [(fixed, np.zeros(0))]
     for j, b in enumerate(bases, start=1):
@@ -147,7 +157,7 @@ def tilted_basis(
         scale[0], scale[1 : w.size + 1] = max(1.0 - float(w.sum()), 0.0), w
         images[:, :, start : start + b.shape[1]] = np.sqrt(scale)[:, None, None] * b
         start += b.shape[1]
-    return np.linalg.qr(images.reshape(layout.total_dim, n))[0]
+    return images.reshape(layout.total_dim, n)
 
 
 def _span_projector(subspaces, a, layout, fixed=None) -> np.ndarray:
@@ -243,19 +253,20 @@ def prop_a_tilted_bounds(overlaps: np.ndarray, a: TiltingMatrix) -> tuple[float,
     return lower, upper
 
 
-def gao_slack(projectors: list[np.ndarray], rho: np.ndarray) -> float:
+def gao_slack(projectors: list[np.ndarray], rho: np.ndarray) -> float | np.ndarray:
     """Slack in the noncommutative union bound.
 
     Returns Tr[P_k ... P_1 rho P_1 ... P_k] - (Tr rho - 4 sum_i Tr[rho (1-P_i)]);
     non-negative (within tolerance) for any projectors P_i and PSD rho with
-    Tr rho <= 1.
+    Tr rho <= 1.  rho and each P_i may be (..., d, d) stacks, one chain per
+    matrix, which give an array of slacks.
     """
     rho = np.asarray(rho, dtype=complex)
     sandwiched = rho.copy()
     penalty = 0.0
     for p in projectors:
-        penalty += float(np.trace(rho @ (np.eye(p.shape[0]) - p)).real)
+        penalty += np.trace(rho @ (np.eye(p.shape[-1]) - p), axis1=-2, axis2=-1).real
         sandwiched = p @ sandwiched @ p
-    lhs = float(np.trace(sandwiched).real)
-    rhs = float(np.trace(rho).real) - 4.0 * penalty
+    lhs = np.trace(sandwiched, axis1=-2, axis2=-1).real
+    rhs = np.trace(rho, axis1=-2, axis2=-1).real - 4.0 * penalty
     return lhs - rhs

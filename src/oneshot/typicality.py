@@ -517,11 +517,19 @@ class LowRankState:
         cols = self.core_sqrt_cols()
         return float(np.vdot(cols, cols).real)
 
-    def core_sqrt_cols(self) -> np.ndarray:
+    def core_sqrt_cols(self, rows=None) -> np.ndarray:
+        """local core^(1/2), computed once; given rows, only those rows of it.
+
+        While the full columns are not cached, the rows are cut from local
+        before the product and nothing is cached.
+        """
         if self._cols is None:
             w, v = np.linalg.eigh(qla.hermitian_part(self.core))
-            self._cols = self.local @ (v * np.sqrt(np.maximum(w, 0.0)))
-        return self._cols
+            root = v * np.sqrt(np.maximum(w, 0.0))
+            if rows is not None:
+                return self.local[rows] @ root
+            self._cols = self.local @ root
+        return self._cols if rows is None else self._cols[rows]
 
     def eigenvalues(self) -> np.ndarray:
         """The spectrum of the Gram matrix F†F of the factor F = local core^(1/2), read-only."""
@@ -830,7 +838,7 @@ class BlockConstruction:
         """Tr[(F F†) rho] for a factor F on the tilted layout, from the state's rows there."""
         if state.box != self.box:
             raise ValueError("state on another box than the construction")
-        return float(np.linalg.norm(factor.conj().T @ state.core_sqrt_cols()[self.rows]) ** 2)
+        return float(np.linalg.norm(factor.conj().T @ state.core_sqrt_cols(self.rows)) ** 2)
 
     def relabeled(self, l_assign: dict) -> "BlockConstruction":
         """The (x, l_assign) block: the same arrays on that block's box."""

@@ -533,6 +533,18 @@ class TestBox:
         assert st.lowest_eigenvalue() == 0.0
         assert float(np.linalg.eigvalsh(st.dense())[0]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_core_sqrt_rows(self):
+        # some rows of local core^(1/2), cut from local before the product and
+        # not cached; once the full columns are cached, cut from them
+        rng = rng_from_seed(78)
+        f = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        rows = np.array([6, 1, 4])
+        st = tp.LowRankState(f, np.diag([1.0, 2.0, 0.5]))
+        part = st.core_sqrt_cols(rows)
+        assert st._cols is None
+        npt.assert_allclose(part, st.core_sqrt_cols()[rows], rtol=0, atol=1e-12)
+        assert np.array_equal(st.core_sqrt_cols(rows), st.core_sqrt_cols()[rows])
+
     def test_lowest_eigenvalue_on_whole_space(self):
         space = tp.AugmentedSpace(0, 1, 2, 2)
         n = space.site_dim(1)

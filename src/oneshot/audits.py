@@ -267,6 +267,7 @@ def random_instance(
     seed: int, c: int, k: int, dim_h: int, dim_l: int, delta: float, eps: float
 ) -> typicality.TypicalityInstance:
     typicality.check_space(c, k, dim_h, dim_l)
+    typicality.check_eps(eps, c, k)
     widest = typicality.widest_array(c, k, dim_h, dim_l)
     typicality.check_budget("the widest array of the construction", widest)
     rng = rng_from_seed(seed)

@@ -148,6 +148,20 @@ def psp_count(c: int, k: int) -> int:
     return counts[k]
 
 
+def check_eps(eps_total: float, c: int, k: int) -> None:
+    """Refuse an eps_total whose share per non-empty pseudosubpartition lies outside [0, 1).
+
+    optimal_splitting_tests solves each split at eps_total / (psp_count(c, k) - 1),
+    so this is the closed form of the budget each solve receives.
+    """
+    splits = psp_count(c, k) - 1
+    share = eps_total / splits
+    if not 0 <= share < 1:
+        raise ValueError(
+            f"eps_total {eps_total} / splits {splits} = share {share} per split, outside [0, 1)"
+        )
+
+
 def widest_array(c: int, k: int, dim_h: int, dim_l: int) -> int:
     """Entries of the widest array intersection_lemma builds, from the closed forms.
 
@@ -188,7 +202,9 @@ class PsLattice:
     linear_ext: tuple[Psp, ...]
 
     @classmethod
+    @lru_cache(maxsize=None)
     def build(cls, elements) -> "PsLattice":
+        """The lattice of the element set, built once per set (refine_matrix read-only)."""
         elements = tuple(sorted(elements))
         psps = enum_psps(elements)
         n = len(psps)
@@ -196,6 +212,7 @@ class PsLattice:
         for i, p in enumerate(psps):
             for j, q in enumerate(psps):
                 mat[i, j] = refines(p, q)
+        mat.flags.writeable = False
         nonempty = [p for p in psps if p]
         order = []
         pending = set(nonempty)
@@ -228,29 +245,38 @@ def normalization(S, delta: float) -> float:
 
     Equals 1 when S has no quantum site (only the empty pseudosubpartition).
     """
-    S = tuple(sorted(S))
+    return _normalization(tuple(sorted(S)), float(delta))
+
+
+@lru_cache(maxsize=None)
+def _normalization(S: tuple[int, ...], delta: float) -> float:
     if not any(e > 0 for e in S):
         return 1.0
-    return 1.0 + sum(
-        float(delta) ** (2 * len(p)) for p in enum_psps(S) if p
-    )
+    return 1.0 + sum(delta ** (2 * len(p)) for p in enum_psps(S) if p)
 
 
 def build_tilting_matrix(lattice: PsLattice, delta: float) -> tilting.TiltingMatrix:
     """Tilt weights between pseudosubpartition directions in linear-extension order.
 
     Entry (p, q) is delta^(2 l_p) / prod_i N(Q_i, delta) when p refines q.
-    Validation failure here signals a lattice-order bug.
+    Validation failure here signals a lattice-order bug.  Built and
+    validated once per (linear extension, delta); alpha is read-only.
     """
-    order = lattice.linear_ext
+    return _tilting_matrix(lattice.linear_ext, float(delta))
+
+
+@lru_cache(maxsize=None)
+def _tilting_matrix(order: tuple[Psp, ...], delta: float) -> tilting.TiltingMatrix:
     n = len(order)
     a = np.zeros((n, n))
     for j, q in enumerate(order):
         denom = float(np.prod([normalization(b, delta) for b in q]))
         for i, p in enumerate(order):
             if refines(p, q):
-                a[i, j] = float(delta) ** (2 * len(p)) / denom
-    return tilting.TiltingMatrix(a)
+                a[i, j] = delta ** (2 * len(p)) / denom
+    matrix = tilting.TiltingMatrix(a)
+    matrix.alpha.flags.writeable = False
+    return matrix
 
 
 def place(rows: np.ndarray, size: int, local: np.ndarray) -> np.ndarray:
@@ -274,7 +300,7 @@ class Box:
     rows: tuple[np.ndarray, ...]
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Box)
             and (self.sites, self.dims) == (other.sites, other.dims)
             and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
@@ -391,15 +417,28 @@ class AugmentedSpace:
         the rows come out ascending.  Hence coordinate h of a site's j-th
         summand sits at box-local position j 2|H| + h whatever the labels:
         box-local arrays are label-free, and the labels pick only the rows.
+        Built once per (sites, labels), with read-only rows.
         """
-        if not set(full_block(self.c, self.k)) <= set(l_assign):
+        full = full_block(self.c, self.k)
+        if not set(full) <= set(l_assign):
             raise ValueError("a box needs a label for every element")
-        sites = tuple(sorted(sites))
-        rows = tuple(
-            np.concatenate([self.site_rows(s, label, l_assign) for label in self.site_labels[s]])
-            for s in sites
-        )
-        return Box(sites, tuple(self.site_dim(s) for s in sites), rows)
+        return _box(self, tuple(sorted(sites)), tuple(int(l_assign[e]) for e in full))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _box(space: AugmentedSpace, sites: tuple[int, ...], labels: tuple[int, ...]) -> Box:
+    """AugmentedSpace.box under the labels of full_block, in order."""
+    l_assign = dict(zip(full_block(space.c, space.k), labels))
+    rows = tuple(
+        _frozen(np.concatenate([space.site_rows(s, label, l_assign) for label in space.site_labels[s]]))
+        for s in sites
+    )
+    return Box(sites, tuple(space.site_dim(s) for s in sites), rows)
 
 
 @lru_cache(maxsize=None)
@@ -420,9 +459,7 @@ def tilt_rows(space: AugmentedSpace, sites: tuple[int, ...], psps: tuple[Psp, ..
         site_of = {e: b for b in w for e in b if e > 0}
         pos = [space.site_labels[s].index(site_of.get(s)) * n + np.arange(n) for s in sites]
         rows.append(np.ravel_multi_index(np.ix_(*pos), shape).ravel())
-    out = np.concatenate(rows)
-    out.flags.writeable = False
-    return out
+    return _frozen(np.concatenate(rows))
 
 
 def psp_local(space: AugmentedSpace, sites, psp: Psp, delta: float) -> np.ndarray:
@@ -434,18 +471,37 @@ def psp_local(space: AugmentedSpace, sites, psp: Psp, delta: float) -> np.ndarra
     delta)) on its summand, every other W carries 0.  The empty W is the
     plain embedding into the base summands.  This is the tilt of the given
     pseudosubpartition's column of build_tilting_matrix, placed on the box
-    through tilt_rows, so one array serves every label assignment.
+    through tilt_rows, so one array serves every label assignment.  One
+    scatter places its nonzero entries, which tilt_entries keeps.
     """
     sites = tuple(sorted(sites))
     if not {e for b in psp for e in b if e > 0} <= set(sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
+    n = space.base_dim
+    rows, cols, values = tilt_entries(space, sites, tuple(psp), float(delta))
+    out = np.zeros((math.prod(len(space.site_labels[s]) * n for s in sites), n ** len(sites)), dtype=complex)
+    out[rows, cols] = values
+    return out
+
+
+@lru_cache(maxsize=None)
+def tilt_entries(
+    space: AugmentedSpace, sites: tuple[int, ...], psp: Psp, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of psp_local as (box-local row, column, value), read-only.
+
+    Column h of (H x C^2)^(x sites) meets row (W, h) of the tilted layout,
+    for each W that refines psp, with value delta^|W| / sqrt(prod_i N(S_i,
+    delta)).
+    """
     norm = float(np.prod([normalization(b, delta) for b in psp])) if psp else 1.0
     psps = layout_psps(classical_coords(space.c) + sites)
-    amps = np.array([float(delta) ** len(w) if refines(w, psp) else 0.0 for w in psps])
-    n = space.base_dim
-    cols = np.kron(amps[:, None], np.eye(n ** len(sites), dtype=complex)) / np.sqrt(norm)
-    size = math.prod(len(space.site_labels[s]) * n for s in sites)
-    return place(tilt_rows(space, sites, psps), size, cols)
+    refining = [j for j, w in enumerate(psps) if refines(w, psp)]
+    m = space.base_dim ** len(sites)
+    rows = tilt_rows(space, sites, psps).reshape(len(psps), m)[refining].ravel()
+    # a complex quotient, as the Kronecker form (amps x identity) / sqrt(norm) computes it
+    amps = np.array([delta ** len(psps[j]) for j in refining], dtype=complex) / np.sqrt(norm)
+    return _frozen(rows), _frozen(np.tile(np.arange(m), len(refining))), _frozen(np.repeat(amps, m))
 
 
 def global_embed(
@@ -457,27 +513,38 @@ def global_embed(
 
 
 @lru_cache(maxsize=None)
-def _ancilla_zero(dim_h: int) -> np.ndarray:
-    """The per-site isometry H -> H x C^2, h -> h|0> (read-only, one per dimension)."""
-    v = np.kron(np.eye(dim_h), np.array([[1.0], [0.0]]))
-    v.flags.writeable = False
-    return v
+def ancilla_rows(dim_h: int, n_sites: int) -> np.ndarray:
+    """The rows of (H x C^2)^(x n) where every site's ancilla is |0>, in the order of H^(x n) (read-only).
+
+    Per site h -> h|0> is row 2h of H x C^2, so the isometry (x)_sites
+    (h -> h|0>) sends basis vector j of H^(x n) to row ancilla_rows[j].
+    """
+    rows = np.zeros(1, dtype=np.intp)
+    for _ in range(n_sites):
+        rows = (rows[:, None] * (2 * dim_h) + np.arange(0, 2 * dim_h, 2)).ravel()
+    return _frozen(rows)
 
 
 def embed_with_ancilla(rho: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     """rho on H^(x n) tensored with |0><0| per site, in per-site (h, b) coordinates."""
-    emb = qla.tensor_all([_ancilla_zero(dim_h)] * n_sites)
-    return emb @ np.asarray(rho, dtype=complex) @ emb.conj().T
+    rows = ancilla_rows(dim_h, n_sites)
+    out = np.zeros(((2 * dim_h) ** n_sites,) * 2, dtype=complex)
+    out[np.ix_(rows, rows)] = rho
+    return out
 
 
 def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     """Gelfand-Naimark dilation of a POVM element on H^(x n) to (H x C^2)^(x n).
 
     The ancilla qubit of the last site absorbs the rejected weight, so
-    Tr[Pi' (A x |00..0><00..0|)] = Tr[pi A] exactly with per-site ancillas.
+    Tr[Pi' (A x |00..0><00..0|)] = Tr[pi A] exactly with per-site ancillas:
+    the dilation on H^(x n) x C^2 lands on the rows whose other sites hold |0>.
     """
-    f = qla.tensor_all([_ancilla_zero(dim_h)] * (n_sites - 1) + [np.eye(2 * dim_h)])
-    return f @ hyptest.dilate_povm(pi) @ f.conj().T
+    n = 2 * dim_h
+    frame = (ancilla_rows(dim_h, n_sites - 1)[:, None] * n + np.arange(n)).ravel()
+    out = np.zeros((n**n_sites,) * 2, dtype=complex)
+    out[np.ix_(frame, frame)] = hyptest.dilate_povm(pi)
+    return out
 
 
 @dataclass
@@ -611,8 +678,9 @@ class TypicalityInstance:
 
     rhos maps each classical word x (a tuple, () when c = 0) to a state on
     H^(x k); eps_total is split uniformly over the non-empty
-    pseudosubpartitions.  The augmented space is built (and its size
-    checked) on construction, the lattice on first use.  Split states and
+    pseudosubpartitions, and each share must lie in [0, 1) (check_eps).
+    The augmented space is built (and its size checked) on construction,
+    the lattice on first use.  Split states and
     split factors are computed once per instance and shared (read-only);
     intersection_lemma forgets a block's factors after the last split that
     contains it.
@@ -650,6 +718,7 @@ class TypicalityInstance:
             if rho.shape != (self.dim_h**self.k,) * 2:
                 raise ValueError(f"state for {x} has wrong shape {rho.shape}")
         self.space  # refuses an oversized space before any solve
+        check_eps(self.eps_total, self.c, self.k)
 
     @cached_property
     def space(self) -> AugmentedSpace:
@@ -931,8 +1000,7 @@ def factored_partial_trace(
 
 def _ancilla_embedding(inst: TypicalityInstance, sites, psp: Psp) -> np.ndarray:
     """T_psp (x)_sites |0>, box-local: T (rho x |0><0|) T† with the ancilla moved into the factor, core rho."""
-    anc = qla.tensor_all([_ancilla_zero(inst.dim_h)] * len(sites))
-    return psp_local(inst.space, sites, psp, inst.delta) @ anc
+    return psp_local(inst.space, sites, psp, inst.delta)[:, ancilla_rows(inst.dim_h, len(sites))]
 
 
 def marginal_block_state(
@@ -953,29 +1021,47 @@ def marginal_block_state(
     are stacked, and the stack to the rank of the marginal (rank_factor):
     C has one column per eigenvalue of the marginal on its support.
     """
-    space = inst.space
     full = full_block(inst.c, inst.k)
-    sbar = [e for e in full if e not in set(block)]
     sites = [e for e in block if e > 0]
     kept_c = tuple(e for e in block if e < 0)
     rho = sum(
         w * inst.rhos[inst.merge_word(kept_c, x_kept, x_rest)]
         for x_rest, w in inst.avg_weights(kept_c, x_kept).items()
     )
+    box, full_box, copies = union_plan(inst.space, tuple(block), tuple(int(l_block[e]) for e in block))
+    # core rho: one copy has dim rho columns per traced row before its rank cut
+    t = _ancilla_embedding(inst, quantum_sites(inst.k), (full,))
+    _, m = LowRankState(t, rho, full_box).marginal(sites)
+    m = rank_factor(m)
+    stacked = np.hstack([place(rows, box.size, m) for rows in copies]) / np.sqrt(len(copies))
+    # C C† = R† R for the QR factorization C† = Q R, at most one column per box row
+    return box, rank_factor(np.linalg.qr(stacked.conj().T, mode="r").conj().T)
+
+
+@lru_cache(maxsize=None)
+def union_plan(
+    space: AugmentedSpace, block: Block, l_block: tuple[int, ...]
+) -> tuple[Box, Box, tuple[np.ndarray, ...]]:
+    """The shape data of marginal_block_state for the block's labels l_block, in block order.
+
+    Returns the union of the kept sites' boxes over the labels outside the
+    block, the box of every quantum site under the first such assignment
+    (all zeros outside the block), and the rows of the union where each
+    assignment's copy lands, in itertools.product order (all read-only).
+    """
+    full = full_block(space.c, space.k)
+    sbar = [e for e in full if e not in set(block)]
+    sites = [e for e in block if e > 0]
     assigns = [
-        {**l_block, **dict(zip(sbar, l_rest))}
-        for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar))
+        {**dict(zip(block, l_block)), **dict(zip(sbar, l_rest))}
+        for l_rest in itertools.product(range(space.dim_l), repeat=len(sbar))
     ]
     boxes = [space.box(sites, a) for a in assigns]
     box = reduce(Box.union, boxes)
-    # core rho: one copy has dim rho columns per traced row before its rank cut
-    t = _ancilla_embedding(inst, quantum_sites(inst.k), (full,))
-    full_box = space.box(quantum_sites(inst.k), assigns[0])
-    _, m = LowRankState(t, rho, full_box).marginal(sites)
-    m = rank_factor(m)
-    stacked = np.hstack([place(box.index(sub.rows), box.size, m) for sub in boxes]) / np.sqrt(len(assigns))
-    # C C† = R† R for the QR factorization C† = Q R, at most one column per box row
-    return box, rank_factor(np.linalg.qr(stacked.conj().T, mode="r").conj().T)
+    for rows in box.rows:
+        _frozen(rows)
+    copies = tuple(_frozen(box.index(sub.rows)) for sub in boxes)
+    return box, space.box(quantum_sites(space.k), assigns[0]), copies
 
 
 def rank_factor(f: np.ndarray) -> np.ndarray:
@@ -1012,6 +1098,23 @@ def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.nd
     return mask
 
 
+@lru_cache(maxsize=None)
+def split_plan(space: AugmentedSpace, block: Block, labels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The shape data of _split_factor under the labels of full_block, in order (read-only).
+
+    On the union box of union_plan: the indicator of the rows whose
+    summands stay inside the block (_site_noncross_mask per site), and the
+    rows of the block's own box under the labels.
+    """
+    l_assign = dict(zip(full_block(space.c, space.k), labels))
+    box = union_plan(space, block, tuple(l_assign[e] for e in block))[0]
+    inside = reduce(np.logical_and.outer, [
+        _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
+    ]).ravel()
+    own = box.index(space.box([e for e in block if e > 0], l_assign).rows)
+    return _frozen(inside), _frozen(own)
+
+
 @dataclass
 class SplitFactor:
     """One block's marginal and its terms as factored states on the marginal's box.
@@ -1033,10 +1136,31 @@ class SplitFactor:
 
 def lead_weight(inst: TypicalityInstance, block: Block) -> float:
     """a_S = N(S) N(S-bar with the classical coordinates) / N(whole set), the weight of S's lead term."""
-    full = set(full_block(inst.c, inst.k))
-    sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(inst.c))))
-    n_full = normalization(tuple(sorted(full)), inst.delta)
-    return normalization(block, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
+    return _lead_weight(inst.c, inst.k, tuple(block), float(inst.delta))
+
+
+@lru_cache(maxsize=None)
+def _lead_weight(c: int, k: int, block: Block, delta: float) -> float:
+    full = set(full_block(c, k))
+    sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(c))))
+    n_full = normalization(tuple(sorted(full)), delta)
+    return normalization(block, delta) * normalization(sbar_with_c, delta) / n_full
+
+
+@lru_cache(maxsize=None)
+def split_weights(c: int, k: int, psp: Psp, delta: float) -> tuple[float, float]:
+    """(alpha, alpha + beta) of a split: the product of its blocks' lead weights, and
+    the product over its blocks of N(S with c) N(S-bar with c) / N(whole set)."""
+    full = set(full_block(c, k))
+    n_full = normalization(tuple(sorted(full)), delta)
+    alpha = 1.0
+    alpha_beta = 1.0
+    for block in psp:
+        sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(c))))
+        s_with_c = tuple(sorted(set(block) | set(classical_coords(c))))
+        alpha *= _lead_weight(c, k, block, delta)
+        alpha_beta *= normalization(s_with_c, delta) * normalization(sbar_with_c, delta) / n_full
+    return alpha, alpha_beta
 
 
 def split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
@@ -1049,15 +1173,13 @@ def split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> S
 
 
 def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
-    space = inst.space
     sites = tuple(e for e in block if e > 0)
     coords = classical_coords(inst.c)
     x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
     l_block = {e: l_assign[e] for e in block}
     box, c_i = marginal_block_state(inst, block, x_kept, l_block)
-    inside = reduce(np.logical_and.outer, [
-        _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
-    ]).ravel()
+    labels = tuple(int(l_assign[e]) for e in full_block(inst.c, inst.k))
+    inside, own = split_plan(inst.space, tuple(block), labels)
     clean = LowRankState.of_factor(c_i * inside[:, None], box)
     crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
     # rho - clean - crossing = C_p C_q† + C_q C_p† for the clean and crossing
@@ -1065,8 +1187,7 @@ def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> 
     # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
     r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
     coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
-    own_box = space.box(sites, l_assign)
-    t = place(box.index(own_box.rows), box.size, _ancilla_embedding(inst, sites, (block,)))
+    t = place(own, box.size, _ancilla_embedding(inst, sites, (block,)))
     lead = LowRankState(t, inst.averaged_marginal(block, x_kept), box)
     a_i = lead_weight(inst, block)
     leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
@@ -1101,20 +1222,9 @@ def split_decompose(
     """
     if l_assign is None:
         l_assign = zero_labels(inst)
-    full = set(full_block(inst.c, inst.k))
     checks: list = []
     params = {"psp": str(psp), "x": str(x)}
-    n_full = normalization(tuple(sorted(full)), inst.delta)
-
-    alpha = 1.0
-    alpha_beta = 1.0
-    for block in psp:
-        sbar_with_c = tuple(sorted((full - set(block)) | set(classical_coords(inst.c))))
-        s_with_c = tuple(sorted(set(block) | set(classical_coords(inst.c))))
-        alpha *= lead_weight(inst, block)
-        alpha_beta *= (
-            normalization(s_with_c, inst.delta) * normalization(sbar_with_c, inst.delta) / n_full
-        )
+    alpha, alpha_beta = split_weights(inst.c, inst.k, tuple(psp), float(inst.delta))
     beta = alpha_beta - alpha
 
     covered_q = [e for b in psp for e in b if e > 0]
@@ -1519,3 +1629,24 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
                 )
             )
     return UnionResult(checks)
+
+
+# Every cache of data that depends only on the shape (space, sites,
+# pseudosubpartitions, delta), never on a state.  None holds an array that
+# grows with the columns of an embedding: psp_local and _ancilla_embedding
+# scatter their dense output afresh from tilt_entries and ancilla_rows.
+SHAPE_CACHES = (
+    enum_psps,
+    PsLattice.build,
+    layout_psps,
+    _normalization,
+    _tilting_matrix,
+    _box,
+    tilt_rows,
+    tilt_entries,
+    ancilla_rows,
+    union_plan,
+    split_plan,
+    _lead_weight,
+    split_weights,
+)

@@ -342,6 +342,32 @@ class TestRejectedInput:
         assert "error: trials must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--eps", "4"], "eps_total 4.0 / splits 4 = share 1.0 per split"),
+            (["--k", "1", "--c", "0", "--eps", "1.5"], "eps_total 1.5 / splits 1 = share 1.5 per split"),
+            (["--eps", "-0.1"], "eps_total -0.1 / splits 4 = share -0.025 per split"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["typicality-build"], ["audit", "typicality", "--trials", "1"]])
+    def test_eps_share_outside_unit_interval_exits_2(self, argv, extra, message, monkeypatch, outdir, capsys):
+        # eps is split over the psp_count(c, k) - 1 splits; a share outside
+        # [0, 1) is refused from the closed form, before any state is drawn
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state drawn before the eps check")
+
+        monkeypatch.setattr(rand, "random_density", forbidden)
+        monkeypatch.setattr(audits, "random_density", forbidden)
+        assert run(argv + extra + ["--out", outdir]) == 2
+        assert f"error: {message}, outside [0, 1)" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    def test_eps_share_below_one_runs(self, outdir, capsys):
+        # 3.99 over the 4 splits of the default shape is 0.9975 per split
+        assert run(["typicality-build", "--eps", "3.99", "--out", outdir]) == 0
+        assert "typicality-build: 61/61 checks passed" in capsys.readouterr().out
+
     @pytest.mark.parametrize("delta", ["0", "-0.3"])
     @pytest.mark.parametrize(
         "argv", [["typicality-build", "--k", "1"], ["audit", "typicality", "--trials", "1"]]

@@ -1,13 +1,16 @@
 import functools
+import gc
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from oneshot import audits, hyptest, qla, report, tilting, typicality as tp
-from oneshot.rand import random_density, rng_from_seed
+from oneshot.rand import random_density, random_povm_element, rng_from_seed
+import construction_oracle
 from construction_oracle import box_row_construction
 from union_oracle import box_row_union
 
@@ -315,6 +318,42 @@ class TestEmbeddingOracle:
                     assert not np.any(want[outside])
                     assert local.shape[0] == box.size < np.prod(box.dims)
                     assert np.array_equal(box.expand(local), want)
+
+
+class TestPlacedEmbeddings:
+    """The cached index maps scatter what the Kronecker forms compute, bit for bit."""
+
+    @pytest.mark.parametrize("c, k, L", [(0, 1, 2), (0, 2, 4), (1, 2, 2), (2, 2, 2), (3, 1, 4), (0, 3, 2)])
+    @pytest.mark.parametrize("delta", [0.2, 0.4])
+    def test_psp_local_matches_kronecker_form(self, c, k, L, delta):
+        # every pseudosubpartition, the empty one included, on every site set
+        # that holds its quantum sites
+        inst = small_instance(150 + 10 * c + k, c=c, k=k, dim_l=L, delta=delta)
+        for psp in tp.enum_psps(tp.full_block(c, k)):
+            covered = {e for b in psp for e in b if e > 0}
+            for r in range(1, k + 1):
+                for sites in itertools.combinations(tp.quantum_sites(k), r):
+                    if not covered <= set(sites):
+                        continue
+                    got = tp.psp_local(inst.space, sites, psp, delta)
+                    want = construction_oracle.psp_local(inst.space, sites, psp, delta)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (psp, sites)
+                    got = tp._ancilla_embedding(inst, sites, psp)
+                    want = construction_oracle.ancilla_embedding(inst, sites, psp)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (psp, sites)
+
+    @pytest.mark.parametrize("dim_h", [1, 2, 3])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    def test_ancilla_isometries_match_kronecker_chains(self, dim_h, n_sites):
+        rng = rng_from_seed(190 + 10 * dim_h + n_sites)
+        rho = random_density(rng, dim_h**n_sites)
+        pi = random_povm_element(rng, dim_h**n_sites)
+        pairs = [
+            (tp.embed_with_ancilla(rho, n_sites, dim_h), construction_oracle.embed_with_ancilla(rho, n_sites, dim_h)),
+            (tp.dilate_to_sites(pi, n_sites, dim_h), construction_oracle.dilate_to_sites(pi, n_sites, dim_h)),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTiltedLayout:
@@ -1191,3 +1230,100 @@ class TestSplittingTests:
                 assert 1.0 - rejected == pytest.approx(1.0 - t.eps, abs=1e-10)
                 oracle = hyptest.quantum_optimal_test(inst.rhos[x], inst.split_state(x, psp), t.eps)
                 assert abs(t.reject_mass - oracle.dual) <= 1e-10
+
+
+def clear_shape_caches():
+    for cache in tp.SHAPE_CACHES:
+        cache.cache_clear()
+
+
+def lemma_records(seed, c, k, dim_l, delta):
+    res = tp.intersection_lemma(audits.random_instance(seed, c, k, 2, dim_l, delta, 0.2))
+    return [(ch.name, ch.lhs, ch.rhs, ch.tol, ch.params) for ch in res.checks]
+
+
+class TestShapeCaches:
+    """What depends only on (space, delta) is built once and shared, read-only and small."""
+
+    def test_cached_arrays_read_only(self):
+        c, k = 1, 2
+        inst = small_instance(180, c=c, k=k, dim_l=2, delta=0.3)
+        tp.intersection_lemma(inst)
+        space, full, sites = inst.space, tp.full_block(c, k), tp.quantum_sites(k)
+        zeros = {e: 0 for e in full}
+        held = [
+            tp.PsLattice.build(full).refine_matrix,
+            tp.build_tilting_matrix(inst.lattice, inst.delta).alpha,
+            tp.ancilla_rows(inst.dim_h, k),
+            tp.tilt_rows(space, sites, tp.layout_psps(full)),
+            *space.box(sites, zeros).rows,
+        ]
+        for psp in tp.enum_psps(full):
+            held.extend(tp.tilt_entries(space, sites, psp, inst.delta))
+        for block in {b for p in inst.lattice.linear_ext for b in p}:
+            box, full_box, copies = tp.union_plan(space, block, (0,) * len(block))
+            held.extend(box.rows + full_box.rows + copies)
+            held.extend(tp.split_plan(space, block, (0,) * len(full)))
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_no_dense_embedding_kept(self):
+        # one psp_local array at (0, 3, 2) is 8000 x 64 complex, 8.2 MB; what
+        # the lemma leaves behind, caches included, must be smaller
+        dense = tp.psp_local(tp.AugmentedSpace(0, 3, 2, 2), (1, 2, 3), (), 0.3).nbytes
+        # one-time imports and set-up outside the trace
+        tp.intersection_lemma(audits.random_instance(7, 0, 1, 2, 2, 0.3, 0.2))
+        clear_shape_caches()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tp.intersection_lemma(audits.random_instance(7, 0, 3, 2, 2, 0.3, 0.2))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(cache.cache_info().currsize for cache in tp.SHAPE_CACHES) > 0
+        assert held < dense
+
+    def test_records_independent_of_cache_state(self):
+        clear_shape_caches()
+        cold = lemma_records(11, 1, 2, 2, 0.3)
+        warm = lemma_records(11, 1, 2, 2, 0.3)
+        for seed, c, k, dim_l, delta in [(12, 0, 2, 4, 0.2), (13, 1, 1, 2, 0.4), (14, 1, 2, 2, 0.35)]:
+            lemma_records(seed, c, k, dim_l, delta)
+        assert cold == warm == lemma_records(11, 1, 2, 2, 0.3)
+
+    def test_call_counts_cold_and_warm(self, monkeypatch):
+        # the call-counting tests, each once on cleared caches and once on the
+        # caches its first run filled
+        import test_mac
+
+        bodies = [
+            TestDimensionCap().test_space_and_lattice_built_once,
+            *[
+                functools.partial(TestRhoPrime().test_marginal_block_state_embeds_once, c=c, k=k, L=L)
+                for c, k, L in [(0, 2, 4), (1, 2, 2), (2, 2, 2)]
+            ],
+            test_mac.TestTimeSharing().test_solves_only_in_its_lemma,
+            test_mac.TestTimeSharing().test_codebooks_relabel_the_lemma,
+        ]
+        for body in bodies:
+            clear_shape_caches()
+            for _ in range(2):
+                with monkeypatch.context() as patched:
+                    body(patched)
+
+
+class TestEpsShare:
+    @pytest.mark.parametrize("c, k, eps", [(0, 2, 4.0), (0, 1, 1.5), (0, 2, -0.1), (1, 1, 2.0)])
+    def test_share_outside_unit_interval_rejected(self, c, k, eps):
+        # the share is eps_total / (psp_count(c, k) - 1): 1.0, 1.5, -0.025 and 1.0
+        with pytest.raises(ValueError, match=r"eps_total .* / splits \d+ = share"):
+            small_instance(0, c=c, k=k, eps=eps)
+
+    def test_share_below_one_accepted(self):
+        # 3.99 over the 4 splits of (0, 2) is 0.9975 per split
+        inst = small_instance(0, c=0, k=2, eps=3.99)
+        assert inst.eps_total / len(inst.lattice.linear_ext) < 1

@@ -477,9 +477,13 @@ def psp_local(space: AugmentedSpace, sites, psp: Psp, delta: float) -> np.ndarra
     sites = tuple(sorted(sites))
     if not {e for b in psp for e in b if e > 0} <= set(sites):
         raise ValueError("pseudosubpartition covers sites outside the requested set")
-    n = space.base_dim
-    rows, cols, values = tilt_entries(space, sites, tuple(psp), float(delta))
-    out = np.zeros((math.prod(len(space.site_labels[s]) * n for s in sites), n ** len(sites)), dtype=complex)
+    return _scatter(space, sites, tilt_entries(space, sites, tuple(psp), float(delta)), space.base_dim ** len(sites))
+
+
+def _scatter(space: AugmentedSpace, sites: tuple[int, ...], entries, width: int) -> np.ndarray:
+    """A box-local array on the sites' box with width columns, zero but for the (row, column, value) entries."""
+    rows, cols, values = entries
+    out = np.zeros((math.prod(len(space.site_labels[s]) * space.base_dim for s in sites), width), dtype=complex)
     out[rows, cols] = values
     return out
 
@@ -525,6 +529,22 @@ def ancilla_rows(dim_h: int, n_sites: int) -> np.ndarray:
     return _frozen(rows)
 
 
+@lru_cache(maxsize=None)
+def ancilla_entries(
+    space: AugmentedSpace, sites: tuple[int, ...], psp: Psp, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of tilt_entries on the ancilla columns, as (box-local row, column of H^(x sites), value), read-only.
+
+    Column ancilla_rows[j] of psp_local becomes column j; the entries on
+    the other columns are dropped.
+    """
+    rows, cols, values = tilt_entries(space, sites, psp, delta)
+    col_of = np.full(space.base_dim ** len(sites), -1)
+    col_of[ancilla_rows(space.dim_h, len(sites))] = np.arange(space.dim_h ** len(sites))
+    keep = col_of[cols] >= 0
+    return _frozen(rows[keep]), _frozen(col_of[cols[keep]]), _frozen(values[keep])
+
+
 def embed_with_ancilla(rho: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     """rho on H^(x n) tensored with |0><0| per site, in per-site (h, b) coordinates."""
     rows = ancilla_rows(dim_h, n_sites)
@@ -556,12 +576,14 @@ class LowRankState:
     the factor itself.  Traces, spectra and partial traces run on local, so
     the big augmented spaces are never materialized.  Two boxed states meet
     only on the same box.  The columns local core^(1/2) and the spectrum
-    are computed once.
+    are computed once; root, the core-sized factor core^(1/2) (sqrt_factor),
+    may be given by a caller that shares it between states with one core.
     """
 
     local: np.ndarray
     core: np.ndarray
     box: Box | None = None
+    root: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cols: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -588,14 +610,14 @@ class LowRankState:
         """local core^(1/2), computed once; given rows, only those rows of it.
 
         While the full columns are not cached, the rows are cut from local
-        before the product and nothing is cached.
+        before the product and only the root core^(1/2) is cached.
         """
         if self._cols is None:
-            w, v = np.linalg.eigh(qla.hermitian_part(self.core))
-            root = v * np.sqrt(np.maximum(w, 0.0))
+            if self.root is None:
+                self.root = sqrt_factor(self.core)
             if rows is not None:
-                return self.local[rows] @ root
-            self._cols = self.local @ root
+                return self.local[rows] @ self.root
+            self._cols = self.local @ self.root
         return self._cols if rows is None else self._cols[rows]
 
     def eigenvalues(self) -> np.ndarray:
@@ -624,6 +646,12 @@ class LowRankState:
         # columns of C together index the columns of m
         t = self.core_sqrt_cols().reshape(self.box.shape + (-1,))
         return sub, np.moveaxis(t, keep, range(len(keep))).reshape(sub.size, -1)
+
+
+def sqrt_factor(core: np.ndarray) -> np.ndarray:
+    """core^(1/2) as v sqrt(w) for the eigenpairs (w, v) of core's Hermitian part, w clipped at 0 (read-only)."""
+    w, v = np.linalg.eigh(qla.hermitian_part(core))
+    return _frozen(v * np.sqrt(np.maximum(w, 0.0)))
 
 
 def povm_expectation(b_factor: np.ndarray, state: LowRankState) -> float:
@@ -680,8 +708,9 @@ class TypicalityInstance:
     H^(x k); eps_total is split uniformly over the non-empty
     pseudosubpartitions, and each share must lie in [0, 1) (check_eps).
     The augmented space is built (and its size checked) on construction,
-    the lattice on first use.  Split states and
-    split factors are computed once per instance and shared (read-only);
+    the lattice on first use.  Split states, embedded cores with their
+    roots (embedded_core) and split factors are computed once per instance
+    and shared (read-only);
     intersection_lemma forgets a block's factors after the last split that
     contains it.
     """
@@ -833,29 +862,50 @@ class SplitTest:
 def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
     """Per-word optimal tests for every pseudosubpartition, dilated to site-local projectors.
 
-    Each non-empty pseudosubpartition takes one cq-level solve: the test of
+    Each distinct split state takes one cq-level solve: the test of
     sum_x p(x) |x><x| (x) rho_x against the same sum over the split states
-    at the split's share of eps_total (c = 0 is the one-word case).  Word x
-    gets the test's block T_x, optimal for D_H(rho_x || split_x) at its own
-    budget eps_x = 1 - Tr[T_x rho_x], and T_x is dilated to a projector on
-    (H x C^2)^(x k); y_basis spans the orthogonal complement of its support.
-    Returns {x: {psp: SplitTest}}.
+    at a split's share of eps_total (c = 0 is the one-word case).  A
+    pseudosubpartition fills its uncovered sites with their joint marginal,
+    so several can give the same split states; the splits whose split
+    states are equal byte for byte in every word share the solve, the
+    dilation and the rejection basis (the bytes, not the structure, decide:
+    averaged_marginal takes the Hermitian part and quantum_marginal does
+    not, so structurally equal split states may differ in their last bits).
+    Word x gets the test's block T_x,
+    optimal for D_H(rho_x || split_x) at its own budget eps_x = 1 - Tr[T_x
+    rho_x], and T_x is dilated to a projector on (H x C^2)^(x k); y_basis
+    spans the orthogonal complement of its support, read-only and shared by
+    the SplitTests of the splits with those split states.  Returns
+    {x: {psp: SplitTest}}.
     """
     words = inst.words()
     eps = inst.eps_total / len(inst.lattice.linear_ext)
     out: dict = {x: {} for x in words}
+    solved: dict = {}
     for psp in inst.lattice.linear_ext:
         splits = [inst.split_state(x, psp) for x in words]
-        _, blocks = hyptest.cq_optimal_test(
-            [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
-        )
-        for x, t, split in zip(words, blocks, splits):
-            # a block that accepts all of rho_x overshoots 1 by rounding
-            eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
-            reject = max(float(np.trace(t @ split).real), 0.0)
-            dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
-            y_basis = tilting.rejection_basis(dilate_to_sites(t, inst.k, inst.dim_h))
-            out[x][psp] = SplitTest(psp, eps_x, dh_bits, reject, y_basis)
+        key = tuple(split.tobytes() for split in splits)
+        if key not in solved:
+            solved[key] = _solve_split(inst, splits, eps)
+        for x, parts in zip(words, solved[key]):
+            out[x][psp] = SplitTest(psp, *parts)
+    return out
+
+
+def _solve_split(inst: TypicalityInstance, splits: list, eps: float) -> list:
+    """(eps_x, dh_bits, reject_mass, y_basis) per word from one cq-level solve against the split states."""
+    words = inst.words()
+    _, blocks = hyptest.cq_optimal_test(
+        [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
+    )
+    out = []
+    for x, t, split in zip(words, blocks, splits):
+        # a block that accepts all of rho_x overshoots 1 by rounding
+        eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
+        reject = max(float(np.trace(t @ split).real), 0.0)
+        dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
+        y_basis = _frozen(tilting.rejection_basis(dilate_to_sites(t, inst.k, inst.dim_h)))
+        out.append((eps_x, dh_bits, reject, y_basis))
     return out
 
 
@@ -892,7 +942,8 @@ class BlockConstruction:
 
     @property
     def rho_prime(self) -> LowRankState:
-        return LowRankState(self.v, self.rho_hat, self.box)
+        root = embedded_core(self.inst, self.inst.rhos[self.x], self.inst.k)[1]
+        return LowRankState(self.v, self.rho_hat, self.box, root)
 
     @property
     def embedded_original(self) -> LowRankState:
@@ -970,11 +1021,23 @@ def build_construction(
 
 def _embedded(inst: TypicalityInstance, psp: Psp, rho: np.ndarray, box: Box) -> LowRankState:
     """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, on box."""
-    return LowRankState(
-        psp_local(inst.space, box.sites, psp, inst.delta),
-        embed_with_ancilla(rho, len(box.sites), inst.dim_h),
-        box,
-    )
+    core, root = embedded_core(inst, rho, len(box.sites))
+    return LowRankState(psp_local(inst.space, box.sites, psp, inst.delta), core, box, root)
+
+
+def embedded_core(inst: TypicalityInstance, rho: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """embed_with_ancilla(rho) and its sqrt_factor, computed once per instance for equal bytes of rho (read-only).
+
+    rho_x's core serves rho' and the embedded original, and the splits with
+    equal split states share one core.  Only core-sized arrays are kept,
+    never the product with an embedding.
+    """
+
+    def make():
+        core = _frozen(embed_with_ancilla(rho, n_sites, inst.dim_h))
+        return core, sqrt_factor(core)
+
+    return inst.memo(("embedded_core", n_sites, rho.dtype.str, rho.tobytes()), make)
 
 
 def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
@@ -999,8 +1062,13 @@ def factored_partial_trace(
 
 
 def _ancilla_embedding(inst: TypicalityInstance, sites, psp: Psp) -> np.ndarray:
-    """T_psp (x)_sites |0>, box-local: T (rho x |0><0|) T† with the ancilla moved into the factor, core rho."""
-    return psp_local(inst.space, sites, psp, inst.delta)[:, ancilla_rows(inst.dim_h, len(sites))]
+    """T_psp (x)_sites |0>, box-local: T (rho x |0><0|) T† with the ancilla moved into the factor, core rho.
+
+    The ancilla columns of psp_local, scattered on their own from ancilla_entries.
+    """
+    sites = tuple(sorted(sites))
+    entries = ancilla_entries(inst.space, sites, tuple(psp), float(inst.delta))
+    return _scatter(inst.space, sites, entries, inst.dim_h ** len(sites))
 
 
 def marginal_block_state(
@@ -1382,17 +1450,16 @@ def audit_construction(constr: BlockConstruction) -> list:
     lattice = inst.lattice
     a_matrix = build_tilting_matrix(lattice, inst.delta)
     w, v = np.linalg.eigh(constr.rho_hat)
+    bases = [constr.tests[psp].y_basis for psp in lattice.linear_ext]
+    # splits with equal split states share one basis, so one norm
+    distinct = {id(y): y for y in bases}
     bound = 0.0
     for i in range(len(w)):
         if w[i] <= 1e-14:
             continue
         h = v[:, i]
-        eps_vec = np.array(
-            [
-                float(np.linalg.norm(constr.tests[psp].y_basis.conj().T @ h) ** 2)
-                for psp in lattice.linear_ext
-            ]
-        )
+        norms = {key: float(np.linalg.norm(y.conj().T @ h) ** 2) for key, y in distinct.items()}
+        eps_vec = np.array([norms[id(y)] for y in bases])
         _, hi = tilting.prop_a_tilted_bounds(eps_vec, a_matrix)
         bound += float(w[i]) * hi
     checks.append(report.AuditCheck("claim4_prop6_chain", y_overlap, bound, 1e-9, params))
@@ -1634,7 +1701,7 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
 # Every cache of data that depends only on the shape (space, sites,
 # pseudosubpartitions, delta), never on a state.  None holds an array that
 # grows with the columns of an embedding: psp_local and _ancilla_embedding
-# scatter their dense output afresh from tilt_entries and ancilla_rows.
+# scatter their dense output afresh from tilt_entries and ancilla_entries.
 SHAPE_CACHES = (
     enum_psps,
     PsLattice.build,
@@ -1645,6 +1712,7 @@ SHAPE_CACHES = (
     tilt_rows,
     tilt_entries,
     ancilla_rows,
+    ancilla_entries,
     union_plan,
     split_plan,
     _lead_weight,

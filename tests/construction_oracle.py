@@ -10,6 +10,11 @@ The Kronecker forms of the placed embeddings: psp_local as np.kron of the
 amplitude column with the identity, placed through tilt_rows, and the
 ancilla isometries as qla.tensor_all chains.  typicality scatters the same
 entries from its per-shape caches; these are what it must equal bit for bit.
+
+optimal_splitting_tests: one cq-level solve, dilation and rejection basis per
+pseudosubpartition, with no sharing between splits of equal split states;
+unshared_core: embedded_core without the instance memo, so every state
+computes its own root.
 """
 
 import math
@@ -66,3 +71,28 @@ def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     """The dilation of pi with the last site's ancilla absorbing the rejected weight."""
     f = qla.tensor_all([ancilla_zero(dim_h)] * (n_sites - 1) + [np.eye(2 * dim_h)])
     return f @ hyptest.dilate_povm(pi) @ f.conj().T
+
+
+def optimal_splitting_tests(inst) -> dict:
+    """typicality.optimal_splitting_tests with one solve per pseudosubpartition."""
+    words = inst.words()
+    eps = inst.eps_total / len(inst.lattice.linear_ext)
+    out: dict = {x: {} for x in words}
+    for psp in inst.lattice.linear_ext:
+        splits = [inst.split_state(x, psp) for x in words]
+        _, blocks = hyptest.cq_optimal_test(
+            [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
+        )
+        for x, t, split in zip(words, blocks, splits):
+            eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
+            reject = max(float(np.trace(t @ split).real), 0.0)
+            dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
+            y_basis = tilting.rejection_basis(tp.dilate_to_sites(t, inst.k, inst.dim_h))
+            out[x][psp] = tp.SplitTest(psp, eps_x, dh_bits, reject, y_basis)
+    return out
+
+
+def unshared_core(inst, rho, n_sites: int):
+    """The embedded core of rho and its root, computed afresh on every call."""
+    core = tp.embed_with_ancilla(rho, n_sites, inst.dim_h)
+    return core, tp.sqrt_factor(core)

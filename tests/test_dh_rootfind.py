@@ -52,7 +52,8 @@ class TestStepCount:
     def test_splitting_tests(self, eigh_counts):
         for s in range(3):
             typicality.intersection_lemma(audits.random_instance(s, 0, 2, 2, 4, 0.2, 0.2))
-        assert len(eigh_counts) == 3 * 4
+        # one solve per distinct split state: 2 among the 4 splits at (c, k) = (0, 2)
+        assert len(eigh_counts) == 3 * 2
         assert_few_steps(eigh_counts)
 
     def test_near_singular_alternate(self, eigh_counts):

@@ -530,13 +530,13 @@ class TestRhoPrime:
         # the label assignments outside the block place copies of one marginal
         inst = small_instance(140 + c, c=c, k=k, dim_l=L, delta=0.3)
         calls = [0]
-        embed = tp.psp_local
+        embed = tp._ancilla_embedding
 
         def counting(*args):
             calls[0] += 1
             return embed(*args)
 
-        monkeypatch.setattr(tp, "psp_local", counting)
+        monkeypatch.setattr(tp, "_ancilla_embedding", counting)
         x = inst.words()[-1]
         splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
         for block in sorted({b for p in splits for b in p}):
@@ -917,8 +917,10 @@ class TestIntersectionLemma:
         s = res.soundness[((1,), (2,))]
         assert s["dh_reject"] == pytest.approx(1 - eps_psp, abs=1e-9)
 
-    @pytest.mark.parametrize("c, k", [(0, 2), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("c, k", [(0, 2), (1, 1), (2, 1), (0, 3)])
     def test_one_solve_per_split(self, monkeypatch, c, k):
+        # splits whose split states are equal in every word share one solve:
+        # 2 of 4 at (0, 2), 7 of 14 at (0, 3)
         calls = [0]
         solve = hyptest.quantum_optimal_test
 
@@ -930,7 +932,10 @@ class TestIntersectionLemma:
         inst = small_instance(102 + c, c=c, k=k, dim_l=2, delta=0.3)
         res = tp.intersection_lemma(inst)
         assert res.all_pass()
-        assert calls[0] == len(inst.lattice.linear_ext)
+        states = {
+            tuple(inst.split_state(x, psp).tobytes() for x in inst.words()) for psp in inst.lattice.linear_ext
+        }
+        assert calls[0] == len(states)
 
     def test_no_large_eigenproblem(self, monkeypatch):
         # at c = 1, k = 2, L = 2 the split marginals have up to 784 box rows;
@@ -1232,6 +1237,92 @@ class TestSplittingTests:
                 assert abs(t.reject_mass - oracle.dual) <= 1e-10
 
 
+# (c, k, |L|), then the distinct split states and the splits of the shape
+SHARED_SPLIT_SHAPES = [
+    (0, 2, 4, 2, 4),
+    (0, 2, 2, 2, 4),
+    (1, 2, 2, 6, 10),
+    (2, 2, 2, 20, 28),
+    (3, 1, 4, 8, 8),
+    (0, 3, 2, 7, 14),
+]
+
+
+class TestSharedSplitSolves:
+    """Splits with equal split states share one solve, dilation, rejection basis and core roots."""
+
+    @pytest.mark.parametrize("delta", [0.2, 0.4])
+    @pytest.mark.parametrize("c, k, dim_l", [s[:3] for s in SHARED_SPLIT_SHAPES])
+    def test_matches_per_split_oracle(self, monkeypatch, c, k, dim_l, delta):
+        seed = 190 + 10 * c + k
+
+        def instance():
+            return audits.random_instance(seed, c, k, 2, dim_l, delta, 0.2)
+
+        got = tp.optimal_splitting_tests(instance())
+        want = construction_oracle.optimal_splitting_tests(instance())
+        assert list(got) == list(want)
+        for x in want:
+            assert list(got[x]) == list(want[x])
+            for psp, w in want[x].items():
+                g = got[x][psp]
+                assert (g.psp, g.eps, g.dh_bits, g.reject_mass) == (w.psp, w.eps, w.dh_bits, w.reject_mass)
+                assert np.array_equal(g.y_basis, w.y_basis)
+
+        def records(res):
+            return [(ch.name, ch.lhs, ch.rhs, ch.tol, ch.params) for ch in res.checks]
+
+        shared = records(tp.intersection_lemma(instance()))
+        with monkeypatch.context() as patched:
+            patched.setattr(tp, "optimal_splitting_tests", construction_oracle.optimal_splitting_tests)
+            patched.setattr(tp, "embedded_core", construction_oracle.unshared_core)
+            assert shared == records(tp.intersection_lemma(instance()))
+
+    @pytest.mark.parametrize("c, k, dim_l, distinct, splits", SHARED_SPLIT_SHAPES)
+    def test_one_solve_and_root_per_distinct_state(self, monkeypatch, c, k, dim_l, distinct, splits):
+        inst = audits.random_instance(200 + c, c, k, 2, dim_l, 0.3, 0.2)
+        solves, roots = [0], []
+        solve, root = hyptest.cq_optimal_test, tp.sqrt_factor
+
+        def counting_solve(*args):
+            solves[0] += 1
+            return solve(*args)
+
+        def recording_root(core):
+            roots.append(core.tobytes())
+            return root(core)
+
+        monkeypatch.setattr(hyptest, "cq_optimal_test", counting_solve)
+        monkeypatch.setattr(tp, "sqrt_factor", recording_root)
+        res = tp.intersection_lemma(inst)
+        assert res.all_pass()
+        assert len(inst.lattice.linear_ext) == splits
+        assert solves[0] == distinct
+        for x in inst.words():
+            tests = res.constructions[x].tests
+            assert len({id(t.y_basis) for t in tests.values()}) == distinct
+        # one eigh per distinct embedded core: rho_x's and each split state's
+        cores = {
+            tp.embed_with_ancilla(rho, k, inst.dim_h).tobytes()
+            for x in inst.words()
+            for rho in [inst.rhos[x]] + [inst.split_state(x, psp) for psp in inst.lattice.linear_ext]
+        }
+        assert [roots.count(core) for core in cores] == [1] * len(cores)
+
+    def test_shared_arrays_read_only(self):
+        inst = small_instance(210, c=0, k=2, dim_l=4, delta=0.3)
+        res = tp.intersection_lemma(inst)
+        constr = res.constructions[()]
+        held = [t.y_basis for t in constr.tests.values()]
+        for psp in inst.lattice.linear_ext:
+            state = tp.split_embedded(inst, (), psp, constr.box)
+            held += [state.core, state.root]
+        held += [constr.rho_prime.root, constr.embedded_original.root, constr.rho_hat]
+        for a in held:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
 def clear_shape_caches():
     for cache in tp.SHAPE_CACHES:
         cache.cache_clear()
@@ -1260,6 +1351,7 @@ class TestShapeCaches:
         ]
         for psp in tp.enum_psps(full):
             held.extend(tp.tilt_entries(space, sites, psp, inst.delta))
+            held.extend(tp.ancilla_entries(space, sites, psp, inst.delta))
         for block in {b for p in inst.lattice.linear_ext for b in p}:
             box, full_box, copies = tp.union_plan(space, block, (0,) * len(block))
             held.extend(box.rows + full_box.rows + copies)

@@ -222,8 +222,8 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
 
     The dual is evaluated at mu = 1/lam and at the first-order zero crossing
     of each zero-cluster eigenvalue, which lands on the kink the root-find
-    stops short of.  sigma is solved at the power-of-two scale nearest unit
-    trace, which is exact.
+    stops short of, with one spectrum per distinct kink (_kink_dual).  sigma
+    is solved at the power-of-two scale nearest unit trace, which is exact.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -283,7 +283,7 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
         if sp.settled(target, REL_WIDTH * lam):
             break
 
-    lam, w, v, z = at_hi.lam, at_hi.w, at_hi.v, at_hi.zero
+    v, z = at_hi.v, at_hi.zero
     a_pos, a_zero = at_hi.accept, at_hi.cluster
     if a_zero > 1e-15:
         t = min(max((target - a_pos) / a_zero, 0.0), 1.0)
@@ -295,12 +295,22 @@ def quantum_optimal_test(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypT
     if accept < target - ACCEPT_TOL:
         raise ValueError(f"acceptance {accept} fell short of {target} (degenerate inputs)")
     reject = float(np.trace(pi @ sigma).real)
-    # each zero-cluster eigenvalue w_i moves with slope -<v_i|sigma|v_i> in
-    # lam; the dual peaks at the kink where one of them crosses zero
-    kinks = [lam + wi / s for wi, s in zip(w[z], at_hi.slope[z]) if s > 0 and wi > -lam * s]
-    spectra = [np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)) for x in kinks]
-    dual = max(_dual(target, wx, x) for wx, x in zip([w] + spectra, [lam] + kinks))
-    return _result(pi, accept, scale * reject, scale * dual)
+    return _result(pi, accept, scale * reject, scale * _kink_dual(rho, sigma, target, at_hi))
+
+
+def _kink_dual(rho: np.ndarray, sigma: np.ndarray, target: float, sp: _Spectrum) -> float:
+    """The largest dual at mu = 1/sp.lam and at the kinks of the zero cluster of sp.
+
+    Each zero-cluster eigenvalue w_i moves with slope -<v_i|sigma|v_i> in
+    lam; the dual peaks at the kink where one of them crosses zero.  Kinks
+    equal as floats share one spectrum, taken one kink at a time.
+    """
+    z, lam = sp.zero, sp.lam
+    kinks = dict.fromkeys(
+        lam + wi / s for wi, s in zip(sp.w[z], sp.slope[z]) if s > 0 and wi > -lam * s
+    )
+    duals = [_dual(target, np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)), x) for x in kinks]
+    return max([_dual(target, sp.w, lam)] + duals)
 
 
 def cq_optimal_test(
@@ -384,22 +394,26 @@ def dilation_basis(pi: np.ndarray) -> np.ndarray:
     sqrt(mu) v|0> + sqrt(1-mu) v|1>, so Tr[Pi' (A x |0><0|)] = Tr[pi A]
     exactly for every operator A.  Eigenvalues within DILATION_SNAP of 0 or 1
     are snapped there first: the square root would turn a rounding error e
-    into a component of size sqrt(e) of the range.
+    into a component of size sqrt(e) of the range.  One per matrix of a
+    (..., d, d) stack, which is refused if any matrix is not a POVM element.
     """
     pi = np.asarray(pi, dtype=complex)
     w, v = np.linalg.eigh(qla.hermitian_part(pi))
-    if w[0] < -qla.PSD_TOL or w[-1] > 1 + qla.PSD_TOL:
+    if w.min() < -qla.PSD_TOL or w.max() > 1 + qla.PSD_TOL:
         raise ValueError("input is not a POVM element")
     w = np.where(w < DILATION_SNAP, 0.0, np.where(w > 1.0 - DILATION_SNAP, 1.0, w))
-    d = pi.shape[0]
-    basis = np.zeros((2 * d, d), dtype=complex)
+    d = pi.shape[-1]
+    basis = np.zeros(pi.shape[:-2] + (2 * d, d), dtype=complex)
     # coordinates ordered (h, ancilla) row-major: index 2*i is v_i|0>, 2*i+1 is v_i|1>
-    basis[0::2, :] = np.sqrt(w)[None, :] * v
-    basis[1::2, :] = np.sqrt(1.0 - w)[None, :] * v
+    basis[..., 0::2, :] = np.sqrt(w)[..., None, :] * v
+    basis[..., 1::2, :] = np.sqrt(1.0 - w)[..., None, :] * v
     return basis
 
 
 def dilate_povm(pi: np.ndarray) -> np.ndarray:
-    """Gelfand-Naimark dilation of a POVM element to a projector on H x C^2."""
+    """Gelfand-Naimark dilation of a POVM element to a projector on H x C^2.
+
+    One per matrix of a (..., d, d) stack.
+    """
     basis = dilation_basis(pi)
-    return qla.hermitian_part(basis @ basis.conj().T)
+    return qla.hermitian_part(basis @ basis.conj().swapaxes(-1, -2))

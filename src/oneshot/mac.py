@@ -319,6 +319,7 @@ class PerturbedChannel:
     6 dz rows of label_box(l_x, l_y), where the tilt is local_tilt whatever
     the labels, so the channel allocates nothing; only the dense oracles
     (tilt, rho_prime, AveragedState.dense) build arrays with dim Z' rows.
+    rho_hat, its root and perturbation_l1 are computed once per letter pair.
     """
 
     def __init__(self, spec: CqChannelSpec, dim_l: int, delta: float):
@@ -338,6 +339,7 @@ class PerturbedChannel:
             "LY": slice(self.base + n, self.base + 2 * n),
         }
         self.dim = self.base + 2 * n
+        self._letters: dict = {}
 
     def label_box(self, l_x: int, l_y: int) -> typicality.Box:
         """The 6 dz rows of Z' that labels (l_x, l_y) reach, ascending.
@@ -368,8 +370,22 @@ class PerturbedChannel:
         box = self.label_box(l_x or 0, l_y or 0)
         return box.expand(self.local_tilt(l_x is not None, l_y is not None))
 
+    def _letter(self, key: tuple, make):
+        """make(), computed once per key and kept read-only."""
+        if key not in self._letters:
+            self._letters[key] = typicality._frozen(make())
+        return self._letters[key]
+
     def rho_hat(self, x: int, y: int) -> np.ndarray:
-        return typicality.embed_with_ancilla(self.spec.states[x, y], 1, self.spec.dz)
+        """The output of letters (x, y) with the ancilla at |0> (read-only)."""
+        rho = self.spec.states[x, y]
+        return self._letter(("rho", x, y), lambda: typicality.embed_with_ancilla(rho, 1, self.spec.dz))
+
+    def letter_state(self, x: int, y: int, local: np.ndarray) -> typicality.LowRankState:
+        """local rho_hat(x, y) local†, with the one root of rho_hat (sqrt_factor) of those letters."""
+        rho = self.rho_hat(x, y)
+        root = self._letter(("root", x, y), lambda: typicality.sqrt_factor(rho))
+        return typicality.LowRankState(local, rho, root=root)
 
     def rho_prime(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
         check_dense(self.dim)
@@ -405,11 +421,18 @@ class PerturbedChannel:
         """||rho' - e rho_hat e†||_1 on the rows of a label box.
 
         Both operators live on those rows, so the trace norm of the 6 dz x 6 dz
-        block is the trace norm on Z'; the block is the same at every label pair.
+        block is the trace norm on Z'; the block is the same at every label
+        pair.  The spectra of all letter pairs are taken in one stack.
         """
+        return self._perturbation_l1s[x, y]
+
+    @functools.cached_property
+    def _perturbation_l1s(self) -> dict:
         t, e = self.local_tilt(x=True, y=True), self.local_tilt()
-        rho = self.rho_hat(x, y)
-        return qla.trace_norm_herm(t @ rho @ t.conj().T - e @ rho @ e.conj().T)
+        letters = [(x, y) for x in range(self.spec.nx) for y in range(self.spec.ny)]
+        rho = np.stack([self.rho_hat(x, y) for x, y in letters])
+        w = np.linalg.eigvalsh(qla.hermitian_part(t @ rho @ t.conj().T - e @ rho @ e.conj().T))
+        return {xy: float(np.sum(np.abs(w_xy))) for xy, w_xy in zip(letters, w)}
 
 
 @dataclass(frozen=True)
@@ -517,7 +540,9 @@ class DecodingSet:
 
     local[x, y] is the factor B of Pi' = B B† on the rows of chan.label_box:
     every label pair reaches its own 6 dz rows of Z' and B is the same array
-    there, so it is built once per letter pair.
+    there, so it is built once per distinct triple (w_x, w_y, w_xy) of
+    bases, keyed on their bytes, and shared read-only by the letter pairs
+    with that triple.
     """
 
     chan: PerturbedChannel
@@ -537,10 +562,14 @@ class DecodingSet:
         chan = self.chan
         a = np.eye(2) * chan.delta**2 / (1 + chan.delta**2)
         layout, e = tilting.TiltedLayout(chan.base, 2), chan.local_tilt()
-        self.local = {}
+        self.local, built = {}, {}
         for xy in self.w_x:
-            q = tilting.tilted_basis([self.w_x[xy], self.w_y[xy]], a, layout, fixed=self.w_xy[xy])
-            self.local[xy] = tilting.complement_factor(e, q)
+            w_x, w_y, w_xy = self.w_x[xy], self.w_y[xy], self.w_xy[xy]
+            key = (w_x.tobytes(), w_y.tobytes(), w_xy.tobytes())
+            if key not in built:
+                q = tilting.tilted_basis([w_x, w_y], a, layout, fixed=w_xy)
+                built[key] = typicality._frozen(tilting.complement_factor(e, q))
+            self.local[xy] = built[key]
 
     def povm_factor(self, x: int, l_x: int, y: int, l_y: int) -> np.ndarray:
         """Factor B with Pi' = B B† for the given letters and labels, on all of Z'."""
@@ -557,9 +586,10 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
 
     The X-labelled complement spaces are tilted along L_X and pair with the
     keep-x averaged states (rate R2 / I_H(Y:XZ)); symmetrically for Y; the
-    joint test stays untilted in the base copy.  The POVM factors are built
-    once per letter pair on the label rows (DecodingSet.local).  delta must be
-    positive: untilted, the three images would share the base copy.
+    joint test stays untilted in the base copy.  The test blocks of all three
+    are dilated and their rejection bases taken as one stack (read-only), and
+    the POVM factors are built on the label rows (DecodingSet.local).  delta
+    must be positive: untilted, the three images would share the base copy.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -567,18 +597,20 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
     weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]
     states = [spec.states[x, y] for x, y in letters]
-
-    def solve(alternates):
-        # the cq state against product-of-marginals alternates, letter by letter
-        res, blocks = hyptest.cq_optimal_test(weights, states, alternates, eps)
-        return res, {
-            xy: tilting.rejection_basis(hyptest.dilate_povm(blk))
-            for xy, blk in zip(letters, blocks)
-        }
-
-    res_x, w_x = solve([spec.avg_x(x) for x, _ in letters])
-    res_y, w_y = solve([spec.avg_y(y) for _, y in letters])
-    res_xy, w_xy = solve([spec.avg() for _ in letters])
+    # the cq state against product-of-marginals alternates, letter by letter
+    solved = [
+        hyptest.cq_optimal_test(weights, states, alternates, eps)
+        for alternates in (
+            [spec.avg_x(x) for x, _ in letters],
+            [spec.avg_y(y) for _, y in letters],
+            [spec.avg() for _ in letters],
+        )
+    ]
+    blocks = np.stack([blk for _, blks in solved for blk in blks])
+    bases = typicality._frozen(tilting.rejection_basis(hyptest.dilate_povm(blocks)))
+    n = len(letters)
+    w_x, w_y, w_xy = (dict(zip(letters, bases[i * n : (i + 1) * n])) for i in range(3))
+    (res_x, _), (res_y, _), (res_xy, _) = solved
     return DecodingSet(
         chan=chan, eps=eps, i_x_yz=res_y.value_bits, i_y_xz=res_x.value_bits,
         i_xy_z=res_xy.value_bits, w_x=w_x, w_y=w_y, w_xy=w_xy,
@@ -603,7 +635,7 @@ def pipeline_quantities(dec: DecodingSet) -> dict:
     max_pert = 0.0
     for (x, y), b in dec.local.items():
         w = spec.p_x[x] * spec.p_y[y]
-        accept = typicality.povm_expectation(b, typicality.LowRankState(tilt, chan.rho_hat(x, y)))
+        accept = typicality.povm_expectation(b, chan.letter_state(x, y, tilt))
         type1 += w * (1.0 - accept)
         t2_keep_x += w * avg_xs[x].povm_expectation(b)
         t2_keep_y += w * avg_ys[y].povm_expectation(b)
@@ -709,7 +741,7 @@ def pgm_success(factors: list, states: list) -> np.ndarray:
     edges = np.cumsum([0] + [b.shape[1] for b in factors])
     return np.array([
         typicality.povm_expectation(
-            vh[:, lo:hi], typicality.LowRankState(u.conj().T @ st.factor, st.core)
+            vh[:, lo:hi], typicality.LowRankState(u.conj().T @ st.factor, st.core, root=st.root)
         )
         for lo, hi, st in zip(edges[:-1], edges[1:], states)
     ])
@@ -812,7 +844,6 @@ def cq_mac_experiment(
     }
 
     tilt = chan.local_tilt(x=True, y=True)
-    rho_hats = {xy: chan.rho_hat(*xy) for xy in dec.local}
 
     def codebook(cb_seed: int) -> tuple[list, list]:
         # every pair's factor and tilt placed on the union of the pairs' label
@@ -829,7 +860,7 @@ def cq_mac_experiment(
         for b, (x, _, y, _) in zip(boxes, pairs):
             pos = rows.index(b.rows)
             factors.append(typicality.place(pos, rows.size, dec.local[x, y]))
-            states.append(typicality.LowRankState(typicality.place(pos, rows.size, tilt), rho_hats[x, y]))
+            states.append(chan.letter_state(x, y, typicality.place(pos, rows.size, tilt)))
         return factors, states
 
     return pgm_trials((r1, r2), bounds, trials, seed, codebook)

@@ -91,9 +91,20 @@ def span_basis(proj: np.ndarray, tol: float = 0.5) -> np.ndarray:
 
 
 def rejection_basis(dilated: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the rejection space (eigenvalue 0) of a dilated test."""
+    """Orthonormal basis of the rejection space (eigenvalue 0) of a dilated test.
+
+    One per matrix of a (..., d, d) stack, whose rejection spaces must share
+    one dimension; eigh sorts the eigenvalues ascending, so that space is
+    spanned by the leading columns.  Each basis is stored column-major, as a
+    boolean column selection of eigh's output is: the products that read a
+    basis round by its layout, and the seeded outputs with them.
+    """
     w, v = np.linalg.eigh(dilated)
-    return v[:, w < 0.5]
+    dims = np.count_nonzero(w < 0.5, axis=-1)
+    r = int(dims.max())
+    if dims.min() != r:
+        raise ValueError(f"rejection spaces of dimensions {sorted({int(d) for d in dims.flat})} in one stack")
+    return v[..., :r].swapaxes(-1, -2).copy().swapaxes(-1, -2)
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:

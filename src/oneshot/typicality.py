@@ -559,11 +559,12 @@ def dilate_to_sites(pi: np.ndarray, n_sites: int, dim_h: int) -> np.ndarray:
     The ancilla qubit of the last site absorbs the rejected weight, so
     Tr[Pi' (A x |00..0><00..0|)] = Tr[pi A] exactly with per-site ancillas:
     the dilation on H^(x n) x C^2 lands on the rows whose other sites hold |0>.
+    One per matrix of a (..., d, d) stack.
     """
     n = 2 * dim_h
     frame = (ancilla_rows(dim_h, n_sites - 1)[:, None] * n + np.arange(n)).ravel()
-    out = np.zeros((n**n_sites,) * 2, dtype=complex)
-    out[np.ix_(frame, frame)] = hyptest.dilate_povm(pi)
+    out = np.zeros(np.shape(pi)[:-2] + (n**n_sites,) * 2, dtype=complex)
+    out[..., frame[:, None], frame] = hyptest.dilate_povm(pi)
     return out
 
 
@@ -893,18 +894,21 @@ def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
 
 
 def _solve_split(inst: TypicalityInstance, splits: list, eps: float) -> list:
-    """(eps_x, dh_bits, reject_mass, y_basis) per word from one cq-level solve against the split states."""
+    """(eps_x, dh_bits, reject_mass, y_basis) per word from one cq-level solve against the split states.
+
+    All words' blocks are dilated and their rejection bases taken as one stack.
+    """
     words = inst.words()
     _, blocks = hyptest.cq_optimal_test(
         [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
     )
+    y_bases = _frozen(tilting.rejection_basis(dilate_to_sites(np.stack(blocks), inst.k, inst.dim_h)))
     out = []
-    for x, t, split in zip(words, blocks, splits):
+    for x, t, split, y_basis in zip(words, blocks, splits, y_bases):
         # a block that accepts all of rho_x overshoots 1 by rounding
         eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
         reject = max(float(np.trace(t @ split).real), 0.0)
         dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
-        y_basis = _frozen(tilting.rejection_basis(dilate_to_sites(t, inst.k, inst.dim_h)))
         out.append((eps_x, dh_bits, reject, y_basis))
     return out
 

@@ -12,7 +12,8 @@ ancilla isometries as qla.tensor_all chains.  typicality scatters the same
 entries from its per-shape caches; these are what it must equal bit for bit.
 
 optimal_splitting_tests: one cq-level solve, dilation and rejection basis per
-pseudosubpartition, with no sharing between splits of equal split states;
+pseudosubpartition and word, with no sharing between splits of equal split
+states and no stack of words;
 unshared_core: embedded_core without the instance memo, so every state
 computes its own root.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from oneshot import hyptest, qla, tilting
 from oneshot import typicality as tp
+from decoder_oracle import rejection_block
 
 
 def box_row_construction(inst, x, tests: dict):
@@ -87,7 +89,7 @@ def optimal_splitting_tests(inst) -> dict:
             eps_x = max(1.0 - float(np.trace(t @ inst.rhos[x]).real), 0.0)
             reject = max(float(np.trace(t @ split).real), 0.0)
             dh_bits = math.inf if reject == 0.0 else float(-np.log2(reject))
-            y_basis = tilting.rejection_basis(tp.dilate_to_sites(t, inst.k, inst.dim_h))
+            y_basis = rejection_block(tp.dilate_to_sites(t, inst.k, inst.dim_h))
             out[x][psp] = tp.SplitTest(psp, eps_x, dh_bits, reject, y_basis)
     return out
 

@@ -6,9 +6,11 @@ mathematically unattainable: the tilted block sits at trace distance
 2 sqrt(2 d^2 / (1 + 2 d^2)) from the embedded original, first order in the
 tilt amplitude, which exceeds 4 d^2 for every d < 0.93.  That single check
 is kept as a strict expected failure; every other bound is asserted as
-written.
+written.  Criterion 10 is the first with more than one message per codebook
+in acceptance: the packing side of the cq MAC theorem on an adder channel.
 """
 
+import json
 import time
 
 import numpy as np
@@ -215,3 +217,26 @@ def test_criterion_9_determinism(tmp_path):
     verdict(9, ok, f"two seeded runs, CSV {len(csv_a)} bytes byte-identical: {csv_a == csv_b}")
     assert csv_a == csv_b
     assert json_a == json_b
+
+
+def test_criterion_10_cq_packing_with_messages(tmp_path):
+    # the adder z = x + y mod 8 at rates (1, 0): two messages for the first
+    # sender, and a Hayashi-Nagaoka expansion that could fail, below 1
+    t0 = time.time()
+    out = str(tmp_path / "adder")
+    code = cli.main(["mac", "cq", "configs/cq_adder8.txt", "--trials", "20", "--seed", "0", "--out", out])
+    elapsed = time.time() - t0
+    with open(f"{out}/summary.json") as fh:
+        summary = json.load(fh)
+    hn, mean = summary["bounds"]["hn"], summary["mc_mean"]
+    ok = code == 0 and hn < 1.0 and mean <= hn
+    verdict(
+        10,
+        ok,
+        f"8-letter adder, rates {summary['rates']}, mean {mean:.4f} vs hn = {hn:.4f} "
+        f"over 20 codebooks, {elapsed:.1f}s",
+    )
+    assert code == 0
+    assert summary["rates"] == [1.0, 0.0]
+    assert hn < 1.0
+    assert mean <= hn

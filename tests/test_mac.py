@@ -6,6 +6,7 @@ import pytest
 
 from oneshot import cli, hyptest, mac, qla, report, tilting, typicality
 from oneshot.rand import random_density, random_povm_element, rng_from_seed
+import decoder_oracle
 
 
 def random_classical_spec(seed, nx=2, ny=2, nz=2):
@@ -772,3 +773,195 @@ class TestTrivialDecodingSet:
         )
         e = dec.chan.tilt()
         npt.assert_allclose(trivial.povm(0, 1, 1, 2), e @ e.conj().T, atol=1e-12)
+
+
+def load_decoder_args(name):
+    """(spec, dim_l, delta, eps) of a cq config, delta = eps^(1/4) when auto."""
+    spec, eps, dim_l = load_config(name)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, name)) as fh:
+        delta = cli.parse_kv(fh.read()).get("delta", "auto")
+    return spec, dim_l, eps**0.25 if delta == "auto" else float(delta), eps
+
+
+def adder_spec(n, noise=0.01):
+    """z = x + y mod n with output (1 - noise) |z><z| + noise I/n, uniform inputs."""
+    states = np.zeros((n, n, n, n), dtype=complex)
+    for x in range(n):
+        for y in range(n):
+            states[x, y] = noise / n * np.eye(n)
+            states[x, y, (x + y) % n, (x + y) % n] += 1.0 - noise
+    return mac.CqChannelSpec(states, np.full(n, 1 / n), np.full(n, 1 / n))
+
+
+def cq_pairs(spec):
+    """The three cq pairs of build_decoding_povms: weights, states and each test's alternates."""
+    letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
+    weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]
+    states = [spec.states[x, y] for x, y in letters]
+    alternates = (
+        [spec.avg_x(x) for x, _ in letters],
+        [spec.avg_y(y) for _, y in letters],
+        [spec.avg() for _ in letters],
+    )
+    return weights, states, alternates
+
+
+DECODER_CONFIGS = [
+    "configs/cq_mac_small.txt", "bench/cq_mac.txt", "configs/cq_mac_wide.txt", "configs/cq_adder8.txt",
+]
+
+
+def psd_with_spectrum(rng, spectrum):
+    d = len(spectrum)
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return qla.hermitian_part((q * np.asarray(spectrum)) @ q.conj().T)
+
+
+class TestStackedDecoder:
+    @pytest.mark.parametrize("name", DECODER_CONFIGS)
+    def test_matches_per_block_oracle(self, name):
+        # one stacked dilation and rejection basis for all 3 |X||Y| blocks and
+        # one tilted basis per distinct triple give the per-block build's bits
+        spec, dim_l, delta, eps = load_decoder_args(name)
+        dec = mac.build_decoding_povms(spec, dim_l, delta, eps)
+        want = decoder_oracle.per_block_decoding_set(spec, dim_l, delta, eps)
+        for key in ("i_x_yz", "i_y_xz", "i_xy_z"):
+            assert getattr(dec, key) == want[key], key
+        for key in ("w_x", "w_y", "w_xy", "local"):
+            got = getattr(dec, key)
+            assert got.keys() == want[key].keys()
+            for xy in got:
+                assert np.array_equal(got[xy], want[key][xy]), (key, xy)
+
+    @pytest.mark.parametrize("name", DECODER_CONFIGS)
+    def test_solves_match_per_kink_dual(self, name, monkeypatch):
+        # every cq solve of the config; on the adder only the joint one, whose
+        # per-kink oracle takes 64 spectra of 512 x 512
+        spec, _, _, eps = load_decoder_args(name)
+        weights, states, alternates = cq_pairs(spec)
+        if spec.nx > 2:
+            alternates = alternates[2:]
+        solve = hyptest.cq_optimal_test
+        got = [solve(weights, states, alt, eps) for alt in alternates]
+        monkeypatch.setattr(hyptest, "_kink_dual", decoder_oracle.per_kink_dual)
+        for (res, blocks), alt in zip(got, alternates):
+            want, want_blocks = solve(weights, states, alt, eps)
+            for field in ("value_bits", "accept_prob", "reject_mass", "dual"):
+                assert getattr(res, field) == getattr(want, field), field
+            assert np.array_equal(res.test, want.test)
+            assert all(np.array_equal(b, w) for b, w in zip(blocks, want_blocks))
+
+    def test_shared_factors_read_only(self):
+        spec, dim_l, delta, eps = load_decoder_args("bench/cq_mac.txt")
+        dec = mac.build_decoding_povms(spec, dim_l, delta, eps)
+        assert len({id(b) for b in dec.local.values()}) < len(dec.local)
+        chan = dec.chan
+        held = [*dec.w_x.values(), *dec.w_y.values(), *dec.w_xy.values(), *dec.local.values()]
+        held += [chan.rho_hat(0, 1), chan.letter_state(0, 1, chan.local_tilt()).root]
+        for a in held:
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+
+class TestStackedHelpers:
+    def stack(self, seed, d, n):
+        # random POVM elements, most with eigenvalues at or within DILATION_SNAP of 0 and 1
+        rng = rng_from_seed(seed)
+        snap = hyptest.DILATION_SNAP
+        edges = ([], [0.0, 1.0], [snap / 3, 1.0 - snap / 3], [-snap / 3, 1.0 + snap / 3])
+        out = []
+        for i in range(n):
+            spectrum = rng.random(d)
+            near = edges[i % 4][:d]
+            spectrum[: len(near)] = near
+            out.append(psd_with_spectrum(rng, spectrum))
+        return np.stack(out)
+
+    @pytest.mark.parametrize("seed, d, n", [(1, 2, 12), (2, 4, 7), (3, 8, 5), (4, 3, 1)])
+    def test_equal_per_matrix(self, seed, d, n):
+        pis = self.stack(seed, d, n)
+        bases, dilated = hyptest.dilation_basis(pis), hyptest.dilate_povm(pis)
+        rejected = tilting.rejection_basis(dilated)
+        assert rejected.shape == (n, 2 * d, d)
+        for i, pi in enumerate(pis):
+            assert np.array_equal(bases[i], decoder_oracle.dilation_block(pi))
+            assert np.array_equal(dilated[i], decoder_oracle.dilate_block(pi))
+            want = decoder_oracle.rejection_block(decoder_oracle.dilate_block(pi))
+            assert np.array_equal(rejected[i], want)
+            assert np.array_equal(tilting.rejection_basis(dilated[i]), want)
+            # the products that read a basis round by its column-major layout
+            assert rejected[i].strides == want.strides
+
+    @pytest.mark.parametrize("k, dim_h", [(1, 3), (2, 2)])
+    def test_sites_equal_per_matrix(self, k, dim_h):
+        pis = self.stack(5, dim_h**k, 4)
+        dilated = typicality.dilate_to_sites(pis, k, dim_h)
+        rejected = tilting.rejection_basis(dilated)
+        for i, pi in enumerate(pis):
+            single = typicality.dilate_to_sites(pi, k, dim_h)
+            assert np.array_equal(dilated[i], single)
+            assert np.array_equal(rejected[i], tilting.rejection_basis(single))
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-6, -1e-6])
+    def test_non_povm_block_refused(self, bad):
+        pis = self.stack(6, 3, 4)
+        pis[2] = psd_with_spectrum(rng_from_seed(7), [bad, 0.5, 0.2])
+        for fn in (hyptest.dilation_basis, hyptest.dilate_povm):
+            with pytest.raises(ValueError, match="not a POVM element"):
+                fn(pis)
+
+    def test_unequal_rejection_spaces_refused(self):
+        dilated = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])]).astype(complex)
+        with pytest.raises(ValueError, match="rejection spaces"):
+            tilting.rejection_basis(dilated)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestDecoderCounts:
+    def test_bench_unit(self, monkeypatch, tmp_path):
+        # one benchmark unit: the stacked dilation and rejection bases, one
+        # tilted basis per distinct triple and one root per letter pair
+        spec = load_config("bench/cq_mac.txt")[0]
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        qr = count_calls(monkeypatch, np.linalg, "qr")
+        roots = count_calls(monkeypatch, typicality, "sqrt_factor")
+        argv = ["mac", "cq", "bench/cq_mac.txt", "--trials", "2", "--seed", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(eigh) <= 25
+        assert len(qr) == 2
+        assert len(roots) == spec.nx * spec.ny
+        assert len({a[0].tobytes() for a in roots}) == len(roots)
+
+    def test_one_spectrum_per_distinct_kink(self, monkeypatch):
+        spec = adder_spec(4)
+        weights, states, alternates = cq_pairs(spec)
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        dual = hyptest._kink_dual
+        seen = []
+
+        def recorded(rho, sigma, target, sp):
+            z, lam = sp.zero, sp.lam
+            kinks = [lam + w / s for w, s in zip(sp.w[z], sp.slope[z]) if s > 0 and w > -lam * s]
+            before = len(eigvalsh)
+            out = dual(rho, sigma, target, sp)
+            seen.append((len(kinks), len(set(kinks)), len(eigvalsh) - before))
+            return out
+
+        monkeypatch.setattr(hyptest, "_kink_dual", recorded)
+        for alt in alternates:
+            hyptest.cq_optimal_test(weights, states, alt, 0.02)
+        assert len(seen) == 3
+        for kinks, distinct, spectra in seen:
+            assert kinks > distinct and spectra == distinct

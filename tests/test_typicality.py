@@ -1294,10 +1294,19 @@ class TestSharedSplitSolves:
 
         monkeypatch.setattr(hyptest, "cq_optimal_test", counting_solve)
         monkeypatch.setattr(tp, "sqrt_factor", recording_root)
+        rejection, rejected = tilting.rejection_basis, []
+
+        def stacked_rejection(dilated):
+            rejected.append(dilated.shape[:-2])
+            return rejection(dilated)
+
+        monkeypatch.setattr(tilting, "rejection_basis", stacked_rejection)
         res = tp.intersection_lemma(inst)
         assert res.all_pass()
         assert len(inst.lattice.linear_ext) == splits
         assert solves[0] == distinct
+        # one rejection basis call per distinct split state, over all words' blocks
+        assert rejected == [(len(inst.words()),)] * distinct
         for x in inst.words():
             tests = res.constructions[x].tests
             assert len({id(t.y_basis) for t in tests.values()}) == distinct

@@ -42,8 +42,7 @@ def hermitian(entries: np.ndarray) -> np.ndarray:
 def density_matrix(entries: np.ndarray) -> np.ndarray:
     """Validated density matrix: Hermitian, trace 1 within 1e-10, eigmin >= -1e-10.
 
-    Raises on negative eigenvalues instead of clipping; use repair_density for
-    Monte-Carlo-accumulated states that need explicit cleanup.
+    Raises on negative eigenvalues instead of clipping.
     """
     a = hermitian(entries)
     tr = float(np.trace(a).real)
@@ -53,17 +52,6 @@ def density_matrix(entries: np.ndarray) -> np.ndarray:
     if wmin < -PSD_TOL:
         raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL}")
     return a
-
-
-def repair_density(entries: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to 0 and renormalize the trace to 1."""
-    a = hermitian_part(np.asarray(entries, dtype=complex))
-    w, v = np.linalg.eigh(a)
-    w = np.maximum(w, 0.0)
-    tr = float(np.sum(w))
-    if tr <= 0:
-        raise ValueError("non-positive trace after clipping")
-    return hermitian_part((v * (w / tr)) @ v.conj().T)
 
 
 def povm_element(entries: np.ndarray) -> np.ndarray:

@@ -709,9 +709,9 @@ class TypicalityInstance:
     H^(x k); eps_total is split uniformly over the non-empty
     pseudosubpartitions, and each share must lie in [0, 1) (check_eps).
     The augmented space is built (and its size checked) on construction,
-    the lattice on first use.  Split states, embedded cores with their
-    roots (embedded_core) and split factors are computed once per instance
-    and shared (read-only);
+    the lattice on first use.  Split states, the core and root of each
+    distinct embedded state (state_core) and split factors are computed
+    once per instance and shared (read-only);
     intersection_lemma forgets a block's factors after the last split that
     contains it.
     """
@@ -917,11 +917,13 @@ def _solve_split(inst: TypicalityInstance, splits: list, eps: float) -> list:
 class BlockConstruction:
     """The smoothed state and intersection POVM element for one (x, l) block.
 
-    v (the smoothing isometry) and b (the factor of Pi') are box-local on
-    box, the rows the block's embeddings reach; v_global and b_factor are
-    their dense forms on A''.  q_tilted and b_tilted are q and b on the
-    tilted layout, whose rows the map rows sends into the box.  All of these
-    are the same for every l; only the box depends on it.
+    rho' = v rho_hat v† with rho_hat = rho_x (read-only) and v = T_full
+    (x)_sites |0>, the ancilla embedding of the full block.  v and b (the
+    factor of Pi') are box-local on box, the rows the block's embeddings
+    reach; v_global and b_factor are their dense forms on A''.  q_tilted
+    and b_tilted are q and b on the tilted layout, whose rows the map rows
+    sends into the box.  All of these are the same for every l; only the
+    box depends on it.
     """
 
     inst: TypicalityInstance
@@ -946,8 +948,8 @@ class BlockConstruction:
 
     @property
     def rho_prime(self) -> LowRankState:
-        root = embedded_core(self.inst, self.inst.rhos[self.x], self.inst.k)[1]
-        return LowRankState(self.v, self.rho_hat, self.box, root)
+        core, root = state_core(self.inst, self.rho_hat)
+        return LowRankState(self.v, core, self.box, root)
 
     @property
     def embedded_original(self) -> LowRankState:
@@ -1024,24 +1026,25 @@ def build_construction(
 
 
 def _embedded(inst: TypicalityInstance, psp: Psp, rho: np.ndarray, box: Box) -> LowRankState:
-    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, on box."""
-    core, root = embedded_core(inst, rho, len(box.sites))
-    return LowRankState(psp_local(inst.space, box.sites, psp, inst.delta), core, box, root)
+    """T_psp (rho x |0><0|) T_psp† for a state rho on H^(x box sites) in factored form, on box.
 
-
-def embedded_core(inst: TypicalityInstance, rho: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """embed_with_ancilla(rho) and its sqrt_factor, computed once per instance for equal bytes of rho (read-only).
-
-    rho_x's core serves rho' and the embedded original, and the splits with
-    equal split states share one core.  Only core-sized arrays are kept,
-    never the product with an embedding.
+    The factor is the ancilla embedding T_psp (x)_sites |0>, dim rho columns
+    wide, and the core rho itself (state_core).
     """
+    core, root = state_core(inst, rho)
+    return LowRankState(_ancilla_embedding(inst, box.sites, psp), core, box, root)
 
-    def make():
-        core = _frozen(embed_with_ancilla(rho, n_sites, inst.dim_h))
-        return core, sqrt_factor(core)
 
-    return inst.memo(("embedded_core", n_sites, rho.dtype.str, rho.tobytes()), make)
+def state_core(inst: TypicalityInstance, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only copy of rho and its sqrt_factor, computed once per instance for equal bytes of rho.
+
+    rho_x serves rho', the embedded original and every block marginal that
+    keeps the classical coordinates; splits with equal split states share
+    one root.  Only arrays of rho's size are kept, never the product with
+    an embedding.
+    """
+    key = ("state_core", rho.dtype.str, rho.tobytes())
+    return inst.memo(key, lambda: (_frozen(rho.copy()), sqrt_factor(rho)))
 
 
 def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
@@ -1101,9 +1104,8 @@ def marginal_block_state(
         for x_rest, w in inst.avg_weights(kept_c, x_kept).items()
     )
     box, full_box, copies = union_plan(inst.space, tuple(block), tuple(int(l_block[e]) for e in block))
-    # core rho: one copy has dim rho columns per traced row before its rank cut
-    t = _ancilla_embedding(inst, quantum_sites(inst.k), (full,))
-    _, m = LowRankState(t, rho, full_box).marginal(sites)
+    # one copy has dim rho columns per traced row before its rank cut
+    _, m = _embedded(inst, (full,), rho, full_box).marginal(sites)
     m = rank_factor(m)
     stacked = np.hstack([place(rows, box.size, m) for rows in copies]) / np.sqrt(len(copies))
     # C C† = R† R for the QR factorization C† = Q R, at most one column per box row
@@ -1259,8 +1261,8 @@ def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> 
     # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
     r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
     coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
-    t = place(own, box.size, _ancilla_embedding(inst, sites, (block,)))
-    lead = LowRankState(t, inst.averaged_marginal(block, x_kept), box)
+    own_lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), inst.space.box(sites, l_assign))
+    lead = replace(own_lead, local=place(own, box.size, own_lead.local), box=box)
     a_i = lead_weight(inst, block)
     leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
     rho_i = LowRankState.of_factor(c_i, box)
@@ -1421,11 +1423,10 @@ def audit_construction(constr: BlockConstruction) -> list:
     )
     spec_in = np.sort(np.linalg.eigvalsh(constr.rho_hat))
     spec_out = np.sort(rho_prime.eigenvalues())
-    pad = np.zeros(len(spec_out) - len(spec_in))
     checks.append(
         report.AuditCheck(
             "state_isometric_spectrum",
-            float(np.max(np.abs(spec_out - np.concatenate([pad, spec_in])))),
+            float(np.max(np.abs(spec_out - spec_in))),
             0.0,
             1e-9,
             params,
@@ -1455,8 +1456,10 @@ def audit_construction(constr: BlockConstruction) -> list:
     a_matrix = build_tilting_matrix(lattice, inst.delta)
     w, v = np.linalg.eigh(constr.rho_hat)
     bases = [constr.tests[psp].y_basis for psp in lattice.linear_ext]
-    # splits with equal split states share one basis, so one norm
-    distinct = {id(y): y for y in bases}
+    # splits with equal split states share one basis, so one norm; the
+    # eigenvectors of rho_x meet each basis on its ancilla rows
+    rows = ancilla_rows(inst.dim_h, k)
+    distinct = {id(y): y[rows] for y in bases}
     bound = 0.0
     for i in range(len(w)):
         if w[i] <= 1e-14:

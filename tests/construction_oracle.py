@@ -14,8 +14,8 @@ entries from its per-shape caches; these are what it must equal bit for bit.
 optimal_splitting_tests: one cq-level solve, dilation and rejection basis per
 pseudosubpartition and word, with no sharing between splits of equal split
 states and no stack of words;
-unshared_core: embedded_core without the instance memo, so every state
-computes its own root.
+unshared_core: state_core without the instance memo, so every state
+computes its own root of rho.
 """
 
 import math
@@ -94,7 +94,6 @@ def optimal_splitting_tests(inst) -> dict:
     return out
 
 
-def unshared_core(inst, rho, n_sites: int):
-    """The embedded core of rho and its root, computed afresh on every call."""
-    core = tp.embed_with_ancilla(rho, n_sites, inst.dim_h)
-    return core, tp.sqrt_factor(core)
+def unshared_core(inst, rho):
+    """A copy of rho and its root, computed afresh on every call."""
+    return rho.copy(), tp.sqrt_factor(rho)

@@ -231,6 +231,16 @@ class TestTypicalityBuild:
         assert run(["typicality-build", "--k", "3", "--c", "0", "--L", "2", "--out", outdir]) == 0
         assert "typicality-build: 208/208 checks passed" in capsys.readouterr().out
 
+    def test_replay_writes_the_same_bytes(self, tmp_path):
+        # states share roots through a memo keyed on their bytes; the second
+        # run also starts on the shape caches the first one filled
+        reports = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert run(["typicality-build", "--out", out]) == 0
+            reports.append(open(os.path.join(out, "typicality_build.json"), "rb").read())
+        assert reports[0] == reports[1]
+
 
 @pytest.fixture(scope="module")
 def c1_k2_runs(tmp_path_factory):

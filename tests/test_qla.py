@@ -143,12 +143,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             qla.density_matrix(np.eye(3))  # trace 3
 
-    def test_repair_density(self):
-        bad = np.diag([1.05, -0.05])
-        fixed = qla.repair_density(bad)
-        assert abs(np.trace(fixed).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(fixed)[0] >= 0.0
-
     def test_povm_and_projector(self):
         rng = rng_from_seed(18)
         v = haar_isometry(rng, 5, 2)

@@ -1275,7 +1275,7 @@ class TestSharedSplitSolves:
         shared = records(tp.intersection_lemma(instance()))
         with monkeypatch.context() as patched:
             patched.setattr(tp, "optimal_splitting_tests", construction_oracle.optimal_splitting_tests)
-            patched.setattr(tp, "embedded_core", construction_oracle.unshared_core)
+            patched.setattr(tp, "state_core", construction_oracle.unshared_core)
             assert shared == records(tp.intersection_lemma(instance()))
 
     @pytest.mark.parametrize("c, k, dim_l, distinct, splits", SHARED_SPLIT_SHAPES)
@@ -1310,13 +1310,40 @@ class TestSharedSplitSolves:
         for x in inst.words():
             tests = res.constructions[x].tests
             assert len({id(t.y_basis) for t in tests.values()}) == distinct
-        # one eigh per distinct embedded core: rho_x's and each split state's
+        # one eigh per distinct core over the whole lemma, the block marginals,
+        # lead terms and fills included; rho_x's and each split state's among them
+        assert len(roots) == len(set(roots))
         cores = {
-            tp.embed_with_ancilla(rho, k, inst.dim_h).tobytes()
+            rho.tobytes()
             for x in inst.words()
             for rho in [inst.rhos[x]] + [inst.split_state(x, psp) for psp in inst.lattice.linear_ext]
         }
-        assert [roots.count(core) for core in cores] == [1] * len(cores)
+        assert cores <= set(roots)
+
+    @pytest.mark.parametrize("c, k, dim_l", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
+    def test_embedded_states_are_dim_rho_wide(self, monkeypatch, c, k, dim_l):
+        # every embedded state is its embedding's ancilla columns around rho itself
+        inst = audits.random_instance(220 + c, c, k, 2, dim_l, 0.3, 0.2)
+        made, embedded = [], tp._embedded
+
+        def recording(inst, psp, rho, box):
+            state = embedded(inst, psp, rho, box)
+            made.append((psp, box.sites, state))
+            return state
+
+        monkeypatch.setattr(tp, "_embedded", recording)
+        res = tp.intersection_lemma(inst)
+        assert res.all_pass()
+        sites, full = tp.quantum_sites(k), (tp.full_block(c, k),)
+        for x, constr in res.constructions.items():
+            assert np.array_equal(constr.rho_hat, inst.rhos[x]) and not constr.rho_hat.flags.writeable
+            made.append((full, sites, constr.rho_prime))
+        for _, box_sites, st in made:
+            assert st.local.shape[1] == st.core.shape[0] == inst.dim_h ** len(box_sites)
+        # rho', the embedded original, each split_embedded and a fill
+        reached = {(psp, box_sites) for psp, box_sites, _ in made}
+        assert {(full, sites), ((), sites)} | {(p, sites) for p in inst.lattice.linear_ext} <= reached
+        assert any(psp == () and box_sites != sites for psp, box_sites in reached)
 
     def test_shared_arrays_read_only(self):
         inst = small_instance(210, c=0, k=2, dim_l=4, delta=0.3)

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import audits, mac, hyptest, report, typicality
+from . import audits, mac, hyptest, qla, report, typicality
 
 CSV_COLUMNS = (
     "trial",
@@ -148,6 +148,12 @@ def cmd_dh(args) -> int:
         elif mode == "quantum":
             rho = parse_complex_matrix(cfg, "rho")
             sigma = parse_complex_matrix(cfg, "sigma")
+            # validated, then solved as given: the alternate may have any trace
+            for name, check, m in (("rho", qla.density_matrix, rho), ("sigma", qla.positive, sigma)):
+                try:
+                    check(m)
+                except ValueError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
             res = hyptest.quantum_optimal_test(rho, sigma, eps)
             test_lines = ["kind = povm-element"] + format_complex_matrix(res.test)
         else:

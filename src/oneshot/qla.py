@@ -39,18 +39,24 @@ def hermitian(entries: np.ndarray) -> np.ndarray:
     return hermitian_part(a)
 
 
-def density_matrix(entries: np.ndarray) -> np.ndarray:
-    """Validated density matrix: Hermitian, trace 1 within 1e-10, eigmin >= -1e-10.
+def positive(entries: np.ndarray) -> np.ndarray:
+    """Validated positive semidefinite operator of any trace: Hermitian, eigmin >= -1e-10.
 
     Raises on negative eigenvalues instead of clipping.
     """
     a = hermitian(entries)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
     wmin = float(np.linalg.eigvalsh(a)[0])
     if wmin < -PSD_TOL:
         raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL}")
+    return a
+
+
+def density_matrix(entries: np.ndarray) -> np.ndarray:
+    """Validated density matrix: positive, trace 1 within 1e-10."""
+    a = positive(entries)
+    tr = float(np.trace(a).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
     return a
 
 

@@ -923,12 +923,11 @@ class BlockConstruction:
     reach; v_global and b_factor are their dense forms on A''.  q_tilted
     and b_tilted are q and b on the tilted layout, whose rows the map rows
     sends into the box.  All of these are the same for every l; only the
-    box depends on it.
+    box depends on it, and relabeled swaps it.
     """
 
     inst: TypicalityInstance
     x: tuple
-    l_assign: dict
     tests: dict
     box: Box
     rows: np.ndarray
@@ -968,8 +967,7 @@ class BlockConstruction:
 
     def relabeled(self, l_assign: dict) -> "BlockConstruction":
         """The (x, l_assign) block: the same arrays on that block's box."""
-        box = self.inst.space.box(self.box.sites, l_assign)
-        return replace(self, l_assign=dict(l_assign), box=box)
+        return replace(self, box=self.inst.space.box(self.box.sites, l_assign))
 
     def pi_prime_expectation(self, state: LowRankState) -> float:
         return self._expectation(self.b_tilted, state)
@@ -981,8 +979,8 @@ class BlockConstruction:
         return self._expectation(self.q_tilted, state)
 
 
-def zero_labels(inst: TypicalityInstance) -> dict:
-    return {e: 0 for e in full_block(inst.c, inst.k)}
+def zero_labels(space: AugmentedSpace) -> dict:
+    return dict.fromkeys(full_block(space.c, space.k), 0)
 
 
 def is_full_block(inst: TypicalityInstance, psp: Psp) -> bool:
@@ -995,7 +993,9 @@ def build_construction(
 ) -> BlockConstruction:
     """Assemble rho'_{x,l,delta} and Pi'_{x,l,delta} in factored form on the zero-label block.
 
-    Every other label block is its relabeled copy.
+    The construction holds no labels: its arrays are label-free, and its
+    box is the zero-label box.  Every other label block is the same arrays
+    on another box (relabeled).
     """
     space = inst.space
     if tests is None:
@@ -1013,7 +1013,6 @@ def build_construction(
     return BlockConstruction(
         inst=inst,
         x=x,
-        l_assign=zero_labels(inst),
         tests=tests,
         box=box,
         rows=rows,
@@ -1047,11 +1046,9 @@ def state_core(inst: TypicalityInstance, rho: np.ndarray) -> tuple[np.ndarray, n
     return inst.memo(key, lambda: (_frozen(rho.copy()), sqrt_factor(rho)))
 
 
-def build_rho_prime(inst: TypicalityInstance, x, l_assign: dict | None = None) -> LowRankState:
-    """The smoothed state rho'_{x,l,delta} as a factored density matrix, box-local."""
-    if l_assign is None:
-        l_assign = zero_labels(inst)
-    box = inst.space.box(quantum_sites(inst.k), l_assign)
+def build_rho_prime(inst: TypicalityInstance, x) -> LowRankState:
+    """The smoothed state rho'_{x,0,delta} of the zero-label block as a factored density matrix, box-local."""
+    box = inst.space.box(quantum_sites(inst.k), zero_labels(inst.space))
     return _embedded(inst, (full_block(inst.c, inst.k),), inst.rhos[x], box)
 
 
@@ -1078,34 +1075,33 @@ def _ancilla_embedding(inst: TypicalityInstance, sites, psp: Psp) -> np.ndarray:
     return _scatter(inst.space, sites, entries, inst.dim_h ** len(sites))
 
 
-def marginal_block_state(
-    inst: TypicalityInstance, block: Block, x_kept, l_block: dict
-) -> tuple[Box, np.ndarray]:
-    """The averaged marginal (rho')_{x_S, l_S, delta} on A''_{S cap [k]} as a factor C.
+def marginal_block_state(inst: TypicalityInstance, block: Block, x_kept) -> tuple[Box, np.ndarray]:
+    """The averaged marginal (rho')_{x_S, 0, delta} on A''_{S cap [k]} as a factor C.
 
     Classical coordinates outside the block are averaged with the instance
     weights, ancilla labels outside the block uniformly, and the quantum
-    sites outside the block are traced out.  The marginal is C C†, box-local
-    on the union of the kept sites' boxes over the averaged labels, which
-    it returns with C.  The smoothing is linear in the state, so the words
-    are averaged first.  The embedding, and so the marginal's factor, is
-    the same box-local array under every label assignment; each assignment
-    places a copy on its own rows of the union, so a label outside the
-    block that sits in the registers of two kept sites moves the rows of
-    both together.  The copy is compressed to its rank before the copies
-    are stacked, and the stack to the rank of the marginal (rank_factor):
-    C has one column per eigenvalue of the marginal on its support.
+    sites outside the block are traced out; the block's own labels are 0,
+    as every other block label is a relabeling of the ancilla alphabet.
+    The marginal is C C†, box-local on the union of the kept sites' boxes
+    over the averaged labels, which it returns with C.  The smoothing is
+    linear in the state, so the words are averaged first.  The embedding,
+    and so the marginal's factor, is the same box-local array under every
+    label assignment; each assignment places a copy on its own rows of the
+    union, so a label outside the block that sits in the registers of two
+    kept sites moves the rows of both together.  The copy is compressed to
+    its rank before the copies are stacked, and the stack to the rank of
+    the marginal (rank_factor): C has one column per eigenvalue of the
+    marginal on its support.
     """
-    full = full_block(inst.c, inst.k)
     sites = [e for e in block if e > 0]
     kept_c = tuple(e for e in block if e < 0)
     rho = sum(
         w * inst.rhos[inst.merge_word(kept_c, x_kept, x_rest)]
         for x_rest, w in inst.avg_weights(kept_c, x_kept).items()
     )
-    box, full_box, copies = union_plan(inst.space, tuple(block), tuple(int(l_block[e]) for e in block))
+    box, full_box, copies = union_plan(inst.space, tuple(block))
     # one copy has dim rho columns per traced row before its rank cut
-    _, m = _embedded(inst, (full,), rho, full_box).marginal(sites)
+    _, m = _embedded(inst, (full_block(inst.c, inst.k),), rho, full_box).marginal(sites)
     m = rank_factor(m)
     stacked = np.hstack([place(rows, box.size, m) for rows in copies]) / np.sqrt(len(copies))
     # C C† = R† R for the QR factorization C† = Q R, at most one column per box row
@@ -1113,21 +1109,20 @@ def marginal_block_state(
 
 
 @lru_cache(maxsize=None)
-def union_plan(
-    space: AugmentedSpace, block: Block, l_block: tuple[int, ...]
-) -> tuple[Box, Box, tuple[np.ndarray, ...]]:
-    """The shape data of marginal_block_state for the block's labels l_block, in block order.
+def union_plan(space: AugmentedSpace, block: Block) -> tuple[Box, Box, tuple[np.ndarray, ...]]:
+    """The shape data of marginal_block_state, built once per (space, block) (all read-only).
 
-    Returns the union of the kept sites' boxes over the labels outside the
-    block, the box of every quantum site under the first such assignment
-    (all zeros outside the block), and the rows of the union where each
-    assignment's copy lands, in itertools.product order (all read-only).
+    The block's labels are 0, and the labels outside it run over every
+    assignment in itertools.product order, the zero labels first.  Returns
+    the union of the kept sites' boxes over those assignments, the
+    zero-label box of every quantum site, and the rows of the union where
+    each assignment's copy lands.
     """
     full = full_block(space.c, space.k)
     sbar = [e for e in full if e not in set(block)]
     sites = [e for e in block if e > 0]
     assigns = [
-        {**dict(zip(block, l_block)), **dict(zip(sbar, l_rest))}
+        {**zero_labels(space), **dict(zip(sbar, l_rest))}
         for l_rest in itertools.product(range(space.dim_l), repeat=len(sbar))
     ]
     boxes = [space.box(sites, a) for a in assigns]
@@ -1173,20 +1168,18 @@ def _site_noncross_mask(space: AugmentedSpace, site: int, block: Block) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def split_plan(space: AugmentedSpace, block: Block, labels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The shape data of _split_factor under the labels of full_block, in order (read-only).
+def split_plan(space: AugmentedSpace, block: Block) -> tuple[np.ndarray, np.ndarray]:
+    """The shape data of _split_factor, built once per (space, block) (read-only).
 
     On the union box of union_plan: the indicator of the rows whose
     summands stay inside the block (_site_noncross_mask per site), and the
-    rows of the block's own box under the labels.
+    rows of the block's own zero-label box, where the zero-label copy lands.
     """
-    l_assign = dict(zip(full_block(space.c, space.k), labels))
-    box = union_plan(space, block, tuple(l_assign[e] for e in block))[0]
+    box, _, copies = union_plan(space, block)
     inside = reduce(np.logical_and.outer, [
         _site_noncross_mask(space, s, block)[rows] for s, rows in zip(box.sites, box.rows)
     ]).ravel()
-    own = box.index(space.box([e for e in block if e > 0], l_assign).rows)
-    return _frozen(inside), _frozen(own)
+    return _frozen(inside), copies[0]
 
 
 @dataclass
@@ -1237,23 +1230,19 @@ def split_weights(c: int, k: int, psp: Psp, delta: float) -> tuple[float, float]
     return alpha, alpha_beta
 
 
-def split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
-    """The block's marginal and its terms for word x under l_assign, computed once per instance.
+def split_factor(inst: TypicalityInstance, x, block: Block) -> SplitFactor:
+    """The block's marginal and its terms for word x on the zero-label block, computed once per instance.
 
     Every split of the word that contains the block shares the factor.
     """
-    key = ("split_factor", x, block, tuple(sorted(l_assign.items())))
-    return inst.memo(key, lambda: _split_factor(inst, x, block, l_assign))
+    return inst.memo(("split_factor", x, block), lambda: _split_factor(inst, x, block))
 
 
-def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> SplitFactor:
+def _split_factor(inst: TypicalityInstance, x, block: Block) -> SplitFactor:
     sites = tuple(e for e in block if e > 0)
-    coords = classical_coords(inst.c)
-    x_kept = tuple(x[coords.index(e)] for e in block if e < 0)
-    l_block = {e: l_assign[e] for e in block}
-    box, c_i = marginal_block_state(inst, block, x_kept, l_block)
-    labels = tuple(int(l_assign[e]) for e in full_block(inst.c, inst.k))
-    inside, own = split_plan(inst.space, tuple(block), labels)
+    x_kept = tuple(x[classical_coords(inst.c).index(e)] for e in block if e < 0)
+    box, c_i = marginal_block_state(inst, block, x_kept)
+    inside, own = split_plan(inst.space, tuple(block))
     clean = LowRankState.of_factor(c_i * inside[:, None], box)
     crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
     # rho - clean - crossing = C_p C_q† + C_q C_p† for the clean and crossing
@@ -1261,7 +1250,8 @@ def _split_factor(inst: TypicalityInstance, x, block: Block, l_assign: dict) -> 
     # ||C_p C_q†|| = ||R_p R_q†|| for the QR factorizations C_p = Q_p R_p
     r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
     coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
-    own_lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), inst.space.box(sites, l_assign))
+    own_box = inst.space.box(sites, zero_labels(inst.space))
+    own_lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), own_box)
     lead = replace(own_lead, local=place(own, box.size, own_lead.local), box=box)
     a_i = lead_weight(inst, block)
     leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
@@ -1280,13 +1270,8 @@ class SplitDecomposition:
     checks: list
 
 
-def split_decompose(
-    inst: TypicalityInstance,
-    x,
-    psp: Psp,
-    l_assign: dict | None = None,
-) -> SplitDecomposition:
-    """Three-term decomposition of the split state and its Claim-level checks.
+def split_decompose(inst: TypicalityInstance, x, psp: Psp) -> SplitDecomposition:
+    """Three-term decomposition of the split state on the zero-label block and its Claim-level checks.
 
     The flat remainder M is isolated by restricting each factor to the
     sectors whose summand labels leak quantum sites out of the factor's
@@ -1294,8 +1279,6 @@ def split_decompose(
     term N then comes out by subtracting the tilted leading term.  Each
     block's factor comes from split_factor, shared with the word's other splits.
     """
-    if l_assign is None:
-        l_assign = zero_labels(inst)
     checks: list = []
     params = {"psp": str(psp), "x": str(x)}
     alpha, alpha_beta = split_weights(inst.c, inst.k, tuple(psp), float(inst.delta))
@@ -1317,7 +1300,7 @@ def split_decompose(
         checks.append(report.AuditCheck("claim2_n_norm", 0.0, 3.0 / np.sqrt(inst.dim_l), 0.0, params))
         return SplitDecomposition(psp, alpha, beta, [], 0.0, 0.0, checks)
 
-    factors = [split_factor(inst, x, block, l_assign) for block in psp]
+    factors = [split_factor(inst, x, block) for block in psp]
     coords = classical_coords(inst.c)
     fill_norm = 1.0
     if t_sites:
@@ -1516,6 +1499,8 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     All (x, l) blocks with the same x are unitarily equivalent under
     relabelings of the ancilla alphabet, so each claim is evaluated on the
     all-zero label block; the averages over l equal the per-block values.
+    The construction, the split decomposition and its block marginals are
+    built on that block alone and take no label assignment.
     The claims need delta > 0: the stated floor of claim 4 scales as delta^(-2k).
     """
     if not inst.delta > 0:
@@ -1560,7 +1545,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
         chain_rhs = 0.0
         for x in words:
             constr = constructions[x]
-            dec = split_decompose(inst, x, psp, constr.l_assign)
+            dec = split_decompose(inst, x, psp)
             checks.extend(dec.checks)
             val = _split_expectation(inst, constr, psp, dec)
             inst.forget(lambda key: key[:2] == ("split_factor", x) and last_split[key[2]] == i)
@@ -1646,20 +1631,22 @@ def union_of_intersections(instances: list, alpha: float) -> UnionResult:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     # every instance uses the all-zero labels, so every construction and
-    # lifted state lives on one box.  Off W every Pi' is 0, so the dilated
-    # ranges there are W-perp x |1>, orthogonal to every lifted state (ancilla
-    # |0>), and tilting keeps them so: the union on W x C^2 is exact
+    # lifted state lives on one box and one tilted layout, and every B is
+    # zero off the layout rows.  Off W every Pi' is 0, so the dilated ranges
+    # there are W-perp x |1>, orthogonal to every lifted state (ancilla |0>),
+    # and tilting keeps them so: the union on W x C^2 is exact
     constructions = [build_construction(inst, ()) for inst in instances]
-    w = np.linalg.qr(np.hstack([c.b for c in constructions]))[0]
-    thin = [w.conj().T @ c.b for c in constructions]
+    w = np.linalg.qr(np.hstack([c.b_tilted for c in constructions]))[0]
+    thin = [w.conj().T @ c.b_tilted for c in constructions]
     ranges = [hyptest.dilation_basis(b @ b.conj().T) for b in thin]
     rank = w.shape[1]
     layout = tilting.TiltedLayout(2 * rank, len(instances))
     union = tilting.tilted_basis(ranges, alpha * np.eye(len(instances)), layout)
+    rows = constructions[0].rows
 
     def lift(state: LowRankState) -> np.ndarray:
-        # box columns -> W coordinates tensor |0> ancilla -> base summand of the tilted space
-        return place(np.arange(0, 2 * rank, 2), layout.total_dim, w.conj().T @ state.core_sqrt_cols())
+        # layout rows -> W coordinates tensor |0> ancilla -> base summand of the tilted space
+        return place(np.arange(0, 2 * rank, 2), layout.total_dim, w.conj().T @ state.core_sqrt_cols(rows))
 
     def accept(basis: np.ndarray, lifted: np.ndarray) -> float:
         # ||basis† lifted||^2 on the basis's rows: the first 2 rank W rows of

@@ -119,6 +119,34 @@ class TestDh:
         assert run(["dh", str(path), "--out", outdir]) == 2
         assert "error:" in capsys.readouterr().err
 
+    HALF = ("2 2", "0.5 0 0 0 0 0 0.5 0")
+    WIDE = ("2 3", "0.5 0 0 0 0 0 0 0 0.5 0 0 0")
+
+    @pytest.mark.parametrize(
+        "rho, sigma, message",
+        [
+            # trace 1 but an eigenvalue -1
+            (("2 2", "2 0 0 0 0 0 -1 0"), HALF, "rho: minimum eigenvalue"),
+            # off-diagonals 0.7 and 0.2
+            (("2 2", "0.5 0 0.7 0 0.2 0 0.5 0"), HALF, "rho: matrix is not Hermitian"),
+            # an alternate of any trace is solved, but not one with an eigenvalue -0.5
+            (HALF, ("2 2", "1.5 0 0 0 0 0 -0.5 0"), "sigma: minimum eigenvalue"),
+            (WIDE, WIDE, "rho: expected a square matrix"),
+        ],
+    )
+    def test_quantum_invalid_matrix_exits_2(self, tmp_path, outdir, capsys, rho, sigma, message):
+        path = tmp_path / "in.txt"
+        path.write_text(
+            "mode = quantum\n"
+            f"rho.dims = {rho[0]}\nrho = {rho[1]}\n"
+            f"sigma.dims = {sigma[0]}\nsigma = {sigma[1]}\n"
+            "epsilon = 0.1\n"
+        )
+        assert run(["dh", str(path), "--out", outdir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+        assert not os.path.exists(os.path.join(outdir, "test.txt"))
+
 
 class TestAudit:
     def test_tilting_passes(self, outdir, capsys):

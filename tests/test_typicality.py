@@ -476,17 +476,24 @@ class TestRhoPrime:
 
     @staticmethod
     def check_factored_partial_trace(c, k, dim_h, x, l_assign):
+        # the zero-label marginals against the dense partial traces of the same
+        # state, and their spectra against the dense state of the l_assign
+        # block from global_embed, a relabeling of it
         inst = small_instance(74, c=c, k=k, dim_h=dim_h, delta=0.4)
         space = inst.space
-        st = tp.build_rho_prime(inst, x, l_assign)
+        st = tp.build_rho_prime(inst, x)
         assert st.box.size < np.prod(st.box.dims)
         dense = st.dense()
+        v = tp.global_embed(space, l_assign, inst.delta)
+        relabeled = v @ tp.embed_with_ancilla(inst.rhos[x], k, dim_h) @ v.conj().T
         dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
         for r in range(1, k + 1):
             for keep in itertools.combinations(tp.quantum_sites(k), r):
                 got = tp.factored_partial_trace(space, st, keep)
                 want = qla.partial_trace(dense, dims, [s - 1 for s in keep])
                 npt.assert_allclose(got, want, atol=1e-12)
+                other = qla.partial_trace(relabeled, dims, [s - 1 for s in keep])
+                npt.assert_allclose(np.linalg.eigvalsh(got), np.linalg.eigvalsh(other), atol=1e-12)
 
     @pytest.mark.parametrize(
         "c, k, dim_h, block, x_kept",
@@ -501,29 +508,37 @@ class TestRhoPrime:
     )
     def test_marginal_block_state_matches_dense(self, c, k, dim_h, block, x_kept):
         # oracle: the average over the classical words and labels outside the
-        # block of the dense partial traces of global_embed's states
+        # block of the dense partial traces of global_embed's states, with the
+        # block's labels all 0 or all 1
         inst = small_instance(75, c=c, k=k, dim_h=dim_h, delta=0.4)
         space = inst.space
         full = tp.full_block(c, k)
         sbar = [e for e in full if e not in block]
         kept_c = tuple(e for e in block if e < 0)
         sites = [e for e in block if e > 0]
-        l_block = {e: 1 for e in block}
         dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
         n_l = inst.dim_l ** len(sbar)
-        want = 0.0
-        for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
-            x_full = inst.merge_word(kept_c, x_kept, x_rest)
-            for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
-                l_assign = {**l_block, **dict(zip(sbar, l_rest))}
-                v = tp.global_embed(space, l_assign, inst.delta)
-                rho = v @ tp.embed_with_ancilla(inst.rhos[x_full], k, dim_h) @ v.conj().T
-                want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
-        box, c_factor = tp.marginal_block_state(inst, block, x_kept, l_block)
+
+        def oracle(label):
+            want = 0.0
+            for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
+                x_full = inst.merge_word(kept_c, x_kept, x_rest)
+                for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
+                    l_assign = {**dict.fromkeys(block, label), **dict(zip(sbar, l_rest))}
+                    v = tp.global_embed(space, l_assign, inst.delta)
+                    rho = v @ tp.embed_with_ancilla(inst.rhos[x_full], k, dim_h) @ v.conj().T
+                    want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
+            return want
+
+        box, c_factor = tp.marginal_block_state(inst, block, x_kept)
         assert box.sites == tuple(sites)
-        # one column per eigenvalue of the marginal on its support
+        got = tp.LowRankState.of_factor(c_factor, box).dense()
+        npt.assert_allclose(got, oracle(0), atol=1e-12)
+        # the block at labels 1 is a relabeling of the zero-label block: one
+        # column per eigenvalue of its marginal on the support, and its spectrum
+        want = oracle(1)
         assert c_factor.shape[1] == np.count_nonzero(qla.support_mask(np.linalg.eigvalsh(want)))
-        npt.assert_allclose(tp.LowRankState.of_factor(c_factor, box).dense(), want, atol=1e-12)
+        npt.assert_allclose(np.linalg.eigvalsh(got), np.linalg.eigvalsh(want), atol=1e-12)
 
     @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (2, 2, 2)])
     def test_marginal_block_state_embeds_once(self, monkeypatch, c, k, L):
@@ -542,7 +557,7 @@ class TestRhoPrime:
         for block in sorted({b for p in splits for b in p}):
             x_kept = tuple(x[tp.classical_coords(c).index(e)] for e in block if e < 0)
             calls[0] = 0
-            tp.marginal_block_state(inst, block, x_kept, {e: 1 for e in block})
+            tp.marginal_block_state(inst, block, x_kept)
             assert calls[0] == 1, block
 
 
@@ -739,22 +754,23 @@ class TestSplitDecompose:
         [(0, 2, (), ((1,), (2,))), (0, 2, (), ((2,),)), (1, 1, (1,), ((1,),))],
     )
     def test_split_expectation_matches_dense(self, c, k, x, psp):
-        # Tr[Pi' (x) factors] with the box-local factors expanded to A''; every
-        # case has single-site groups, so the Kronecker product in site order
-        # is the operator on A''
+        # Tr[Pi' (x) factors] on the all-ones label block, a relabeling of the
+        # zero-label block: the dense marginals of global_embed's states and
+        # Pi' expanded to A''; every case has single-site groups, so the
+        # Kronecker product in site order is the operator on A''
         inst = small_instance(95, c=c, k=k, delta=0.4)
         space = inst.space
         l_assign = {e: 1 for e in tp.full_block(c, k)}
-        constr = tp.build_construction(inst, x).relabeled(l_assign)
-        dec = tp.split_decompose(inst, x, psp, l_assign)
-        factors = [(f.sites, f.rho.dense()) for f in dec.factors]
+        constr = tp.build_construction(inst, x)
+        dec = tp.split_decompose(inst, x, psp)
+        factors = [(f.sites, self.dense_factor(inst, x, f.block, l_assign)[0]) for f in dec.factors]
         t_sites = [s for s in tp.quantum_sites(k) if not any(s in f.sites for f in dec.factors)]
         if t_sites:
             e_t = dense_base(space, t_sites)
             fill = tp.embed_with_ancilla(inst.quantum_marginal(x, t_sites), len(t_sites), 2)
             factors.append((tuple(t_sites), e_t @ fill @ e_t.conj().T))
         assert all(len(sites) == 1 for sites, _ in factors)
-        b = constr.b_factor
+        b = constr.relabeled(l_assign).b_factor
         op = qla.tensor_all([m for _, m in sorted(factors, key=lambda f: f[0])])
         want = np.trace(b.conj().T @ op @ b).real
         got = tp._split_expectation(inst, constr, psp, dec)
@@ -829,32 +845,34 @@ class TestSplitDecompose:
     def test_numbers_on_generic_factor(self, monkeypatch):
         # the marginals of the construction have no coherence between the
         # sectors; a perturbed factor on the same box has, and every number of
-        # the factored algebra must still match the dense one
+        # the factored algebra must still match the dense one (on the
+        # zero-label block, where the perturbed factor lives)
         inst = small_instance(103, c=1, k=2, dim_h=1, dim_l=2, delta=0.4)
-        x, l_assign = inst.words()[0], {-1: 1, 1: 1, 2: 1}
+        x = inst.words()[0]
         rng = rng_from_seed(104)
         made = {}
         exact = tp.marginal_block_state
 
-        def perturbed(inst, block, x_kept, l_block):
-            box, c = exact(inst, block, x_kept, l_block)
+        def perturbed(inst, block, x_kept):
+            box, c = exact(inst, block, x_kept)
             c = c + 0.05 * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
             made[block] = (box, c)
             return box, c
 
         monkeypatch.setattr(tp, "marginal_block_state", perturbed)
-        dec = tp.split_decompose(inst, x, ((1,), (2,)), l_assign)
+        dec = tp.split_decompose(inst, x, ((1,), (2,)))
         for f in dec.factors:
             box, c = made[f.block]
-            _, lead = self.dense_factor(inst, x, f.block, l_assign)
+            _, lead = self.dense_factor(inst, x, f.block, tp.zero_labels(inst.space))
             self.check_factor(inst, f, tp.LowRankState.of_factor(c, box).dense(), lead)
             assert f.coherence_norm > 1e-3 and f.crossing.eigenvalues()[-1] > 1e-3
 
     @pytest.mark.parametrize("c, k, L", [(0, 2, 2), (1, 1, 2), (1, 2, 2)])
     def test_numbers_match_dense_oracle(self, c, k, L):
-        # every number of the decomposition against dense eigvalsh on A''_sites,
-        # at |H| = 1 so that the dense marginals stay small; at c = 1, k = 2
-        # the splits include the block (1, 2) with its classical coordinate averaged
+        # every number of the zero-label decomposition against dense eigvalsh on
+        # A''_sites of the all-ones label block, a relabeling of it, at |H| = 1
+        # so that the dense marginals stay small; at c = 1, k = 2 the splits
+        # include the block (1, 2) with its classical coordinate averaged
         inst = small_instance(100 + c + k, c=c, k=k, dim_h=1, dim_l=L, delta=0.4)
         x = inst.words()[-1]
         l_assign = {e: 1 for e in tp.full_block(c, k)}
@@ -864,7 +882,7 @@ class TestSplitDecompose:
             assert ((1, 2),) in splits
 
         for psp in splits:
-            dec = tp.split_decompose(inst, x, psp, l_assign)
+            dec = tp.split_decompose(inst, x, psp)
             rows = [
                 self.check_factor(inst, f, *self.dense_factor(inst, x, f.block, l_assign))
                 for f in dec.factors
@@ -960,9 +978,9 @@ class TestIntersectionLemma:
         calls = {}
         exact = tp.marginal_block_state
 
-        def counting(inst, block, x_kept, l_block):
+        def counting(inst, block, x_kept):
             calls[block, x_kept] = calls.get((block, x_kept), 0) + 1
-            return exact(inst, block, x_kept, l_block)
+            return exact(inst, block, x_kept)
 
         monkeypatch.setattr(tp, "marginal_block_state", counting)
         inst = small_instance(160 + c, c=c, k=k, dim_l=L, delta=0.3)
@@ -1389,13 +1407,27 @@ class TestShapeCaches:
             held.extend(tp.tilt_entries(space, sites, psp, inst.delta))
             held.extend(tp.ancilla_entries(space, sites, psp, inst.delta))
         for block in {b for p in inst.lattice.linear_ext for b in p}:
-            box, full_box, copies = tp.union_plan(space, block, (0,) * len(block))
+            box, full_box, copies = tp.union_plan(space, block)
             held.extend(box.rows + full_box.rows + copies)
-            held.extend(tp.split_plan(space, block, (0,) * len(full)))
+            held.extend(tp.split_plan(space, block))
         for a in held:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_one_plan_per_block(self):
+        # every marginal of the lemma sits on the zero-label block, so two
+        # instances of each shape leave one union_plan and one split_plan
+        # entry per (space, block)
+        clear_shape_caches()
+        keys = set()
+        for seed, (c, k, dim_l) in enumerate([(0, 2, 4), (1, 2, 2), (0, 2, 4), (1, 2, 2)]):
+            inst = small_instance(230 + seed, c=c, k=k, dim_l=dim_l, delta=0.3)
+            tp.intersection_lemma(inst)
+            splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
+            keys |= {(inst.space, b) for p in splits for b in p}
+        assert tp.union_plan.cache_info().currsize == len(keys)
+        assert tp.split_plan.cache_info().currsize == len(keys)
 
     def test_no_dense_embedding_kept(self):
         # one psp_local array at (0, 3, 2) is 8000 x 64 complex, 8.2 MB; what

@@ -14,7 +14,7 @@ from oneshot import typicality as tp
 def box_row_union(instances: list, alpha: float) -> list:
     """The checks of union_of_intersections, with the union formed on the box rows."""
     first = instances[0]
-    n = first.space.box(tp.quantum_sites(first.k), tp.zero_labels(first)).size
+    n = first.space.box(tp.quantum_sites(first.k), tp.zero_labels(first.space)).size
     constructions = [tp.build_construction(inst, ()) for inst in instances]
     ranges = [hyptest.dilation_basis(c.b @ c.b.conj().T) for c in constructions]
     layout = tilting.TiltedLayout(2 * n, len(instances))

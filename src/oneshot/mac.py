@@ -589,11 +589,15 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     joint test stays untilted in the base copy.  The test blocks of all three
     are dilated and their rejection bases taken as one stack (read-only), and
     the POVM factors are built on the label rows (DecodingSet.local).  delta
-    must be positive: untilted, the three images would share the base copy.
+    must be positive, and its tilt weight delta^2 / (1 + delta^2) must not
+    underflow to 0 (both refused before any solve): untilted, the three
+    images would share the base copy.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     chan = PerturbedChannel(spec, dim_l, delta)
+    if not delta**2 / (1 + delta**2) > 0:
+        raise ValueError(f"delta {delta} underflows the tilt weight delta^2 / (1 + delta^2) to 0")
     letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
     weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]
     states = [spec.states[x, y] for x, y in letters]

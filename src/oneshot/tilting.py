@@ -54,8 +54,8 @@ class TiltingMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("tilting matrix must be square")
         object.__setattr__(self, "alpha", a)
-        if np.any(a < -1e-15) or np.any(a > 1 + 1e-12):
-            raise ValueError("entries must lie in [0, 1]")
+        if not np.all((a >= -1e-15) & (a <= 1 + 1e-12)):
+            raise ValueError("entries must be finite and lie in [0, 1]")
         if np.any(np.abs(np.tril(a, -1)) > 1e-15):
             raise ValueError("matrix is not upper triangular")
         for i in range(a.shape[0]):

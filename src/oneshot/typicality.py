@@ -705,15 +705,18 @@ def l1_distance_factored(a: LowRankState, b: LowRankState) -> float:
 class TypicalityInstance:
     """Inputs of one smoothing-and-augmentation construction.
 
-    rhos maps each classical word x (a tuple, () when c = 0) to a state on
-    H^(x k); eps_total is split uniformly over the non-empty
-    pseudosubpartitions, and each share must lie in [0, 1) (check_eps).
-    The augmented space is built (and its size checked) on construction,
-    the lattice on first use.  Split states, the core and root of each
-    distinct embedded state (state_core) and split factors are computed
-    once per instance and shared (read-only);
-    intersection_lemma forgets a block's factors after the last split that
-    contains it.
+    rhos and p_x map the same classical words x, tuples of c symbols (()
+    when c = 0), to a state on H^(x k) and a weight >= 0, the weights
+    summing to 1; any other words are refused on construction.  eps_total
+    is split uniformly over the non-empty pseudosubpartitions, and each
+    share must lie in [0, 1) (check_eps).  The augmented space is built
+    (and its size checked) on construction, the lattice on first use.
+    Split states, the core and root of each distinct embedded state
+    (state_core) and split factors are computed once per instance and
+    shared (read-only).  A block's split factor is computed once per
+    conditioning (conditional), for every word that agrees on the block's
+    classical coordinates; intersection_lemma forgets it once every word
+    of the last split that contains the block is done.
     """
 
     c: int
@@ -738,9 +741,13 @@ class TypicalityInstance:
             del self._memo[key]
 
     def __post_init__(self):
-        if self.c == 0:
-            if set(self.rhos) != {()}:
-                raise ValueError("c = 0 instances use the empty classical word ()")
+        if set(self.rhos) != set(self.p_x):
+            raise ValueError("rhos and p_x must have the same words")
+        for x, p in self.p_x.items():
+            if not (isinstance(x, tuple) and len(x) == self.c):
+                raise ValueError(f"word {x!r} is not a tuple of c = {self.c} symbols")
+            if not p >= 0:
+                raise ValueError(f"word {x!r} has weight {p}, not >= 0")
         total = sum(self.p_x.values())
         if abs(total - 1.0) > 1e-10:
             raise ValueError("p_x must sum to 1")
@@ -761,34 +768,21 @@ class TypicalityInstance:
     def words(self):
         return sorted(self.rhos)
 
-    def avg_weights(self, kept_coords, x_kept) -> dict:
-        """Distribution over the classical coordinates outside kept_coords.
+    def conditional(self, block: Block, x) -> dict:
+        """The words that agree with x on the block's classical coordinates, with their conditional weights.
 
-        Defaults to the conditional of p_x given the kept symbols (equal to
-        the plain marginal when c <= 1 or p_x factorizes).
+        A block's averaged marginal reads x only through these: {x: 1.0} when
+        the block keeps every classical coordinate, else the conditional of
+        p_x given x's symbols there.
         """
-        coords = classical_coords(self.c)
-        kept_idx = [i for i, e in enumerate(coords) if e in set(kept_coords)]
-        rest_idx = [i for i, e in enumerate(coords) if e not in set(kept_coords)]
-        if not rest_idx:
-            return {(): 1.0}
-        weights = {}
-        for x, p in self.p_x.items():
-            if tuple(x[i] for i in kept_idx) != tuple(x_kept):
-                continue
-            key = tuple(x[i] for i in rest_idx)
-            weights[key] = weights.get(key, 0.0) + p
-        total = sum(weights.values())
+        kept = [i for i, e in enumerate(classical_coords(self.c)) if e in block]
+        if len(kept) == self.c:
+            return {x: 1.0}
+        agree = {y: p for y, p in self.p_x.items() if all(y[i] == x[i] for i in kept)}
+        total = sum(agree.values())
         if total <= 0:
             raise ValueError("kept classical word has zero probability")
-        return {key: w / total for key, w in weights.items()}
-
-    def merge_word(self, kept_coords, x_kept, x_rest) -> tuple:
-        coords = classical_coords(self.c)
-        kept = dict(zip(sorted(kept_coords), x_kept))
-        rest_coords = [e for e in coords if e not in set(kept_coords)]
-        rest = dict(zip(rest_coords, x_rest))
-        return tuple(kept.get(e, rest.get(e)) for e in coords)
+        return {y: p / total for y, p in agree.items()}
 
     def quantum_marginal(self, x, sites) -> np.ndarray:
         sites = sorted(sites)
@@ -796,15 +790,12 @@ class TypicalityInstance:
             self.rhos[x], (self.dim_h,) * self.k, keep=[s - 1 for s in sites]
         )
 
-    def averaged_marginal(self, block: Block, x_kept) -> np.ndarray:
-        """Classically averaged quantum marginal for one block of a split."""
-        kept_c = tuple(e for e in block if e < 0)
+    def averaged_marginal(self, block: Block, x) -> np.ndarray:
+        """Classically averaged quantum marginal for one block of a split of word x."""
         sites = [e for e in block if e > 0]
-        weights = self.avg_weights(kept_c, x_kept)
         out = 0.0
-        for x_rest, w in weights.items():
-            x_full = self.merge_word(kept_c, x_kept, x_rest)
-            out = out + w * self.quantum_marginal(x_full, sites)
+        for y, w in self.conditional(block, x).items():
+            out = out + w * self.quantum_marginal(y, sites)
         return qla.hermitian_part(out)
 
     def split_state(self, x, psp: Psp) -> np.ndarray:
@@ -816,10 +807,7 @@ class TypicalityInstance:
         t_sites = [s for s in quantum_sites(self.k) if s not in covered]
         factors = []
         for block in psp:
-            x_kept = tuple(x[classical_coords(self.c).index(e)] for e in block if e < 0)
-            factors.append(
-                (tuple(e for e in block if e > 0), self.averaged_marginal(block, x_kept))
-            )
+            factors.append((tuple(e for e in block if e > 0), self.averaged_marginal(block, x)))
         if t_sites:
             factors.append((tuple(t_sites), self.quantum_marginal(x, t_sites)))
         n = self.dim_h**self.k
@@ -1075,13 +1063,15 @@ def _ancilla_embedding(inst: TypicalityInstance, sites, psp: Psp) -> np.ndarray:
     return _scatter(inst.space, sites, entries, inst.dim_h ** len(sites))
 
 
-def marginal_block_state(inst: TypicalityInstance, block: Block, x_kept) -> tuple[Box, np.ndarray]:
+def marginal_block_state(inst: TypicalityInstance, block: Block, x) -> tuple[Box, np.ndarray]:
     """The averaged marginal (rho')_{x_S, 0, delta} on A''_{S cap [k]} as a factor C.
 
-    Classical coordinates outside the block are averaged with the instance
-    weights, ancilla labels outside the block uniformly, and the quantum
-    sites outside the block are traced out; the block's own labels are 0,
-    as every other block label is a relabeling of the ancilla alphabet.
+    The word x enters only through inst.conditional: the classical
+    coordinates outside the block are averaged with their weights given
+    x's symbols on the block's, ancilla labels outside the block
+    uniformly, and the quantum sites outside the block are traced out; the
+    block's own labels are 0, as every other block label is a relabeling
+    of the ancilla alphabet.
     The marginal is C C†, box-local on the union of the kept sites' boxes
     over the averaged labels, which it returns with C.  The smoothing is
     linear in the state, so the words are averaged first.  The embedding,
@@ -1094,11 +1084,7 @@ def marginal_block_state(inst: TypicalityInstance, block: Block, x_kept) -> tupl
     marginal on its support.
     """
     sites = [e for e in block if e > 0]
-    kept_c = tuple(e for e in block if e < 0)
-    rho = sum(
-        w * inst.rhos[inst.merge_word(kept_c, x_kept, x_rest)]
-        for x_rest, w in inst.avg_weights(kept_c, x_kept).items()
-    )
+    rho = sum(w * inst.rhos[y] for y, w in inst.conditional(block, x).items())
     box, full_box, copies = union_plan(inst.space, tuple(block))
     # one copy has dim rho columns per traced row before its rank cut
     _, m = _embedded(inst, (full_block(inst.c, inst.k),), rho, full_box).marginal(sites)
@@ -1231,17 +1217,20 @@ def split_weights(c: int, k: int, psp: Psp, delta: float) -> tuple[float, float]
 
 
 def split_factor(inst: TypicalityInstance, x, block: Block) -> SplitFactor:
-    """The block's marginal and its terms for word x on the zero-label block, computed once per instance.
+    """The block's marginal and its terms for word x on the zero-label block, computed once per conditioning.
 
-    Every split of the word that contains the block shares the factor.
+    _split_factor reads x only through inst.conditional, so the memo key is
+    the block and the words conditional returns: every split that contains
+    the block, in every word that agrees with x on the block's classical
+    coordinates, shares one factor.
     """
-    return inst.memo(("split_factor", x, block), lambda: _split_factor(inst, x, block))
+    key = ("split_factor", block, tuple(inst.conditional(block, x)))
+    return inst.memo(key, lambda: _split_factor(inst, x, block))
 
 
 def _split_factor(inst: TypicalityInstance, x, block: Block) -> SplitFactor:
     sites = tuple(e for e in block if e > 0)
-    x_kept = tuple(x[classical_coords(inst.c).index(e)] for e in block if e < 0)
-    box, c_i = marginal_block_state(inst, block, x_kept)
+    box, c_i = marginal_block_state(inst, block, x)
     inside, own = split_plan(inst.space, tuple(block))
     clean = LowRankState.of_factor(c_i * inside[:, None], box)
     crossing = LowRankState.of_factor(c_i * ~inside[:, None], box)
@@ -1251,7 +1240,7 @@ def _split_factor(inst: TypicalityInstance, x, block: Block) -> SplitFactor:
     r_p, r_q = (np.linalg.qr(c_i[rows], mode="r") for rows in (inside, ~inside))
     coh = float(np.linalg.norm(r_p @ r_q.conj().T, 2))
     own_box = inst.space.box(sites, zero_labels(inst.space))
-    own_lead = _embedded(inst, (block,), inst.averaged_marginal(block, x_kept), own_box)
+    own_lead = _embedded(inst, (block,), inst.averaged_marginal(block, x), own_box)
     lead = replace(own_lead, local=place(own, box.size, own_lead.local), box=box)
     a_i = lead_weight(inst, block)
     leak = joint_spectrum([(1.0, clean), (-a_i, lead)])
@@ -1277,7 +1266,8 @@ def split_decompose(inst: TypicalityInstance, x, psp: Psp) -> SplitDecomposition
     sectors whose summand labels leak quantum sites out of the factor's
     block (its support is exactly there, orthogonal to the rest); the leak
     term N then comes out by subtracting the tilted leading term.  Each
-    block's factor comes from split_factor, shared with the word's other splits.
+    block's factor comes from split_factor, shared with the other splits and
+    words that agree on the block's classical coordinates.
     """
     checks: list = []
     params = {"psp": str(psp), "x": str(x)}
@@ -1500,13 +1490,20 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     relabelings of the ancilla alphabet, so each claim is evaluated on the
     all-zero label block; the averages over l equal the per-block values.
     The construction, the split decomposition and its block marginals are
-    built on that block alone and take no label assignment.
-    The claims need delta > 0: the stated floor of claim 4 scales as delta^(-2k).
+    built on that block alone and take no label assignment.  A block's
+    split factors are forgotten once every word of the last split that
+    contains the block is done.
+    The claims need a finite delta > 0 whose tilt weights delta^(2l) / N do
+    not underflow: the stated floor of claim 4 scales as delta^(-2k), and a
+    zero diagonal weight leaves a direction untilted.  Both are refused
+    before any D_H solve.
     """
-    if not inst.delta > 0:
-        raise ValueError(f"delta must be positive, got {inst.delta}")
+    if not 0 < inst.delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {inst.delta}")
     words = inst.words()
     lattice = inst.lattice
+    if not np.all(np.diag(build_tilting_matrix(lattice, inst.delta).alpha) > 0):
+        raise ValueError(f"delta {inst.delta} underflows a diagonal tilt weight delta^(2l) / N to 0")
     k, c = inst.k, inst.c
     m = (2 * inst.dim_h) ** inst.k
     tests = optimal_splitting_tests(inst)
@@ -1538,7 +1535,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
     )
 
     soundness = {}
-    # a word's factors of a block serve every split that contains the block, and no later step
+    # a block's factors serve every split that contains the block, and no later step
     last_split = {block: i for i, psp in enumerate(lattice.linear_ext) for block in psp}
     for i, psp in enumerate(lattice.linear_ext):
         lhs = 0.0
@@ -1548,7 +1545,6 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
             dec = split_decompose(inst, x, psp)
             checks.extend(dec.checks)
             val = _split_expectation(inst, constr, psp, dec)
-            inst.forget(lambda key: key[:2] == ("split_factor", x) and last_split[key[2]] == i)
             lhs += inst.p_x[x] * val
             pi_trace = constr.pi_prime_trace_norm()
             chain_rhs += inst.p_x[x] * (
@@ -1556,6 +1552,7 @@ def intersection_lemma(inst: TypicalityInstance) -> LemmaResult:
                 + pi_trace * dec.n_norm
                 + (1.0 - dec.alpha - dec.beta) * pi_trace * dec.m_norm
             )
+        inst.forget(lambda key: key[0] == "split_factor" and last_split[key[1]] == i)
         dh_reject = sum(inst.p_x[x] * tests[x][psp].reject_mass for x in words)
         rhs = max(dh_reject, 3.0 * m / np.sqrt(inst.dim_l))
         soundness[psp] = {"lhs": lhs, "dh_reject": dh_reject, "chain_rhs": chain_rhs}

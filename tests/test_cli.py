@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +416,38 @@ class TestRejectedInput:
         # delta gave claim3_l1_distance a negative bound, which failed (exit 1)
         assert run(argv + ["--delta", delta, "--out", outdir]) == 2
         assert "error: delta must be positive" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["typicality-build", "--delta", "inf"],
+            ["typicality-build", "--delta", "nan"],
+            ["audit", "typicality", "--trials", "1", "--delta", "inf"],
+            ["typicality-build", "--delta", "1e-200"],
+            ["mac", "cq", "delta = 1e-300"],
+        ],
+    )
+    def test_unusable_delta_exits_2_before_any_solve(
+        self, argv, monkeypatch, tmp_path, outdir, capsys, recwarn
+    ):
+        # inf made the tilt weights nan after a numpy warning, and a delta
+        # that underflows them to 0 failed only after every solve
+        calls = []
+        monkeypatch.setattr(hyptest, "quantum_optimal_test", lambda *args: calls.append(args))
+        if argv[0] == "mac":
+            lines = [
+                argv[2] if line.startswith("delta") else line
+                for line in Path("configs/cq_mac_small.txt").read_text().splitlines()
+            ]
+            path = tmp_path / "delta.txt"
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["mac", "cq", str(path)]
+        assert run(argv + ["--out", outdir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta" in err
+        assert not [w.message for w in recwarn.list]
+        assert not calls
         assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize("eps", ["0", "-0.1"])

@@ -214,6 +214,14 @@ class TestATiltedSpan:
         with pytest.raises(ValueError):
             tilting.TiltingMatrix(np.array([[0.8, 0.5], [0.0, 0.6]]))  # column sum
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # each range check was false for nan, so a nan matrix passed
+        with pytest.raises(ValueError, match="finite"):
+            tilting.TiltingMatrix(np.array([[bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            tilting.TiltingMatrix(np.array([[0.5, bad], [0.0, 0.5]]))
+
 
 def union_projector(projectors, alpha):
     """The robust union of the projectors: their tilted span at one weight alpha."""

@@ -496,17 +496,19 @@ class TestRhoPrime:
                 npt.assert_allclose(np.linalg.eigvalsh(got), np.linalg.eigvalsh(other), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "c, k, dim_h, block, x_kept",
+        "c, k, dim_h, block, x",
         [
             (0, 2, 2, (1,), ()),
             (0, 2, 2, (1, 2), ()),
-            (1, 1, 2, (1,), ()),
+            (1, 1, 2, (1,), (0,)),
             (1, 1, 2, (-1, 1), (1,)),
-            (1, 2, 1, (2,), ()),
+            (1, 2, 1, (2,), (1,)),
             (1, 2, 1, (-1, 1), (0,)),
         ],
+        # stable ids: the cases keep the ids they had when x was the kept symbols
+        ids=[f"{s}-block{i}-x_kept{i}" for i, s in enumerate(["0-2-2"] * 2 + ["1-1-2"] * 2 + ["1-2-1"] * 2)],
     )
-    def test_marginal_block_state_matches_dense(self, c, k, dim_h, block, x_kept):
+    def test_marginal_block_state_matches_dense(self, c, k, dim_h, block, x):
         # oracle: the average over the classical words and labels outside the
         # block of the dense partial traces of global_embed's states, with the
         # block's labels all 0 or all 1
@@ -514,15 +516,13 @@ class TestRhoPrime:
         space = inst.space
         full = tp.full_block(c, k)
         sbar = [e for e in full if e not in block]
-        kept_c = tuple(e for e in block if e < 0)
         sites = [e for e in block if e > 0]
         dims = [space.site_dim(s) for s in tp.quantum_sites(k)]
         n_l = inst.dim_l ** len(sbar)
 
         def oracle(label):
             want = 0.0
-            for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
-                x_full = inst.merge_word(kept_c, x_kept, x_rest)
+            for x_full, w in inst.conditional(block, x).items():
                 for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
                     l_assign = {**dict.fromkeys(block, label), **dict(zip(sbar, l_rest))}
                     v = tp.global_embed(space, l_assign, inst.delta)
@@ -530,7 +530,7 @@ class TestRhoPrime:
                     want = want + w / n_l * qla.partial_trace(rho, dims, [s - 1 for s in sites])
             return want
 
-        box, c_factor = tp.marginal_block_state(inst, block, x_kept)
+        box, c_factor = tp.marginal_block_state(inst, block, x)
         assert box.sites == tuple(sites)
         got = tp.LowRankState.of_factor(c_factor, box).dense()
         npt.assert_allclose(got, oracle(0), atol=1e-12)
@@ -555,9 +555,8 @@ class TestRhoPrime:
         x = inst.words()[-1]
         splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
         for block in sorted({b for p in splits for b in p}):
-            x_kept = tuple(x[tp.classical_coords(c).index(e)] for e in block if e < 0)
             calls[0] = 0
-            tp.marginal_block_state(inst, block, x_kept)
+            tp.marginal_block_state(inst, block, x)
             assert calls[0] == 1, block
 
 
@@ -788,14 +787,11 @@ class TestSplitDecompose:
         space = inst.space
         full = tp.full_block(inst.c, inst.k)
         sbar = [e for e in full if e not in block]
-        kept_c = tuple(e for e in block if e < 0)
-        x_kept = tuple(x[tp.classical_coords(inst.c).index(e)] for e in kept_c)
         sites = [e for e in block if e > 0]
         l_block = {e: l_assign[e] for e in block}
         dims = [space.site_dim(s) for s in tp.quantum_sites(inst.k)]
         rho = 0.0
-        for x_rest, w in inst.avg_weights(kept_c, x_kept).items():
-            x_full = inst.merge_word(kept_c, x_kept, x_rest)
+        for x_full, w in inst.conditional(block, x).items():
             for l_rest in itertools.product(range(inst.dim_l), repeat=len(sbar)):
                 v = tp.global_embed(space, {**l_block, **dict(zip(sbar, l_rest))}, inst.delta)
                 st = v @ tp.embed_with_ancilla(inst.rhos[x_full], inst.k, inst.dim_h) @ v.conj().T
@@ -804,7 +800,7 @@ class TestSplitDecompose:
                 )
         box = space.box(sites, l_assign)
         t = box.expand(tp.psp_local(space, sites, (block,), inst.delta))
-        rho_bar = tp.embed_with_ancilla(inst.averaged_marginal(block, x_kept), len(sites), inst.dim_h)
+        rho_bar = tp.embed_with_ancilla(inst.averaged_marginal(block, x), len(sites), inst.dim_h)
         return rho, t @ rho_bar @ t.conj().T
 
     @staticmethod
@@ -853,8 +849,8 @@ class TestSplitDecompose:
         made = {}
         exact = tp.marginal_block_state
 
-        def perturbed(inst, block, x_kept):
-            box, c = exact(inst, block, x_kept)
+        def perturbed(inst, block, x):
+            box, c = exact(inst, block, x)
             c = c + 0.05 * (rng.normal(size=c.shape) + 1j * rng.normal(size=c.shape))
             made[block] = (box, c)
             return box, c
@@ -974,26 +970,42 @@ class TestIntersectionLemma:
 
     @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
     def test_one_marginal_per_word_and_block(self, monkeypatch, c, k, L):
-        # a block's factor serves every split of the word that contains it
+        # a block's factor serves every split that contains it and every word
+        # with the same symbols on the block's classical coordinates
+        coords = tp.classical_coords(c)
+
+        def kept(block, x):
+            return block, tuple(x[coords.index(e)] for e in block if e < 0)
+
         calls = {}
         exact = tp.marginal_block_state
 
-        def counting(inst, block, x_kept):
-            calls[block, x_kept] = calls.get((block, x_kept), 0) + 1
-            return exact(inst, block, x_kept)
+        def counting(inst, block, x):
+            calls[kept(block, x)] = calls.get(kept(block, x), 0) + 1
+            return exact(inst, block, x)
 
         monkeypatch.setattr(tp, "marginal_block_state", counting)
         inst = small_instance(160 + c, c=c, k=k, dim_l=L, delta=0.3)
         tp.intersection_lemma(inst)
         splits = [p for p in inst.lattice.linear_ext if not tp.is_full_block(inst, p)]
-        coords = tp.classical_coords(c)
-        want = {}
-        for x, block in {(x, b) for x in inst.words() for p in splits for b in p}:
-            key = block, tuple(x[coords.index(e)] for e in block if e < 0)
-            want[key] = want.get(key, 0) + 1
-        assert calls == want
+        want = {kept(b, x) for x in inst.words() for p in splits for b in p}
+        assert calls == dict.fromkeys(want, 1)
 
-    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2)])
+    def test_words_that_agree_share_a_factor(self):
+        # block (-2, 1) keeps the first symbol, block (1,) neither
+        inst = small_instance(165, c=2, k=1, dim_l=2, delta=0.3)
+        kept = tp.split_factor(inst, (0, 0), (-2, 1))
+        assert tp.split_factor(inst, (0, 1), (-2, 1)) is kept
+        assert tp.split_factor(inst, (1, 0), (-2, 1)) is not kept
+        both = [tp.split_factor(inst, x, (1,)) for x in inst.words()]
+        assert all(f is both[0] for f in both)
+
+    def test_lemma_forgets_every_split_factor(self):
+        inst = small_instance(166, c=1, k=2, dim_l=2, delta=0.3)
+        tp.intersection_lemma(inst)
+        assert not [key for key in inst._memo if key[0] == "split_factor"]
+
+    @pytest.mark.parametrize("c, k, L", [(0, 2, 4), (1, 2, 2), (0, 3, 2), (2, 2, 2)])
     def test_shared_factors_match_fresh_instances(self, c, k, L):
         # every split record the lemma emits equals split_decompose on an
         # instance that has computed nothing yet
@@ -1487,3 +1499,24 @@ class TestEpsShare:
         # 3.99 over the 4 splits of (0, 2) is 0.9975 per split
         inst = small_instance(0, c=0, k=2, eps=3.99)
         assert inst.eps_total / len(inst.lattice.linear_ext) < 1
+
+
+class TestInstanceWords:
+    @pytest.mark.parametrize(
+        "c, words, p_x, match",
+        [
+            # p_x over a word that rhos lacks
+            (1, [(0,), (1,)], {(2,): 1.0}, "same words"),
+            # two symbols at c = 1
+            (1, [(0, 0), (0, 1)], {(0, 0): 0.5, (0, 1): 0.5}, "not a tuple of c = 1"),
+            # a rhos word with no probability
+            (1, [(0,), (1,)], {(0,): 1.0}, "same words"),
+            (1, [(0,), (1,)], {(0,): 1.5, (1,): -0.5}, "weight -0.5, not >= 0"),
+            (0, [(0,)], {(0,): 1.0}, "not a tuple of c = 0"),
+        ],
+    )
+    def test_unusable_words_rejected(self, c, words, p_x, match):
+        # the first three were accepted, and intersection_lemma later failed with a bare KeyError
+        rhos = {x: np.eye(2) / 2 for x in words}
+        with pytest.raises(ValueError, match=match):
+            tp.TypicalityInstance(c=c, k=1, dim_h=2, dim_l=2, delta=0.3, rhos=rhos, p_x=p_x)

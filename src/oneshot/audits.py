@@ -196,70 +196,66 @@ def audit_dh(
 
     dh_optimality audits the duality gap: the alternate mass of the returned
     test is at most the dual bound, so it is optimal within the tolerance.
+    Every instance is drawn first, in seed order; then the D_H solves run as
+    one stack per matrix size (hyptest.optimal_tests, whose results do not
+    depend on the stack), and the records are made in draw order.
     """
-    checks = []
+    pairs, commuting, bipartite, optimality = [], [], [], []
     for t in range(commuting_pairs):
         rng = rng_from_seed(seed * 2_000_003 + t)
         n = int(rng.integers(2, 7))
         p = random_distribution(rng, n)
         q = random_distribution(rng, n)
         eps = float(rng.uniform(0.02, 0.95))
-        vq = hyptest.quantum_optimal_test(np.diag(p), np.diag(q), eps).value_bits
-        vc = hyptest.dh_classical(p, q, eps).value_bits
-        checks.append(
-            report.AuditCheck(
-                "dh_commuting_agreement",
-                abs(vq - vc),
-                0.0,
-                1e-8,
-                {"seed": seed, "trial": t, "n": n, "eps": eps},
-            )
-        )
+        pairs.append((np.diag(p), np.diag(q), eps))
+        params = {"seed": seed, "trial": t, "n": n, "eps": eps}
+        commuting.append((hyptest.dh_classical(p, q, eps).value_bits, params))
     rng = rng_from_seed(seed * 2_000_029)
     rho = random_density(rng, 4)
-    for i, eps in enumerate(np.arange(0.1, 0.95, 0.1)):
-        v = hyptest.quantum_optimal_test(rho, rho, float(eps)).value_bits
-        checks.append(
-            report.AuditCheck(
-                "dh_self_distance",
-                abs(v + np.log2(1 - eps)),
-                0.0,
-                1e-9,
-                {"seed": seed, "eps": round(float(eps), 3)},
-            )
-        )
+    self_eps = np.arange(0.1, 0.95, 0.1)
+    pairs += [(rho, rho, float(eps)) for eps in self_eps]
     for t in range(bipartite_states):
         rng = rng_from_seed(seed * 2_000_039 + t)
         da = int(rng.integers(2, 4))
         db = int(rng.integers(2, 6))
         rho = random_density(rng, da * db)
         eps = float((0.1, 0.5, 0.9)[t % 3])
-        v = hyptest.ih_mutual(rho, (da, db), eps)
-        checks.append(
-            report.AuditCheck(
-                "ih_dimension_bound",
-                v,
-                hyptest.ih_mutual_bound(da, db, eps),
-                1e-9,
-                {"seed": seed, "trial": t, "da": da, "db": db, "eps": eps},
-            )
-        )
+        pairs.append((rho, hyptest.marginal_product(rho, (da, db)), eps))
+        params = {"seed": seed, "trial": t, "da": da, "db": db, "eps": eps}
+        bipartite.append((hyptest.ih_mutual_bound(da, db, eps), params))
     for t in range(optimality_instances):
         rng = rng_from_seed(seed * 2_000_057 + t)
         d = int(rng.integers(2, 5))
         rho = random_density(rng, d)
         sigma = random_density(rng, d)
         eps = float(rng.uniform(0.05, 0.8))
-        res = hyptest.quantum_optimal_test(rho, sigma, eps)
-        checks.append(
-            report.AuditCheck(
-                "dh_optimality",
-                res.reject_mass,
-                res.dual,
-                1e-9,
-                {"seed": seed, "trial": t, "d": d, "eps": eps},
-            )
+        pairs.append((rho, sigma, eps))
+        optimality.append({"seed": seed, "trial": t, "d": d, "eps": eps})
+    results = iter(_stacked(
+        lambda rho, sigma, eps: hyptest.optimal_tests(rho[:, None], sigma[:, None], eps),
+        [rho for rho, _, _ in pairs],
+        [sigma for _, sigma, _ in pairs],
+        [np.float64(eps) for *_, eps in pairs],
+    ))
+    checks = [
+        report.AuditCheck("dh_commuting_agreement", abs(next(results).value_bits - vc), 0.0, 1e-8, params)
+        for vc, params in commuting
+    ]
+    checks += [
+        report.AuditCheck(
+            "dh_self_distance", abs(next(results).value_bits + np.log2(1 - eps)), 0.0, 1e-9,
+            {"seed": seed, "eps": round(float(eps), 3)},
         )
+        for eps in self_eps
+    ]
+    checks += [
+        report.AuditCheck("ih_dimension_bound", next(results).value_bits, bound, 1e-9, params)
+        for bound, params in bipartite
+    ]
+    checks += [
+        report.AuditCheck("dh_optimality", res.reject_mass, res.dual, 1e-9, params)
+        for res, params in zip(results, optimality)
+    ]
     return checks
 
 

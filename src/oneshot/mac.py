@@ -601,15 +601,17 @@ def build_decoding_povms(spec: CqChannelSpec, dim_l: int, delta: float, eps: flo
     letters = [(x, y) for x in range(spec.nx) for y in range(spec.ny)]
     weights = [spec.p_x[x] * spec.p_y[y] for x, y in letters]
     states = [spec.states[x, y] for x, y in letters]
-    # the cq state against product-of-marginals alternates, letter by letter
-    solved = [
-        hyptest.cq_optimal_test(weights, states, alternates, eps)
-        for alternates in (
+    # the cq state against product-of-marginals alternates, letter by letter, as one stack
+    solved = hyptest.cq_optimal_tests(
+        weights,
+        states,
+        [
             [spec.avg_x(x) for x, _ in letters],
             [spec.avg_y(y) for _, y in letters],
             [spec.avg() for _ in letters],
-        )
-    ]
+        ],
+        eps,
+    )
     blocks = np.stack([blk for _, blks in solved for blk in blks])
     bases = typicality._frozen(tilting.rejection_basis(hyptest.dilate_povm(blocks)))
     n = len(letters)

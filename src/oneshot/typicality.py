@@ -851,7 +851,8 @@ class SplitTest:
 def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
     """Per-word optimal tests for every pseudosubpartition, dilated to site-local projectors.
 
-    Each distinct split state takes one cq-level solve: the test of
+    Each distinct split state takes one cq-level solve, and all of them run
+    as one stack (hyptest.cq_optimal_tests): the test of
     sum_x p(x) |x><x| (x) rho_x against the same sum over the split states
     at a split's share of eps_total (c = 0 is the one-word case).  A
     pseudosubpartition fills its uncovered sites with their joint marginal,
@@ -869,27 +870,31 @@ def optimal_splitting_tests(inst: TypicalityInstance) -> dict:
     """
     words = inst.words()
     eps = inst.eps_total / len(inst.lattice.linear_ext)
-    out: dict = {x: {} for x in words}
-    solved: dict = {}
+    keys, distinct = [], {}
     for psp in inst.lattice.linear_ext:
         splits = [inst.split_state(x, psp) for x in words]
         key = tuple(split.tobytes() for split in splits)
-        if key not in solved:
-            solved[key] = _solve_split(inst, splits, eps)
-        for x, parts in zip(words, solved[key]):
-            out[x][psp] = SplitTest(psp, *parts)
+        distinct.setdefault(key, splits)
+        keys.append(key)
+    solved = hyptest.cq_optimal_tests(
+        [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], list(distinct.values()), eps
+    )
+    parts = {
+        key: _split_parts(inst, splits, blocks) for (key, splits), (_, blocks) in zip(distinct.items(), solved)
+    }
+    out: dict = {x: {} for x in words}
+    for psp, key in zip(inst.lattice.linear_ext, keys):
+        for x, part in zip(words, parts[key]):
+            out[x][psp] = SplitTest(psp, *part)
     return out
 
 
-def _solve_split(inst: TypicalityInstance, splits: list, eps: float) -> list:
-    """(eps_x, dh_bits, reject_mass, y_basis) per word from one cq-level solve against the split states.
+def _split_parts(inst: TypicalityInstance, splits: list, blocks: list) -> list:
+    """(eps_x, dh_bits, reject_mass, y_basis) per word from the blocks of one cq-level test.
 
     All words' blocks are dilated and their rejection bases taken as one stack.
     """
     words = inst.words()
-    _, blocks = hyptest.cq_optimal_test(
-        [inst.p_x[x] for x in words], [inst.rhos[x] for x in words], splits, eps
-    )
     y_bases = _frozen(tilting.rejection_basis(dilate_to_sites(np.stack(blocks), inst.k, inst.dim_h)))
     out = []
     for x, t, split, y_basis in zip(words, blocks, splits, y_bases):

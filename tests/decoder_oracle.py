@@ -6,7 +6,7 @@ them before its helpers accepted stacks.  per_block_decoding_set: the cq
 decoder built letter pair by letter pair, with one dilation and rejection
 basis per test block and one tilted basis per letter pair, however many
 pairs share their bases.  per_kink_dual: the dual certificate of
-hyptest.quantum_optimal_test with one spectrum per kink, equal kinks
+hyptest.optimal_tests with one spectrum per kink and pair, equal kinks
 included.  The package must equal these bit for bit.
 """
 
@@ -72,9 +72,14 @@ def per_block_decoding_set(spec, dim_l: int, delta: float, eps: float) -> dict:
     }
 
 
-def per_kink_dual(rho, sigma, target: float, sp) -> float:
-    """hyptest._kink_dual with one eigvalsh per kink, repeats included."""
-    lam, w, z = sp.lam, sp.w, sp.zero
-    kinks = [lam + wi / s for wi, s in zip(w[z], sp.slope[z]) if s > 0 and wi > -lam * s]
-    spectra = [np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)) for x in kinks]
-    return max(hyptest._dual(target, wx, x) for wx, x in zip([w] + spectra, [lam] + kinks))
+def per_kink_dual(rho, sigma, target, sp) -> np.ndarray:
+    """hyptest._kink_dual with one eigvalsh per pair and kink, repeats included."""
+    duals = []
+    for i in range(len(sp.lam)):
+        lam, w, z, slope = sp.lam[i], sp.w[i], sp.zero[i], sp.slope[i]
+        kinks = [lam + wi / s for wi, s in zip(w[z], slope[z]) if s > 0 and wi > -lam * s]
+        spectra = [np.linalg.eigvalsh(rho[i] - x * sigma[i]) for x in kinks]
+        duals.append(max(
+            hyptest._dual(target[i], wx[None], x)[0] for wx, x in zip([w] + spectra, [lam] + kinks)
+        ))
+    return np.array(duals)

@@ -81,7 +81,7 @@ def bisection_test(rho, sigma, eps):
     slopes = np.einsum("ij,ik,kj->j", v[:, z].conj(), sigma, v[:, z]).real
     kinks = [lam + wi / s for wi, s in zip(w[z], slopes) if s > 0 and wi > -lam * s]
     spectra = [np.linalg.eigvalsh(qla.hermitian_part(rho - x * sigma)) for x in kinks]
-    dual = max(hyptest._dual(target, wx, x) for wx, x in zip([w] + spectra, [lam] + kinks))
+    dual = max((target - wx[wx > 0].sum()) / x for wx, x in zip([w] + spectra, [lam] + kinks))
     return hyptest._result(pi, accept, scale * reject, scale * dual)
 
 
@@ -98,3 +98,31 @@ def near_singular_pair(s):
     sigma /= np.trace(sigma).real
     rho = 0.97 * np.outer(u[:, 0], u[:, 0].conj()) + 0.03 * rho_r
     return rho, sigma, 0.05
+
+
+def newton_offset_loop(sp, i: int, target: float) -> float:
+    """hyptest._newton_offsets of pair i, as the package took it before its solver took stacks.
+
+    One Python walk over the pair's crossings in time order (ties in index
+    order); nan where the model has no root.
+    """
+    w, slope, pos, acc = sp.w[i].ravel(), sp.slope[i].ravel(), sp.pos[i].ravel(), sp.acc[i].ravel()
+    lam, accept, deriv, edge = sp.lam[i], sp.accept[i], sp.deriv[i], sp.edge[i]
+    width = hyptest.REL_WIDTH * lam
+    right = accept >= target
+    moving = (pos if right else ~pos) & (slope > 0)
+    dist = w[moving] - edge if right else edge - w[moving]
+    times = np.maximum(dist / slope[moving], 0.0)
+    jumps = acc[moving]
+    excess, at = abs(accept - target), 0.0
+    for k in np.argsort(times, kind="stable"):
+        before = excess + deriv * (times[k] - at)
+        if before <= 0.0:
+            break
+        excess, at = before - jumps[k], times[k]
+        if excess <= 0.0:
+            return times[k] if right else -times[k]
+    if deriv == 0.0:
+        return np.nan
+    root = at - excess / deriv
+    return (root if right else -root) + width / 2.0

@@ -314,7 +314,7 @@ class TestRejectedInput:
         def forbidden(*args, **kwargs):
             raise AssertionError("D_H solve before the size check")
 
-        monkeypatch.setattr(hyptest, "quantum_optimal_test", forbidden)
+        monkeypatch.setattr(hyptest, "optimal_tests", forbidden)
         assert run(["typicality-build", "--c", "6", "--k", "1", "--out", outdir]) == 2
         assert "error: per-site dimension 250004 exceeds cap" in capsys.readouterr().err
 
@@ -434,7 +434,7 @@ class TestRejectedInput:
         # inf made the tilt weights nan after a numpy warning, and a delta
         # that underflows them to 0 failed only after every solve
         calls = []
-        monkeypatch.setattr(hyptest, "quantum_optimal_test", lambda *args: calls.append(args))
+        monkeypatch.setattr(hyptest, "optimal_tests", lambda *args: calls.append(args))
         if argv[0] == "mac":
             lines = [
                 argv[2] if line.startswith("delta") else line
@@ -476,7 +476,7 @@ class TestRejectedInput:
         def forbidden(*args, **kwargs):
             raise AssertionError("D_H solved before delta was checked")
 
-        monkeypatch.setattr(hyptest, "cq_optimal_test", forbidden)
+        monkeypatch.setattr(hyptest, "optimal_tests", forbidden)
         lines = [
             "delta = 0" if line.startswith("delta") else line
             for line in open("configs/cq_mac_small.txt").read().splitlines()

@@ -1,4 +1,4 @@
-"""The Newton root-find of quantum_optimal_test: its step count and its agreement with bisection."""
+"""The Newton root-find of optimal_tests: its step count and its agreement with bisection."""
 
 import numpy as np
 import pytest
@@ -12,24 +12,33 @@ from oneshot.rand import haar_unitary, random_density, random_distribution, rand
 
 @pytest.fixture()
 def eigh_counts(monkeypatch):
-    """The number of np.linalg.eigh calls made inside each quantum_optimal_test call."""
+    """The number of np.linalg.eigh calls each pair solved by optimal_tests takes part in.
+
+    One stacked call of sigma, then one per step over the pairs not yet
+    stopped, so a pair's count is its steps + 1; the stacked calls' sizes
+    must add up to that.
+    """
     counts = []
     eigh = np.linalg.eigh
-    solve = hyptest.quantum_optimal_test
-
-    def counting_eigh(*args, **kwargs):
-        counts[-1] += 1
-        return eigh(*args, **kwargs)
+    solve = hyptest.optimal_tests
 
     def counting_solve(*args):
-        counts.append(0)
+        pairs = []
+
+        def counting_eigh(a, *eargs, **kwargs):
+            pairs.append(len(a))
+            return eigh(a, *eargs, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         try:
-            return solve(*args)
+            out = solve(*args)
         finally:
             monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sum(pairs) == sum(res.steps + 1 for res in out)
+        counts.extend(res.steps + 1 for res in out)
+        return out
 
-    monkeypatch.setattr(hyptest, "quantum_optimal_test", counting_solve)
+    monkeypatch.setattr(hyptest, "optimal_tests", counting_solve)
     return counts
 
 
@@ -80,7 +89,7 @@ def pair(kind, seed, d):
         psi = random_pure(rng, d)
         return np.outer(psi, psi.conj()), random_density(rng, d)
     if kind == "cq_blocks":
-        # block-diagonal over two letters, as cq_optimal_test assembles it
+        # block-diagonal over two letters, the dense form of a cq pair
         h = max(d // 2, 1)
         w = rng.uniform(0.2, 0.8)
         rho = np.zeros((2 * h, 2 * h), dtype=complex)
@@ -131,15 +140,14 @@ class TestAcceptanceSlope:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), lam=st.floats(0.05, 5.0))
     def test_matches_finite_difference(self, seed, d, lam):
         rng = rng_from_seed(seed)
-        rho = random_density(rng, d).astype(complex)
-        sigma = random_density(rng, d).astype(complex)
+        rho = random_density(rng, d).astype(complex)[None, None]
+        sigma = random_density(rng, d).astype(complex)[None, None]
         h = 1e-6 * lam
-        sp = hyptest._Spectrum(rho, sigma, lam)
-        lo = hyptest._Spectrum(rho, sigma, lam - h)
-        hi = hyptest._Spectrum(rho, sigma, lam + h)
+        # a stack of one
+        sp, lo, hi = (hyptest._Spectra(rho, sigma, np.array([x])) for x in (lam, lam - h, lam + h))
         # no eigenvalue crosses the gap within [lam - h, lam + h]
         if not (np.array_equal(lo.pos, sp.pos) and np.array_equal(hi.pos, sp.pos)):
             return
-        assert sp.deriv <= 0.0
-        fd = (hi.accept - lo.accept) / (2 * h)
-        assert sp.deriv == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        assert sp.deriv[0] <= 0.0
+        fd = (hi.accept[0] - lo.accept[0]) / (2 * h)
+        assert sp.deriv[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)

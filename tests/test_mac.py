@@ -557,13 +557,13 @@ class TestTimeSharing:
     def test_solves_only_in_its_lemma(self, monkeypatch):
         # the codebook words reuse the lemma's tests: one cq solve per split
         calls = [0]
-        solve = hyptest.quantum_optimal_test
+        solve = hyptest.optimal_tests
 
-        def counting(*args):
-            calls[0] += 1
-            return solve(*args)
+        def counting(rho, *args):
+            calls[0] += len(rho)
+            return solve(rho, *args)
 
-        monkeypatch.setattr(hyptest, "quantum_optimal_test", counting)
+        monkeypatch.setattr(hyptest, "optimal_tests", counting)
         mac.time_sharing_experiment(time_sharing_spec(), 0.5, 0.0, 0.05, dim_l=2, trials=3, seed=2)
         assert calls[0] == len(typicality.enum_pslattice(3, 1).linear_ext)
 
@@ -742,20 +742,22 @@ class TestDilationRounding:
         # into about 3e-9 of the errors; eigenvalues at 0 and 1 are snapped
         spec, eps, dim_l = load_config("bench/cq_mac.txt")
         base = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, dim_l, trials=3, seed=5)
-        solve = hyptest.cq_optimal_test
+        solve = hyptest.cq_optimal_tests
         for seed in range(5):
             rng = rng_from_seed(seed)
 
             def perturbed(*args):
-                res, blocks = solve(*args)
                 out = []
-                for blk in blocks:
-                    g = rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape)
-                    h = g + g.conj().T
-                    out.append(blk + 1e-15 * h / np.linalg.norm(h, 2))
-                return res, out
+                for res, blocks in solve(*args):
+                    moved = []
+                    for blk in blocks:
+                        g = rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape)
+                        h = g + g.conj().T
+                        moved.append(blk + 1e-15 * h / np.linalg.norm(h, 2))
+                    out.append((res, moved))
+                return out
 
-            monkeypatch.setattr(hyptest, "cq_optimal_test", perturbed)
+            monkeypatch.setattr(hyptest, "cq_optimal_tests", perturbed)
             got = mac.cq_mac_experiment(spec, 1.0, 1.0, eps, dim_l, trials=3, seed=5)
             npt.assert_allclose(got.errors, base.errors, rtol=0, atol=1e-12)
             for key, value in base.bounds.items():
@@ -836,18 +838,15 @@ class TestStackedDecoder:
 
     @pytest.mark.parametrize("name", DECODER_CONFIGS)
     def test_solves_match_per_kink_dual(self, name, monkeypatch):
-        # every cq solve of the config; on the adder only the joint one, whose
-        # per-kink oracle takes 64 spectra of 512 x 512
+        # the three cq solves of the config as one stack, against one solve
+        # per set with one spectrum per kink (64 kinks per set on the adder)
         spec, _, _, eps = load_decoder_args(name)
         weights, states, alternates = cq_pairs(spec)
-        if spec.nx > 2:
-            alternates = alternates[2:]
-        solve = hyptest.cq_optimal_test
-        got = [solve(weights, states, alt, eps) for alt in alternates]
+        got = hyptest.cq_optimal_tests(weights, states, alternates, eps)
         monkeypatch.setattr(hyptest, "_kink_dual", decoder_oracle.per_kink_dual)
         for (res, blocks), alt in zip(got, alternates):
-            want, want_blocks = solve(weights, states, alt, eps)
-            for field in ("value_bits", "accept_prob", "reject_mass", "dual"):
+            want, want_blocks = hyptest.cq_optimal_test(weights, states, alt, eps)
+            for field in ("value_bits", "accept_prob", "reject_mass", "dual", "steps"):
                 assert getattr(res, field) == getattr(want, field), field
             assert np.array_equal(res.test, want.test)
             assert all(np.array_equal(b, w) for b, w in zip(blocks, want_blocks))
@@ -945,6 +944,8 @@ class TestDecoderCounts:
         assert len({a[0].tobytes() for a in roots}) == len(roots)
 
     def test_one_spectrum_per_distinct_kink(self, monkeypatch):
+        # the three solves as one stack: one stacked eigvalsh over every
+        # pair's distinct kinks, each pair with repeated kinks
         spec = adder_spec(4)
         weights, states, alternates = cq_pairs(spec)
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
@@ -952,16 +953,18 @@ class TestDecoderCounts:
         seen = []
 
         def recorded(rho, sigma, target, sp):
-            z, lam = sp.zero, sp.lam
-            kinks = [lam + w / s for w, s in zip(sp.w[z], sp.slope[z]) if s > 0 and w > -lam * s]
+            lam = sp.lam[:, None, None]
+            at = sp.zero & (sp.slope > 0) & (sp.w > -lam * sp.slope)
+            kinks = [(lam + sp.w / np.where(at, sp.slope, 1.0))[i][at[i]].tolist() for i in range(len(at))]
             before = len(eigvalsh)
             out = dual(rho, sigma, target, sp)
-            seen.append((len(kinks), len(set(kinks)), len(eigvalsh) - before))
+            seen.append((kinks, [len(a[0]) for a in eigvalsh[before:]]))
             return out
 
         monkeypatch.setattr(hyptest, "_kink_dual", recorded)
-        for alt in alternates:
-            hyptest.cq_optimal_test(weights, states, alt, 0.02)
-        assert len(seen) == 3
-        for kinks, distinct, spectra in seen:
-            assert kinks > distinct and spectra == distinct
+        hyptest.cq_optimal_tests(weights, states, alternates, 0.02)
+        assert len(seen) == 1
+        kinks, spectra = seen[0]
+        assert len(kinks) == 3
+        assert all(len(k) > len(set(k)) for k in kinks)
+        assert spectra == [sum(len(set(k)) for k in kinks)]

@@ -936,13 +936,13 @@ class TestIntersectionLemma:
         # splits whose split states are equal in every word share one solve:
         # 2 of 4 at (0, 2), 7 of 14 at (0, 3)
         calls = [0]
-        solve = hyptest.quantum_optimal_test
+        solve = hyptest.optimal_tests
 
-        def counting(*args):
-            calls[0] += 1
-            return solve(*args)
+        def counting(rho, *args):
+            calls[0] += len(rho)
+            return solve(rho, *args)
 
-        monkeypatch.setattr(hyptest, "quantum_optimal_test", counting)
+        monkeypatch.setattr(hyptest, "optimal_tests", counting)
         inst = small_instance(102 + c, c=c, k=k, dim_l=2, delta=0.3)
         res = tp.intersection_lemma(inst)
         assert res.all_pass()
@@ -1311,18 +1311,18 @@ class TestSharedSplitSolves:
     @pytest.mark.parametrize("c, k, dim_l, distinct, splits", SHARED_SPLIT_SHAPES)
     def test_one_solve_and_root_per_distinct_state(self, monkeypatch, c, k, dim_l, distinct, splits):
         inst = audits.random_instance(200 + c, c, k, 2, dim_l, 0.3, 0.2)
-        solves, roots = [0], []
-        solve, root = hyptest.cq_optimal_test, tp.sqrt_factor
+        solves, roots = [], []
+        solve, root = hyptest.optimal_tests, tp.sqrt_factor
 
-        def counting_solve(*args):
-            solves[0] += 1
-            return solve(*args)
+        def counting_solve(rho, *args):
+            solves.append(len(rho))
+            return solve(rho, *args)
 
         def recording_root(core):
             roots.append(core.tobytes())
             return root(core)
 
-        monkeypatch.setattr(hyptest, "cq_optimal_test", counting_solve)
+        monkeypatch.setattr(hyptest, "optimal_tests", counting_solve)
         monkeypatch.setattr(tp, "sqrt_factor", recording_root)
         rejection, rejected = tilting.rejection_basis, []
 
@@ -1334,7 +1334,8 @@ class TestSharedSplitSolves:
         res = tp.intersection_lemma(inst)
         assert res.all_pass()
         assert len(inst.lattice.linear_ext) == splits
-        assert solves[0] == distinct
+        # the distinct split states' solves as one stack
+        assert solves == [distinct]
         # one rejection basis call per distinct split state, over all words' blocks
         assert rejected == [(len(inst.words()),)] * distinct
         for x in inst.words():
